@@ -58,7 +58,6 @@ from .gysin import (
     verify_classical,
 )
 from .expressions import ExprAst, elaborate, parse_expression
-from .cli import OutputRecord, run
 
 __version__ = "0.1.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "Monomial",
     "NotDivisibleError",
     "NotInvertibleError",
-    "OutputRecord",
     "ParseError",
     "Permutation",
     "Polynomial",
@@ -104,7 +102,6 @@ __all__ = [
     "reduce_to_elementary",
     "relation_check",
     "root_generators",
-    "run",
     "segre_oracle",
     "series_inverse",
     "verify_classical",

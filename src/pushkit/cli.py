@@ -8,9 +8,10 @@ Subcommands:
     verify    --rank R --max-degree D
 
 Exit codes: 0 on success, 1 on a verification failure, 2 on usage or parse
-errors.  When --max-degree is omitted it defaults to rank + 3.  JSON output
-serializes every coefficient as a "p/q" string so arbitrary precision
-survives any JSON reader; no floats appear anywhere.
+errors.  When --max-degree is omitted it defaults to rank + 3; it must be at
+least rank - 1, the fiber dimension.  JSON output serializes every
+coefficient as a "p/q" string so arbitrary precision survives any JSON
+reader; no floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
 from .expressions import elaborate, parse_expression
 from .gysin import ClassExpr, pushforward, verify_classical
 from .localization import bundle_ring, localize
-from .polyring import Polynomial
+from .polyring import Polynomial, _render_terms
 
 __all__ = ["OutputRecord", "run", "main"]
 
@@ -84,37 +86,21 @@ class OutputRecord:
         return "\n".join(lines)
 
     def render_tex(self) -> str:
-        return _tex(self.polynomial)
+        return _render_terms(self.polynomial, _tex_coeff, _tex_name, _tex_power)
 
 
-def _tex(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    names = p.table.names
-    pieces = []
-    for k, (mon, coeff) in enumerate(p.sorted_terms()):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if mag.denominator == 1:
-            mag_str = str(mag.numerator)
-        else:
-            mag_str = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        factors = []
-        if mon.is_constant or mag != 1:
-            factors.append(mag_str)
-        for i, e in mon.exps:
-            name = names[i]
-            if name[-1].isdigit():
-                body = f"{name[0]}_{{{name[1:]}}}"
-            else:
-                body = name
-            factors.append(body if e == 1 else f"{body}^{{{e}}}")
-        body = " ".join(factors)
-        if k == 0:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+def _tex_coeff(mag: Fraction) -> str:
+    if mag.denominator == 1:
+        return str(mag.numerator)
+    return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+
+
+def _tex_name(name: str) -> str:
+    return f"{name[0]}_{{{name[1:]}}}" if name[-1].isdigit() else name
+
+
+def _tex_power(base: str, e: int) -> str:
+    return f"{base}^{{{e}}}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,8 +152,8 @@ def _validated_rank(args: argparse.Namespace) -> int:
 
 def _effective_degree(args: argparse.Namespace, rank: int) -> int:
     degree = args.max_degree if args.max_degree is not None else rank + 3
-    if degree < 0:
-        raise ValueError("max degree must be non-negative")
+    if degree < rank - 1:
+        raise ValueError(f"max degree must be at least rank - 1 = {rank - 1}, the fiber dimension")
     return degree
 
 

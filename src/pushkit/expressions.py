@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
-from .gysin import ClassExpr
+from .gysin import ClassExpr, _rename_fiber_variable
 from .localization import bundle_ring
 from .polyring import Polynomial, series_inverse
 
@@ -340,9 +340,6 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
         raise TypeError(f"unknown node {node!r}")
 
     value = ev(ast)
-    support = set(value.variables())
-    if "x" in support and "y" in support:
-        images = {name: table.var(name) for name in support}
-        images["x"] = -table.var("y")
-        value = value.substitute(images)
+    if "y" in value.variables():
+        value = _rename_fiber_variable(value, "x", "y")
     return ClassExpr(payload=value, cutoff=cutoff)

@@ -85,19 +85,14 @@ def _rename_fiber_variable(payload: Polynomial, old: str, new: str) -> Polynomia
     return payload.substitute(images)
 
 
-def pushforward(
-    expr: ClassExpr,
-    rank: int,
-    cutoff: int | None = None,
-    verify: bool = True,
-) -> PushforwardResult:
+def pushforward(expr: ClassExpr, rank: int, *, verify: bool = True) -> PushforwardResult:
     """Push a fiber class forward to the base, in Chern-class form.
 
-    Normalizes x to -y, runs the fixed-point sum, asserts invariance under
-    permuting the roots, and rewrites the result in c1..cr.  Unless
-    ``verify`` is false, the answer is cross-checked against the
-    presentation oracle whenever the input involves only x (or y) and the
-    Chern generators.
+    Normalizes x to -y, runs the fixed-point sum through ``expr.cutoff``,
+    asserts invariance under permuting the roots, and rewrites the result in
+    c1..cr.  Unless ``verify`` is false, the answer is cross-checked against
+    the presentation oracle whenever the input involves only x (or y) and
+    the Chern generators.
     """
     table = bundle_ring(rank)
     if expr.payload.table is not table and expr.payload.table != table:
@@ -109,17 +104,8 @@ def pushforward(
             "root variables u_i cannot be pushed forward; use localize for those"
         )
 
-    if cutoff is None:
-        effective = expr.cutoff
-    elif expr.cutoff is None:
-        effective = cutoff
-    else:
-        effective = min(cutoff, expr.cutoff)
-
     payload = _rename_fiber_variable(expr.payload, "x", "y")
-    if effective is not None:
-        payload = payload.truncate(effective)
-    result = localize(payload, rank, effective)
+    result = localize(payload, rank, expr.cutoff)
     checks: dict[str, str] = {"weyl_invariance": "pass"}
 
     chern_form = reduce_to_elementary(result.value)
@@ -199,21 +185,16 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
     return Polynomial._raw(table, {m: c for m, c in answer.items() if c})
 
 
-def presentation_oracle(expr: ClassExpr, rank: int, cutoff: int | None = None) -> Polynomial:
+def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
     """Independent pushforward of a class in x and c1..cr via the ring
-    presentation; truncated at cutoff - (rank - 1) when a cutoff applies."""
+    presentation; truncated at ``expr.cutoff - (rank - 1)`` when the class
+    has a cutoff."""
     table = bundle_ring(rank)
     if expr.payload.table is not table and expr.payload.table != table:
         raise ArityError(f"expression does not live in the rank-{rank} working ring")
-    if cutoff is None:
-        effective = expr.cutoff
-    elif expr.cutoff is None:
-        effective = cutoff
-    else:
-        effective = min(cutoff, expr.cutoff)
     value = _presentation_reduce(expr.payload, rank)
-    if effective is not None:
-        value = value.truncate(effective - (rank - 1))
+    if expr.cutoff is not None:
+        value = value.truncate(expr.cutoff - (rank - 1))
     return value
 
 

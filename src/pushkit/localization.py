@@ -14,8 +14,6 @@ denominator so that only exact division by linear factors is ever needed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -158,16 +156,6 @@ class LocalizationResult:
     valid_through: int | None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PUSHKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:
     """Sum of restriction/Euler over the fixed points, computed exactly.
 
@@ -185,27 +173,11 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
         if phi.degree() > cutoff:
             raise ValueError("series input must be pre-truncated at the cutoff")
 
-    charts = _charts(rank)
-    cofactors = _cofactors(rank)
+    value = table.zero()
+    for chart, cofactor in zip(_charts(rank), _cofactors(rank)):
+        value = value + chart.restrict(phi) * cofactor
+
     _, factors = _vandermonde(rank)
-
-    def chart_term(pair: tuple[FixedPointChart, Polynomial]) -> Polynomial:
-        chart, cofactor = pair
-        return chart.restrict(phi) * cofactor
-
-    workers = _worker_count()
-    pairs = list(zip(charts, cofactors))
-    if workers > 1 and rank > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, rank)) as pool:
-            terms = list(pool.map(chart_term, pairs))
-    else:
-        terms = [chart_term(pair) for pair in pairs]
-
-    numerator = table.zero()
-    for t in terms:
-        numerator = numerator + t
-
-    value = numerator
     try:
         for a, b in factors:
             value = divide_exact_linear(value, table.var(a) - table.var(b))

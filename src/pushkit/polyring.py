@@ -13,7 +13,7 @@ functions of their inputs, so they are safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 from .errors import (
@@ -537,30 +537,44 @@ class Polynomial:
     def render(self) -> str:
         """Canonical text: decreasing graded-lex terms, reduced fractions,
         ``^`` for powers, multiplication by juxtaposition."""
-        if not self._terms:
-            return "0"
-        names = self.table.names
-        pieces: list[str] = []
-        for k, (mon, coeff) in enumerate(self.sorted_terms()):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            factors: list[str] = []
-            if mon.is_constant or mag != 1:
-                factors.append(str(mag))
-            for i, e in mon.exps:
-                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
-            body = " ".join(factors)
-            if k == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+        return _render_terms(self, str, str, lambda base, e: f"{base}^{e}")
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def _render_terms(
+    p: Polynomial,
+    coeff: Callable[[Fraction], str],
+    name: Callable[[str], str],
+    power: Callable[[str, int], str],
+) -> str:
+    """Walk the terms of ``p`` in decreasing graded-lex order and join them
+    with signs; a unit coefficient is shown only on the constant term.
+    ``coeff`` formats a positive magnitude, ``name`` a generator and
+    ``power`` a formatted generator raised to an exponent above 1."""
+    if p.is_zero():
+        return "0"
+    names = p.table.names
+    pieces: list[str] = []
+    for k, (mon, c) in enumerate(p.sorted_terms()):
+        neg = c < 0
+        mag = -c if neg else c
+        factors: list[str] = []
+        if mon.is_constant or mag != 1:
+            factors.append(coeff(mag))
+        for i, e in mon.exps:
+            base = name(names[i])
+            factors.append(base if e == 1 else power(base, e))
+        body = " ".join(factors)
+        if k == 0:
+            pieces.append(f"-{body}" if neg else body)
+        else:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(pieces)
 
 
 def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:

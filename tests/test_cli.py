@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pushkit import bundle_ring, elaborate, parse_expression, segre_oracle
 from pushkit.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds pushkit on ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def _poly_from_text(text: str, rank: int, cutoff: int):
@@ -148,3 +160,30 @@ def test_symmetric_root_coefficient_localizes(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_expression_with_leading_minus_follows_double_dash(capsys):
+    assert run(["push", "--rank", "3", "--", "-x^3"]) == 0
+    assert "chern_form = c1" in capsys.readouterr().out
+
+
+def test_max_degree_below_fiber_dimension_exits_two(capsys):
+    for command in (["push", "x^2"], ["localize", "y^2"], ["verify"]):
+        assert run([command[0], "--rank", "5", "--max-degree", "2", *command[1:]]) == 2
+        assert "max degree must be at least rank - 1" in capsys.readouterr().err
+    assert run(["push", "--rank", "5", "--max-degree", "4", "x^4"]) == 0
+    assert "valid_through = 0" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_warning():
+    proc = _python("-m", "pushkit.cli", "push", "--rank", "2", "x")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "chern_form = 1" in proc.stdout
+
+
+def test_library_import_loads_no_front_end():
+    code = "import sys, pushkit; print(sorted({'pushkit.cli', 'concurrent.futures'} & set(sys.modules)))"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

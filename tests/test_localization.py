@@ -179,13 +179,3 @@ def test_truncation_contract(seed, rank):
     truncated = localize(phi.truncate(cutoff), rank, cutoff)
     assert truncated.valid_through == cutoff - (rank - 1)
     assert truncated.value == exact.truncate(cutoff - (rank - 1))
-
-
-def test_thread_env_variable_is_honored(monkeypatch):
-    table = bundle_ring(3)
-    y = table.var("y")
-    expected = localize(y.pow(4), 3).value
-    monkeypatch.setenv("PUSHKIT_THREADS", "4")
-    assert localize(y.pow(4), 3).value == expected
-    monkeypatch.setenv("PUSHKIT_THREADS", "not-a-number")
-    assert localize(y.pow(4), 3).value == expected
