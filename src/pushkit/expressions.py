@@ -315,6 +315,8 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
     table = bundle_ring(rank)
+    combine = {Add: Polynomial.__add__, Sub: Polynomial.__sub__}
+    combine[Mul] = lambda a, b: a.mul_trunc(b, cutoff)
 
     def ev(node: ExprAst) -> Polynomial:
         if isinstance(node, Num):
@@ -323,12 +325,17 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
             return table.var(node.name).truncate(cutoff)
         if isinstance(node, Neg):
             return -ev(node.operand)
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Mul):
-            return ev(node.left).mul_trunc(ev(node.right), cutoff)
+        if type(node) in combine:
+            # a flat chain such as x + x + ... + x parses left-deep; walk its
+            # left spine in a loop so its length is not bounded by recursion
+            spine = []
+            while type(node) in combine:
+                spine.append(node)
+                node = node.left
+            value = ev(node)
+            for op in reversed(spine):
+                value = combine[type(op)](value, ev(op.right))
+            return value
         if isinstance(node, Pow):
             return ev(node.base).pow(node.exponent, cutoff)
         if isinstance(node, Inv):

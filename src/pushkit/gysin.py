@@ -13,12 +13,11 @@ x^r + c1 x^(r-1) + ... + cr determines the pushforward of every power of x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import ArityError, PushkitError, UnsupportedVariableError
 from .localization import bundle_ring, localize, relation_check
-from .polyring import Monomial, Polynomial, series_inverse
+from .polyring import Monomial, Polynomial, _accumulate, _split, series_inverse
 from .symfun import expand_elementary, reduce_to_elementary, root_generators
 
 __all__ = [
@@ -158,31 +157,13 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
     x_idx = table.index("x")
     chern_mons = [Monomial(((table.index(f"c{i}"), 1),)) for i in range(1, rank + 1)]
 
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
-    for mon, coeff in payload._terms.items():
-        k = mon.exponent(x_idx)
-        buckets.setdefault(k, {})[mon.without(x_idx)] = coeff
-
-    while buckets:
-        k = max(buckets)
-        if k < rank:
-            break
-        head = buckets.pop(k)
-        for i in range(1, rank + 1):
+    buckets = _split(payload, x_idx)
+    for k in range(max(buckets, default=0), rank - 1, -1):
+        head = buckets.pop(k, {})
+        for i, c_mon in enumerate(chern_mons, 1):
             target = buckets.setdefault(k - i, {})
-            c_mon = chern_mons[i - 1]
-            for mon, coeff in head.items():
-                key = mon * c_mon
-                s = target.get(key, Fraction(0)) - coeff
-                if s:
-                    target[key] = s
-                elif key in target:
-                    del target[key]
-        for kk in [kk for kk, terms in buckets.items() if not terms]:
-            del buckets[kk]
-
-    answer = buckets.get(rank - 1, {})
-    return Polynomial._raw(table, {m: c for m, c in answer.items() if c})
+            _accumulate(target, ((mon * c_mon, c) for mon, c in head.items()), sign=-1)
+    return Polynomial._raw(table, buckets.get(rank - 1, {}))
 
 
 def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:

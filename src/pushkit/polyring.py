@@ -13,6 +13,7 @@ functions of their inputs, so they are safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
@@ -178,14 +179,6 @@ class Monomial:
         """Copy with the exponent of ``idx`` removed."""
         return Monomial._raw(tuple((i, e) for i, e in self.exps if i != idx))
 
-    def times_var(self, idx: int, exp: int) -> Monomial:
-        """Copy with ``exp`` added to the exponent of ``idx``."""
-        if exp == 0:
-            return self
-        merged = dict(self.exps)
-        merged[idx] = merged.get(idx, 0) + exp
-        return Monomial._raw(tuple(sorted(merged.items())))
-
     def __mul__(self, other: Monomial) -> Monomial:
         if not other.exps:
             return self
@@ -332,14 +325,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mon, c in rhs._terms.items():
-            s = out.get(mon, _ZERO) + c
-            if s:
-                out[mon] = s
-            elif mon in out:
-                del out[mon]
-        return Polynomial._raw(self.table, out)
+        return Polynomial._raw(self.table, _accumulate(dict(self._terms), rhs._terms.items()))
 
     __radd__ = __add__
 
@@ -347,14 +333,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mon, c in rhs._terms.items():
-            s = out.get(mon, _ZERO) - c
-            if s:
-                out[mon] = s
-            elif mon in out:
-                del out[mon]
-        return Polynomial._raw(self.table, out)
+        return Polynomial._raw(self.table, _accumulate(dict(self._terms), rhs._terms.items(), -1))
 
     def __rsub__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -384,33 +363,21 @@ class Polynomial:
         return self * (1 / c)
 
     def _mul(self, other: Polynomial, cutoff: int | None) -> Polynomial:
-        if not self._terms or not other._terms:
-            return Polynomial._raw(self.table, {})
-        out: dict[Monomial, Fraction] = {}
-        if cutoff is None:
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    mon = ma * mb
-                    s = out.get(mon, _ZERO) + ca * cb
-                    if s:
-                        out[mon] = s
-                    elif mon in out:
-                        del out[mon]
-        else:
-            table = self.table
-            left = [(m, m.degree(table), c) for m, c in self._terms.items()]
-            right = [(m, m.degree(table), c) for m, c in other._terms.items()]
-            for ma, da, ca in left:
-                for mb, db, cb in right:
-                    if da + db > cutoff:
-                        continue
-                    mon = ma * mb
-                    s = out.get(mon, _ZERO) + ca * cb
-                    if s:
-                        out[mon] = s
-                    elif mon in out:
-                        del out[mon]
-        return Polynomial._raw(self.table, out)
+        """Product; with a ``cutoff``, pairs whose degrees add up past it are
+        never formed (the right-hand terms are sorted by degree once)."""
+        table = self.table
+        right = list(other._terms.items())
+        if cutoff is not None:
+            right.sort(key=lambda term: term[0].degree(table))
+            degrees = [mon.degree(table) for mon, _ in right]
+
+        def fitting(ma: Monomial) -> list[tuple[Monomial, Fraction]]:
+            if cutoff is None:
+                return right
+            return right[: bisect_right(degrees, cutoff - ma.degree(table))]
+
+        pairs = ((ma * mb, ca * cb) for ma, ca in self._terms.items() for mb, cb in fitting(ma))
+        return Polynomial._raw(table, _accumulate({}, pairs))
 
     def mul_trunc(self, other: Polynomial, cutoff: int) -> Polynomial:
         """Product with every term of degree above ``cutoff`` dropped."""
@@ -524,12 +491,7 @@ class Polynomial:
             prod = target.const(coeff)
             for i, e in mon.exps:
                 prod = prod * power(i, e)
-            for m, c in prod._terms.items():
-                s = out.get(m, _ZERO) + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+            _accumulate(out, prod._terms.items())
         return Polynomial._raw(target, out)
 
     # -- rendering ---------------------------------------------------------
@@ -544,6 +506,29 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def _accumulate(out: dict[Monomial, Fraction], items: Iterable, sign: int = 1) -> dict:
+    """Add ``sign`` (1 or -1) times each ``(monomial, coefficient)`` pair into
+    ``out`` in place and return it; terms that cancel are deleted, so a
+    zero-free ``out`` stays zero-free."""
+    add = sign > 0
+    get = out.get
+    for mon, c in items:
+        s = get(mon, _ZERO) + c if add else get(mon, _ZERO) - c
+        if s:
+            out[mon] = s
+        elif mon in out:
+            del out[mon]
+    return out
+
+
+def _split(p: Polynomial, idx: int) -> dict[int, dict[Monomial, Fraction]]:
+    """The terms of ``p`` grouped by their exponent of generator ``idx``, which is removed."""
+    buckets: dict[int, dict[Monomial, Fraction]] = {}
+    for mon, coeff in p._terms.items():
+        buckets.setdefault(mon.exponent(idx), {})[mon.without(idx)] = coeff
+    return buckets
 
 
 def _render_terms(
@@ -606,34 +591,17 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
         raise ValueError("factor must be a difference of two distinct generators")
 
     a, b = pos, neg
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
-    for mon, coeff in p._terms.items():
-        e = mon.exponent(a)
-        buckets.setdefault(e, {})[mon.without(a)] = coeff
-
-    top = max(buckets, default=0)
+    buckets = _split(p, a)
+    b_mon = Monomial._raw(((b, 1),))
     carry: dict[Monomial, Fraction] = {}
     quotient: dict[Monomial, Fraction] = {}
-    for k in range(top, 0, -1):
-        cur = dict(buckets.get(k, {}))
-        for mon, c in carry.items():
-            s = cur.get(mon, _ZERO) + c
-            if s:
-                cur[mon] = s
-            elif mon in cur:
-                del cur[mon]
+    for k in range(max(buckets, default=0), 0, -1):
+        cur = _accumulate(buckets.pop(k, {}), carry.items())
+        a_mon = Monomial._raw(((a, k - 1),) if k > 1 else ())
         for mon, c in cur.items():
-            quotient[mon.times_var(a, k - 1)] = c
-        carry = {mon.times_var(b, 1): c for mon, c in cur.items()}
-
-    remainder = dict(buckets.get(0, {}))
-    for mon, c in carry.items():
-        s = remainder.get(mon, _ZERO) + c
-        if s:
-            remainder[mon] = s
-        elif mon in remainder:
-            del remainder[mon]
-    if remainder:
+            quotient[mon * a_mon] = c
+        carry = {mon * b_mon: c for mon, c in cur.items()}
+    if _accumulate(buckets.get(0, {}), carry.items()):
         raise NotDivisibleError(
             f"{table.names[a]} - {table.names[b]} does not divide the given polynomial"
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import SymmetryError
-from .polyring import Monomial, Polynomial, VariableTable
+from .polyring import Monomial, Polynomial, VariableTable, _accumulate
 
 __all__ = [
     "Permutation",
@@ -242,13 +242,13 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
             raise RuntimeError("leading monomial of a symmetric polynomial must be a partition")
         mults = [lam[i] - lam[i + 1] for i in range(r - 1)] + [lam[r - 1]]
         c_mon = Monomial({chern_idx[i]: mults[i] for i in range(r) if mults[i]})
-        out[c_mon] = out.get(c_mon, Fraction(0)) + coeff
+        _accumulate(out, ((c_mon, coeff),))
         subtrahend = table.const(coeff)
         for i in range(r):
             if mults[i]:
                 subtrahend = subtrahend * elem_power(i + 1, mults[i])
         work = work - subtrahend
-    return Polynomial._raw(table, {m: c for m, c in out.items() if c})
+    return Polynomial._raw(table, out)
 
 
 def expand_elementary(p: Polynomial) -> Polynomial:

@@ -19,6 +19,7 @@ from pushkit import (
     elaborate,
     parse_expression,
 )
+from pushkit.cli import run
 from pushkit.expressions import Add, Inv, Mul, Neg, Num, Pow, Sub, Var
 
 from helpers import random_poly
@@ -127,6 +128,20 @@ def test_deep_nesting_is_a_diagnostic_not_a_crash():
     text = "(" * 5000 + "1" + ")" * 5000
     with pytest.raises(ParseError):
         parse_expression(text, 3)
+
+
+@pytest.mark.parametrize(
+    "rank, text, answer",
+    [
+        (2, "+".join(["x"] * 3000), "3000"),
+        (3, " ".join(["1"] * 3000), "0"),
+        (3, "-".join(["x^2"] * 3000), "-2998"),
+    ],
+    ids=["sum", "product", "difference"],
+)
+def test_long_flat_chain_is_evaluated_not_a_crash(capsys, rank, text, answer):
+    assert run(["push", "--rank", str(rank), text]) == 0
+    assert f"chern_form = {answer}\n" in capsys.readouterr().out
 
 
 def test_huge_integer_literal_is_handled():

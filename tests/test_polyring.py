@@ -264,6 +264,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == _T.zero()
+    assert a - b == a + (-b)
     assert a * _T.one() == a
 
 
@@ -279,6 +280,8 @@ def test_truncate_laws(a, b, cutoff):
     assert (a * b).truncate(cutoff) == (
         a.truncate(cutoff) * b.truncate(cutoff)
     ).truncate(cutoff)
+    assert a.mul_trunc(b, cutoff) == (a * b).truncate(cutoff)
+    assert a.pow(3, cutoff) == a.pow(3).truncate(cutoff)
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,6 +309,8 @@ def test_divide_round_trip(p, pair):
     a, b = pair
     factor = _T.var(a) - _T.var(b)
     assert divide_exact_linear(p * factor, factor) == p
+    with pytest.raises(NotDivisibleError):
+        divide_exact_linear(p * factor + 1, factor)
 
 
 @settings(max_examples=60, deadline=None)
