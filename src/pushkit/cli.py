@@ -41,6 +41,10 @@ from .polyring import Polynomial, _render_terms
 __all__ = ["OutputRecord", "run", "main"]
 
 
+class UsageError(ValueError):
+    """A command-line argument is out of range: the user's mistake, exit code 2."""
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     """Printable record of one computation: the result polynomial plus the
@@ -60,7 +64,7 @@ class OutputRecord:
         out = []
         for mon, coeff in self.polynomial.sorted_terms():
             out.append(
-                (coeff.numerator, coeff.denominator, {names[i]: e for i, e in mon.exps})
+                (coeff.numerator, coeff.denominator, {names[i]: e for i, e in mon})
             )
         return out
 
@@ -90,7 +94,7 @@ class OutputRecord:
         return _render_terms(self.polynomial, _tex_coeff, _tex_name, _tex_power)
 
 
-def _tex_coeff(mag: Fraction) -> str:
+def _tex_coeff(mag: int | Fraction) -> str:
     if mag.denominator == 1:
         return str(mag.numerator)
     return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
@@ -147,14 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validated_rank(args: argparse.Namespace) -> int:
     rank = args.rank
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise UsageError("rank must be >= 1")
     return rank
 
 
 def _effective_degree(args: argparse.Namespace, rank: int) -> int:
     degree = args.max_degree if args.max_degree is not None else rank + 3
     if degree < rank - 1:
-        raise ValueError(f"max degree must be at least rank - 1 = {rank - 1}, the fiber dimension")
+        raise UsageError(f"max degree must be at least rank - 1 = {rank - 1}, the fiber dimension")
     return degree
 
 
@@ -203,7 +207,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     rank = _validated_rank(args)
     if args.start < 0 or args.stop < args.start:
-        raise ValueError("need 0 <= K0 <= K1")
+        raise UsageError("need 0 <= K0 <= K1")
     table = bundle_ring(rank)
     x = table.var("x")
     failed = False
@@ -258,13 +262,13 @@ def run(argv: Sequence[str]) -> int:
     except (ParseError, ArityError, NotInvertibleError, UnsupportedVariableError) as exc:
         _print_positioned(exc, expr_text)
         return 2
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SymmetryError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except LocalizationIntegralityError as exc:
+    except (LocalizationIntegralityError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except PushkitError as exc:

@@ -60,22 +60,58 @@ class Neg:
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class _Binary:
+    """A binary operation.  A flat chain such as x + x + ... + x parses
+    left-deep, so ``==``, ``hash``, ``repr`` and elaboration walk the left
+    spine in a loop and the chain's length is not bounded by recursion."""
+
     left: "ExprAst"
     right: "ExprAst"
 
+    def _spine(self) -> tuple[list["_Binary"], "ExprAst"]:
+        """The nodes down the left spine, outermost first, and the first
+        left operand that is not a binary operation."""
+        spine, node = [], self
+        while isinstance(node, _Binary):
+            spine.append(node)
+            node = node.left
+        return spine, node
 
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprAst"
-    right: "ExprAst"
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, _Binary) and type(a) is type(b):
+            if a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    def __hash__(self) -> int:
+        spine, leaf = self._spine()
+        h = hash(leaf)
+        for node in reversed(spine):
+            h = hash((type(node), h, node.right))
+        return h
+
+    def __repr__(self) -> str:
+        spine, leaf = self._spine()
+        heads = "".join(f"{type(node).__name__}(left=" for node in spine)
+        tails = "".join(f", right={node.right!r})" for node in reversed(spine))
+        return heads + repr(leaf) + tails
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprAst"
-    right: "ExprAst"
+class Add(_Binary):
+    pass
+
+
+class Sub(_Binary):
+    pass
+
+
+class Mul(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -325,14 +361,9 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
             return table.var(node.name).truncate(cutoff)
         if isinstance(node, Neg):
             return -ev(node.operand)
-        if type(node) in combine:
-            # a flat chain such as x + x + ... + x parses left-deep; walk its
-            # left spine in a loop so its length is not bounded by recursion
-            spine = []
-            while type(node) in combine:
-                spine.append(node)
-                node = node.left
-            value = ev(node)
+        if isinstance(node, _Binary):
+            spine, leaf = node._spine()
+            value = ev(leaf)
             for op in reversed(spine):
                 value = combine[type(op)](value, ev(op.right))
             return value

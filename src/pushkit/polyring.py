@@ -3,9 +3,10 @@
 Generators are registered in a :class:`VariableTable` together with a
 positive integer degree (complex-degree convention: a class of topological
 degree ``2k`` has degree ``k`` here).  Polynomials are sparse maps from
-monomials to nonzero :class:`fractions.Fraction` coefficients, kept in
-canonical form, so equality is structural equality.  Arithmetic is exact;
-floats are rejected everywhere.
+monomials to nonzero rational coefficients, kept in canonical form, so
+equality is structural equality.  A coefficient is an ``int`` when it is
+integral and a :class:`fractions.Fraction` otherwise, never a float:
+arithmetic is exact and floats are rejected everywhere.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
@@ -13,7 +14,8 @@ functions of their inputs, so they are safe to share between threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
@@ -33,16 +35,15 @@ __all__ = [
     "series_inverse",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_Coeff = int | Fraction
 
 
-def _as_coeff(value) -> Fraction:
-    """Coerce an exact scalar; floats are rejected so nothing is rounded."""
+def _as_coeff(value) -> _Coeff:
+    """Coerce an exact scalar, integral ones to ``int``; floats are rejected."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -100,7 +101,7 @@ class VariableTable:
     def var(self, name: str) -> Polynomial:
         """The generator ``name`` as a polynomial."""
         i = self.index(name)
-        return Polynomial._raw(self, {Monomial(((i, 1),)): _ONE})
+        return Polynomial._raw(self, {Monomial(((i, 1),)): 1})
 
     def gens(self) -> tuple[Polynomial, ...]:
         return tuple(self.var(name) for name in self._names)
@@ -115,7 +116,7 @@ class VariableTable:
         return Polynomial._raw(self, {})
 
     def one(self) -> Polynomial:
-        return Polynomial._raw(self, {_MONOMIAL_ONE: _ONE})
+        return Polynomial._raw(self, {_MONOMIAL_ONE: 1})
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -132,16 +133,23 @@ class VariableTable:
         return f"VariableTable({body})"
 
 
-class Monomial:
-    """Sparse exponent vector; keys are indices into a variable table.
+_new = tuple.__new__
+# Sorts after every pair in Monomial.__mul__'s merge: no index reaches it.
+_END = (sys.maxsize, 0)
 
-    Zero exponents are never stored, so two equal monomials always have
-    identical representations.
+
+class Monomial(tuple):
+    """A tuple of ``(index, exponent)`` pairs sorted by variable-table index.
+
+    Each index occurs at most once and zero exponents are never stored, so
+    two equal monomials always have identical representations.  Hashing and
+    equality are the tuple's own, so a monomial compares equal to the plain
+    tuple of its pairs.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __new__(cls, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
         cleaned = []
         for idx, exp in items:
@@ -154,48 +162,61 @@ class Monomial:
             if exp:
                 cleaned.append((idx, exp))
         cleaned.sort()
-        self.exps = tuple(cleaned)
-        self._hash = hash(self.exps)
+        if any(a[0] == b[0] for a, b in zip(cleaned, cleaned[1:])):
+            raise ValueError("a variable index may occur only once")
+        return tuple.__new__(cls, cleaned)
 
     @classmethod
-    def _raw(cls, exps: tuple[tuple[int, int], ...]) -> Monomial:
-        """Wrap an already-sorted, zero-free exponent tuple without validating."""
-        m = object.__new__(cls)
-        m.exps = exps
-        m._hash = hash(exps)
-        return m
+    def _raw(cls, exps: Iterable[tuple[int, int]]) -> Monomial:
+        """Wrap sorted, zero-free pairs with distinct indices without validating."""
+        return tuple.__new__(cls, exps)
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """The ``(index, exponent)`` pairs as a plain tuple."""
+        return tuple(self)
 
     @property
     def is_constant(self) -> bool:
-        return not self.exps
+        return not self
 
     def exponent(self, idx: int) -> int:
-        for i, e in self.exps:
+        for i, e in self:
             if i == idx:
                 return e
         return 0
 
-    def without(self, idx: int) -> Monomial:
-        """Copy with the exponent of ``idx`` removed."""
-        return Monomial._raw(tuple((i, e) for i, e in self.exps if i != idx))
-
     def __mul__(self, other: Monomial) -> Monomial:
-        if not other.exps:
+        """Exponent-wise sum, merging the two sorted pair tuples in one pass."""
+        if not other:
             return self
-        if not self.exps:
+        if not self:
             return other
-        merged = dict(self.exps)
-        for i, e in other.exps:
-            merged[i] = merged.get(i, 0) + e
-        return Monomial._raw(tuple(sorted(merged.items())))
+        out = []
+        append = out.append
+        rest = iter(other)
+        q = next(rest)
+        for p in self:
+            while q[0] < p[0]:
+                append(q)
+                q = next(rest, _END)
+            if q[0] == p[0]:
+                append((p[0], p[1] + q[1]))
+                q = next(rest, _END)
+            else:
+                append(p)
+        if q is not _END:
+            append(q)
+            out.extend(rest)
+        return _new(Monomial, out)
 
     def degree(self, table: VariableTable) -> int:
         degs = table.degrees
-        return sum(e * degs[i] for i, e in self.exps)
+        return sum(e * degs[i] for i, e in self)
 
     def dense(self, nvars: int) -> tuple[int, ...]:
         out = [0] * nvars
-        for i, e in self.exps:
+        for i, e in self:
             out[i] = e
         return tuple(out)
 
@@ -203,18 +224,10 @@ class Monomial:
         """Graded-lex key: total degree first, then the dense exponent vector."""
         return (self.degree(table), self.dense(len(table)))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
-        if not self.exps:
+        if not self:
             return "Monomial(1)"
-        body = " ".join(f"#{i}^{e}" for i, e in self.exps)
+        body = " ".join(f"#{i}^{e}" for i, e in self)
         return f"Monomial({body})"
 
 
@@ -222,7 +235,8 @@ _MONOMIAL_ONE = Monomial(())
 
 
 class Polynomial:
-    """Sparse polynomial over a :class:`VariableTable` with Fraction coefficients.
+    """Sparse polynomial over a :class:`VariableTable` with exact coefficients:
+    ``int`` when integral, :class:`fractions.Fraction` otherwise.
 
     Canonical form: no zero coefficients are stored, so ``==`` is exact
     mathematical equality.  Supports ``+ - * **`` with other polynomials over
@@ -232,13 +246,13 @@ class Polynomial:
     __slots__ = ("table", "_terms", "_degree")
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, object] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+        cleaned: dict[Monomial, _Coeff] = {}
         if terms:
             n = len(table)
             for mon, coeff in terms.items():
                 if not isinstance(mon, Monomial):
                     raise TypeError("term keys must be Monomial instances")
-                if mon.exps and mon.exps[-1][0] >= n:
+                if mon and mon[-1][0] >= n:
                     raise ValueError("monomial references a generator outside the table")
                 c = _as_coeff(coeff)
                 if c:
@@ -248,7 +262,7 @@ class Polynomial:
         self._degree: int | None = None
 
     @classmethod
-    def _raw(cls, table: VariableTable, terms: dict[Monomial, Fraction]) -> Polynomial:
+    def _raw(cls, table: VariableTable, terms: dict[Monomial, _Coeff]) -> Polynomial:
         """Wrap an already-canonical term dict without re-validating it."""
         p = object.__new__(cls)
         p.table = table
@@ -264,11 +278,11 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_MONOMIAL_ONE, _ZERO)
+    def constant_term(self) -> _Coeff:
+        return self._terms.get(_MONOMIAL_ONE, 0)
 
-    def coefficient(self, mon: Monomial) -> Fraction:
-        return self._terms.get(mon, _ZERO)
+    def coefficient(self, mon: Monomial) -> _Coeff:
+        return self._terms.get(mon, 0)
 
     def degree(self) -> int:
         """Largest weighted total degree of a term; -1 for the zero polynomial."""
@@ -283,17 +297,17 @@ class Polynomial:
         """Names of the generators that actually occur, in table order."""
         seen: set[int] = set()
         for mon in self._terms:
-            for i, _ in mon.exps:
+            for i, _ in mon:
                 seen.add(i)
         names = self.table.names
         return tuple(names[i] for i in sorted(seen))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, _Coeff]]:
         """Terms in decreasing graded-lex order (the canonical print order)."""
         table = self.table
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(table), reverse=True)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, _Coeff]:
         """The graded-lex largest term; raises on the zero polynomial."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
@@ -360,7 +374,7 @@ class Polynomial:
         c = _as_coeff(other)
         if not c:
             raise ZeroDivisionError("division by zero")
-        return self * (1 / c)
+        return self * (Fraction(1) / c)
 
     def _mul(self, other: Polynomial, cutoff: int | None) -> Polynomial:
         """Product; with a ``cutoff``, pairs whose degrees add up past it are
@@ -371,7 +385,7 @@ class Polynomial:
             right.sort(key=lambda term: term[0].degree(table))
             degrees = [mon.degree(table) for mon, _ in right]
 
-        def fitting(ma: Monomial) -> list[tuple[Monomial, Fraction]]:
+        def fitting(ma: Monomial) -> list[tuple[Monomial, _Coeff]]:
             if cutoff is None:
                 return right
             return right[: bisect_right(degrees, cutoff - ma.degree(table))]
@@ -431,7 +445,7 @@ class Polynomial:
     def graded_parts(self) -> list[tuple[int, Polynomial]]:
         """Homogeneous components as ``(degree, part)`` in increasing degree."""
         table = self.table
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, _Coeff]] = {}
         for mon, c in self._terms.items():
             buckets.setdefault(mon.degree(table), {})[mon] = c
         return [
@@ -466,7 +480,7 @@ class Polynomial:
         if target is None:
             target = table
 
-        occurring = sorted({i for mon in self._terms for i, _ in mon.exps})
+        occurring = sorted({i for mon in self._terms for i, _ in mon})
         img_by_idx: dict[int, Polynomial] = {}
         for i in occurring:
             name = table.names[i]
@@ -486,10 +500,10 @@ class Polynomial:
                 cache.append(cache[-1] * img_by_idx[i])
             return cache[e]
 
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, _Coeff] = {}
         for mon, coeff in self._terms.items():
             prod = target.const(coeff)
-            for i, e in mon.exps:
+            for i, e in mon:
                 prod = prod * power(i, e)
             _accumulate(out, prod._terms.items())
         return Polynomial._raw(target, out)
@@ -508,32 +522,36 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _accumulate(out: dict[Monomial, Fraction], items: Iterable, sign: int = 1) -> dict:
+def _accumulate(out: dict[Monomial, _Coeff], items: Iterable, sign: int = 1) -> dict:
     """Add ``sign`` (1 or -1) times each ``(monomial, coefficient)`` pair into
     ``out`` in place and return it; terms that cancel are deleted, so a
-    zero-free ``out`` stays zero-free."""
+    zero-free ``out`` stays zero-free, and integral sums are stored as ``int``."""
     add = sign > 0
     get = out.get
     for mon, c in items:
-        s = get(mon, _ZERO) + c if add else get(mon, _ZERO) - c
+        s = get(mon, 0) + c if add else get(mon, 0) - c
         if s:
-            out[mon] = s
+            out[mon] = s if s.__class__ is int else _as_coeff(s)
         elif mon in out:
             del out[mon]
     return out
 
 
-def _split(p: Polynomial, idx: int) -> dict[int, dict[Monomial, Fraction]]:
+def _split(p: Polynomial, idx: int) -> dict[int, dict[Monomial, _Coeff]]:
     """The terms of ``p`` grouped by their exponent of generator ``idx``, which is removed."""
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
+    buckets: dict[int, dict[Monomial, _Coeff]] = {}
     for mon, coeff in p._terms.items():
-        buckets.setdefault(mon.exponent(idx), {})[mon.without(idx)] = coeff
+        k = bisect_left(mon, (idx,))  # the first pair whose index is >= idx
+        if k < len(mon) and mon[k][0] == idx:
+            buckets.setdefault(mon[k][1], {})[_new(Monomial, mon[:k] + mon[k + 1 :])] = coeff
+        else:
+            buckets.setdefault(0, {})[mon] = coeff
     return buckets
 
 
 def _render_terms(
     p: Polynomial,
-    coeff: Callable[[Fraction], str],
+    coeff: Callable[[_Coeff], str],
     name: Callable[[str], str],
     power: Callable[[str, int], str],
 ) -> str:
@@ -551,7 +569,7 @@ def _render_terms(
         factors: list[str] = []
         if mon.is_constant or mag != 1:
             factors.append(coeff(mag))
-        for i, e in mon.exps:
+        for i, e in mon:
             base = name(names[i])
             factors.append(base if e == 1 else power(base, e))
         body = " ".join(factors)
@@ -576,9 +594,9 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     if len(factor._terms) != 2:
         raise ValueError("factor must be a difference of two generators")
     for mon, coeff in factor._terms.items():
-        if len(mon.exps) != 1 or mon.exps[0][1] != 1:
+        if len(mon) != 1 or mon[0][1] != 1:
             raise ValueError("factor must be a difference of two generators")
-        idx = mon.exps[0][0]
+        idx = mon[0][0]
         if table.degrees[idx] != 1:
             raise ValueError("factor generators must have degree 1")
         if coeff == 1:
@@ -593,8 +611,8 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     a, b = pos, neg
     buckets = _split(p, a)
     b_mon = Monomial._raw(((b, 1),))
-    carry: dict[Monomial, Fraction] = {}
-    quotient: dict[Monomial, Fraction] = {}
+    carry: dict[Monomial, _Coeff] = {}
+    quotient: dict[Monomial, _Coeff] = {}
     for k in range(max(buckets, default=0), 0, -1):
         cur = _accumulate(buckets.pop(k, {}), carry.items())
         a_mon = Monomial._raw(((a, k - 1),) if k > 1 else ())

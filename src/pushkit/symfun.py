@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import SymmetryError
-from .polyring import Monomial, Polynomial, VariableTable, _accumulate
+from .polyring import Monomial, Polynomial, VariableTable, _accumulate, _Coeff
 
 __all__ = [
     "Permutation",
@@ -56,9 +55,9 @@ def _generator_index(gen: Polynomial) -> int:
     if len(terms) != 1:
         raise ValueError("expected a single generator")
     mon, coeff = next(iter(terms.items()))
-    if coeff != 1 or len(mon.exps) != 1 or mon.exps[0][1] != 1:
+    if coeff != 1 or len(mon) != 1 or mon[0][1] != 1:
         raise ValueError("expected a single generator")
-    idx = mon.exps[0][0]
+    idx = mon[0][0]
     if gen.table.degrees[idx] != 1:
         raise ValueError("expected a degree-1 generator")
     return idx
@@ -91,9 +90,8 @@ def elementary_symmetric(
     table, indices = _resolve_gens(gens, table)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > len(indices):
         raise ValueError(f"k must satisfy 0 <= k <= {len(indices)}")
-    one = Fraction(1)
     terms = {
-        Monomial(tuple((i, 1) for i in combo)): one
+        Monomial(tuple((i, 1) for i in combo)): 1
         for combo in itertools.combinations(indices, k)
     }
     return Polynomial._raw(table, terms)
@@ -109,13 +107,12 @@ def complete_homogeneous(
         raise ValueError("k must be a non-negative integer")
     if k == 0:
         return table.one()
-    one = Fraction(1)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for combo in itertools.combinations_with_replacement(indices, k):
         exps: dict[int, int] = {}
         for i in combo:
             exps[i] = exps.get(i, 0) + 1
-        terms[Monomial(exps)] = one
+        terms[Monomial(exps)] = 1
     return Polynomial._raw(table, terms)
 
 
@@ -171,7 +168,7 @@ def apply_permutation(p: Polynomial, sigma: Permutation) -> Polynomial:
         raise ValueError(f"permutation size {sigma.size} != number of roots {len(root_idx)}")
     remap = {root_idx[i - 1]: root_idx[sigma(i) - 1] for i in range(1, sigma.size + 1)}
     out = {
-        Monomial._raw(tuple(sorted((remap.get(i, i), e) for i, e in mon.exps))): c
+        Monomial._raw(sorted((remap.get(i, i), e) for i, e in mon)): c
         for mon, c in p._terms.items()
     }
     return Polynomial._raw(p.table, out)
@@ -217,7 +214,7 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
 
     allowed = set(root_idx)
     for mon in p._terms:
-        for i, _ in mon.exps:
+        for i, _ in mon:
             if i not in allowed:
                 raise ValueError("input must involve only the root generators u1..ur")
     if not is_symmetric(p):
@@ -234,7 +231,7 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
         return elem_powers[key]
 
     work = p
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, _Coeff] = {}
     while work:
         mon, coeff = work.leading_term()
         lam = [mon.exponent(root_idx[i]) for i in range(r)]
@@ -259,7 +256,7 @@ def expand_elementary(p: Polynomial) -> Polynomial:
     gens = root_generators(table)
     allowed = set(chern_idx)
     for mon in p._terms:
-        for i, _ in mon.exps:
+        for i, _ in mon:
             if i not in allowed:
                 raise ValueError("input must involve only the Chern generators c1..cr")
     occurring = set(p.variables())

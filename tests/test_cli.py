@@ -145,6 +145,17 @@ def test_usage_and_parse_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    import pushkit.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(pushkit.cli, "pushforward", broken)
+    assert run(["push", "--rank", "2", "x"]) == 1
+    assert capsys.readouterr().err == "internal error: broken invariant\n"
+
+
 def test_asymmetric_localization_exits_one(capsys):
     assert run(["localize", "--rank", "3", "u1 y^2"]) == 1
     err = capsys.readouterr().err
@@ -177,6 +188,13 @@ def test_max_degree_below_fiber_dimension_exits_two(capsys):
 
 def test_module_entry_point_runs_without_warning():
     proc = _python("-m", "pushkit.cli", "push", "--rank", "2", "x")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "chern_form = 1" in proc.stdout
+
+
+def test_package_entry_point_runs_without_warning():
+    proc = _python("-m", "pushkit", "push", "--rank", "2", "x")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "chern_form = 1" in proc.stdout

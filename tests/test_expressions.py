@@ -144,6 +144,18 @@ def test_long_flat_chain_is_evaluated_not_a_crash(capsys, rank, text, answer):
     assert f"chern_form = {answer}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("op", ["+", "*"], ids=["sum", "product"])
+def test_long_flat_chain_compares_hashes_and_prints(op):
+    text = op.join(["x"] * 3000)
+    a, b = parse_expression(text, 2), parse_expression(text, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_expression(text + op + "x", 2)
+    assert a != parse_expression(text.replace("x", "y", 1), 2)
+    printed = repr(a)
+    assert printed.count("(left=") == 2999
+    assert printed.endswith(", right=Var(name='x', offset=5998))")
+
+
 def test_huge_integer_literal_is_handled():
     text = "9" * 1_000_000
     try:

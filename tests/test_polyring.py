@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pushkit import (
@@ -19,7 +19,9 @@ from pushkit import (
     TableMismatchError,
     UnboundVariableError,
     VariableTable,
+    bundle_ring,
     divide_exact_linear,
+    localize,
     series_inverse,
 )
 
@@ -57,6 +59,8 @@ def test_monomial_strips_zero_exponents():
     assert Monomial({0: 0, 1: 2}) == Monomial({1: 2})
     with pytest.raises(ValueError):
         Monomial({0: -1})
+    with pytest.raises(ValueError):
+        Monomial([(0, 1), (0, 2)])
 
 
 def test_weighted_degree(chern3):
@@ -330,3 +334,69 @@ def test_render_canonical_order(chern3):
     assert chern3.zero().render() == "0"
     assert (-c1).render() == "-c1"
     assert (Fraction(3, 2) * c1).render() == "3/2 c1"
+
+
+# -- the term kernel: native coefficients and pair-tuple monomials ----------
+
+
+def _assert_exact(p: Polynomial) -> None:
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    for _, c in p.sorted_terms():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+_exponents = st.dictionaries(st.integers(0, 7), st.integers(0, 4), max_size=6)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(_exponents, _exponents)
+@example({1: 2, 4: 1}, {1: 3, 4: 2})  # every index shared
+@example({0: 1, 5: 2}, {2: 1, 7: 3})  # disjoint, interleaved
+@example({}, {3: 2})  # the empty monomial on either side
+@example({3: 2}, {})
+def test_monomial_product_adds_dense_exponents(a, b):
+    ma, mb = Monomial(a), Monomial(b)
+    product = ma * mb
+    assert type(product) is Monomial
+    assert product.dense(8) == tuple(x + y for x, y in zip(ma.dense(8), mb.dense(8)))
+    assert list(product) == sorted(product) and all(e > 0 for _, e in product)
+    assert len({i for i, _ in product}) == len(product)
+    assert product == Monomial({i: a.get(i, 0) + b.get(i, 0) for i in {*a, *b}})
+    assert hash(product) == hash(product.exps) and product == product.exps
+
+
+_scalars = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(_poly_strategy(_T, _NAMES), _poly_strategy(_T, _NAMES), _scalars, st.integers(0, 8))
+def test_no_operation_yields_a_float_or_an_integral_fraction(a, b, s, k):
+    u1, u2 = _T.var("u1"), _T.var("u2")
+    results = [a + b, a - b, a * b, -a, a + s, s - a, a * s, s * a, a.pow(3), a.pow(3, 4)]
+    results.append(series_inverse(2 + u1, k))
+    results.append(divide_exact_linear(a * (u1 - u2), u1 - u2))
+    if s:
+        results += [a / s, (a / s) * s]
+    if (1 + a).constant_term():
+        results.append(series_inverse(1 + a, k))
+    for p in results:
+        _assert_exact(p)
+
+
+def test_integral_fraction_constant_is_the_int_constant():
+    table = VariableTable([("u1", 1)])
+    assert table.const(Fraction(4, 2)) == table.const(2)
+    assert hash(table.const(Fraction(4, 2))) == hash(table.const(2))
+    assert type(table.const(Fraction(4, 2)).constant_term()) is int
+
+
+def test_localized_integral_coefficients_are_ints():
+    table = bundle_ring(4)
+    y = table.var("y")
+    integral = localize(series_inverse(1 + y, 8), 4, 8).value
+    assert integral and all(type(c) is int for _, c in integral.sorted_terms())
+    _assert_exact(localize(series_inverse(2 + y, 8), 4, 8).value)
