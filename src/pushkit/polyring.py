@@ -307,14 +307,6 @@ class Polynomial:
         table = self.table
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(table), reverse=True)
 
-    def leading_term(self) -> tuple[Monomial, _Coeff]:
-        """The graded-lex largest term; raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        table = self.table
-        mon = max(self._terms, key=lambda m: m.sort_key(table))
-        return mon, self._terms[mon]
-
     def is_homogeneous_of_degree(self, degree: int) -> bool:
         """True if every term has the given degree (vacuously true for zero)."""
         table = self.table

@@ -4,16 +4,24 @@ Provides elementary and complete homogeneous symmetric polynomials, the
 symmetric-group action permuting the roots, a symmetry test, and the
 rewriting of a symmetric polynomial into the elementary basis (that is,
 into the Chern classes c1..cr).
+
+The symmetry test and the rewriting both work on orbits of monomials: the
+rewriting keeps only the dominant monomial u^lambda of each orbit, keyed by
+the partition lambda (Macdonald, *Symmetric Functions*, I.2 and I.6).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import re
+from collections import Counter
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import SymmetryError
-from .polyring import Monomial, Polynomial, VariableTable, _accumulate, _Coeff
+from .polyring import Monomial, Polynomial, VariableTable, _as_coeff, _Coeff
 
 __all__ = [
     "Permutation",
@@ -105,14 +113,10 @@ def complete_homogeneous(
     table, indices = _resolve_gens(gens, table)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be a non-negative integer")
-    if k == 0:
-        return table.one()
-    terms: dict[Monomial, int] = {}
-    for combo in itertools.combinations_with_replacement(indices, k):
-        exps: dict[int, int] = {}
-        for i in combo:
-            exps[i] = exps.get(i, 0) + 1
-        terms[Monomial(exps)] = 1
+    terms = {
+        Monomial(Counter(combo)): 1
+        for combo in itertools.combinations_with_replacement(indices, k)
+    }
     return Polynomial._raw(table, terms)
 
 
@@ -175,13 +179,29 @@ def apply_permutation(p: Polynomial, sigma: Permutation) -> Polynomial:
 
 
 def is_symmetric(p: Polynomial) -> bool:
-    """True when p is invariant under all adjacent root transpositions
-    (which generate the full symmetric group)."""
-    r = len(_root_indices(p.table))
-    for i in range(1, r):
-        if apply_permutation(p, Permutation.transposition(r, i, i + 1)) != p:
+    """True when p is invariant under every permutation of the roots.
+
+    One pass over the terms groups them by orbit, keyed by the non-root part
+    of the monomial and its sorted root exponents.  p is symmetric exactly
+    when every orbit carries a single coefficient and is complete.
+    """
+    roots = set(_root_indices(p.table))
+    orbits: dict[tuple, list] = {}
+    for mon, c in p._terms.items():
+        key = (
+            tuple(t for t in mon if t[0] not in roots),
+            tuple(sorted(e for i, e in mon if i in roots)),
+        )
+        seen = orbits.setdefault(key, [c, 0])
+        if seen[0] != c:
             return False
-    return True
+        seen[1] += 1
+    # A complete orbit has r!/prod(mult!) members, zero exponents counted.
+    return all(
+        n * math.prod(math.factorial(len(tuple(run))) for _, run in itertools.groupby(exps))
+        == math.perm(len(roots), len(exps))
+        for (_, exps), (_, n) in orbits.items()
+    )
 
 
 def _chern_indices(table: VariableTable) -> tuple[int, ...]:
@@ -198,14 +218,40 @@ def _chern_indices(table: VariableTable) -> tuple[int, ...]:
     return tuple(indices)
 
 
+def _partition(exps: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(exps, reverse=True))
+
+
+def _elementary_product(lam: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+    """The dominant part (partition -> coefficient) of e_1^(l1-l2) ... e_r^lr,
+    the e-product whose largest partition is lam.  It is that of lam less its
+    first column times e_k, k = length(lam), and for a symmetric f,
+    (f e_k)[nu] is the sum of f[sort(nu - 1_S)] over the k-subsets S."""
+    chain = []
+    while lam not in memo:
+        chain.append(lam)
+        lam = tuple(max(e - 1, 0) for e in lam)
+    f = memo[lam]
+    for lam in reversed(chain):
+        r, k = len(lam), len(lam) - lam.count(0)
+        ones = [tuple(int(i in s) for i in range(r)) for s in itertools.combinations(range(r), k)]
+        support = {_partition(map(add, mu, v)) for mu in f for v in ones}
+        f = memo[lam] = {
+            nu: sum(f.get(_partition(map(sub, nu, v)), 0) for v in ones) for nu in support
+        }
+    return f
+
+
 def reduce_to_elementary(p: Polynomial) -> Polynomial:
     """Rewrite a symmetric polynomial in u1..ur as a polynomial in c1..cr,
     where c_i stands for the i-th elementary symmetric polynomial.
 
-    Classical leading-term subtraction: the graded-lex leading monomial of a
-    symmetric polynomial is a partition u^lambda; subtract the matching
-    product of elementary symmetric polynomials and repeat.  The result P
-    satisfies P(e_1..e_r) == p exactly.
+    A symmetric polynomial is determined by its dominant terms u^lambda,
+    lambda a partition, so only those are kept.  The largest remaining
+    lambda in graded-lex order, with coefficient a, gives the term a * c^m,
+    m_i = lambda_i - lambda_(i+1); a times the dominant part of
+    e_1^m1 ... e_r^mr, whose largest partition is lambda, is subtracted.
+    The result P satisfies P(e_1..e_r) == p exactly.
     """
     table = p.table
     root_idx = _root_indices(table)
@@ -220,31 +266,31 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
     if not is_symmetric(p):
         raise SymmetryError("input is not symmetric in u1..ur")
 
-    gens = tuple(table.var(table.names[i]) for i in root_idx)
-    elem = [table.one()] + [elementary_symmetric(i, gens) for i in range(1, r + 1)]
-    elem_powers: dict[tuple[int, int], Polynomial] = {}
+    work: dict[tuple[int, ...], _Coeff] = {}
+    for mon, c in p._terms.items():
+        lam = tuple(mon.exponent(i) for i in root_idx)
+        if all(a >= b for a, b in zip(lam, lam[1:])):
+            work[lam] = c
 
-    def elem_power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in elem_powers:
-            elem_powers[key] = elem[i].pow(e)
-        return elem_powers[key]
+    def order(lam: tuple[int, ...]) -> tuple:
+        return (-sum(lam), tuple(-e for e in lam), lam)
 
-    work = p
+    heap = [order(lam) for lam in work]
+    heapq.heapify(heap)
+    memo = {(0,) * r: {(0,) * r: 1}}
     out: dict[Monomial, _Coeff] = {}
-    while work:
-        mon, coeff = work.leading_term()
-        lam = [mon.exponent(root_idx[i]) for i in range(r)]
-        if any(lam[i] < lam[i + 1] for i in range(r - 1)):
-            raise RuntimeError("leading monomial of a symmetric polynomial must be a partition")
-        mults = [lam[i] - lam[i + 1] for i in range(r - 1)] + [lam[r - 1]]
-        c_mon = Monomial({chern_idx[i]: mults[i] for i in range(r) if mults[i]})
-        _accumulate(out, ((c_mon, coeff),))
-        subtrahend = table.const(coeff)
-        for i in range(r):
-            if mults[i]:
-                subtrahend = subtrahend * elem_power(i + 1, mults[i])
-        work = work - subtrahend
+    while heap:
+        lam = heapq.heappop(heap)[-1]
+        coeff = work[lam]
+        if not coeff:
+            continue
+        mults = enumerate(zip(lam, lam[1:] + (0,)))
+        c_mon = Monomial._raw(tuple((chern_idx[k], a - b) for k, (a, b) in mults if a > b))
+        out[c_mon] = _as_coeff(coeff)
+        for nu, n in _elementary_product(lam, memo).items():
+            if nu not in work:
+                heapq.heappush(heap, order(nu))
+            work[nu] = work.get(nu, 0) - coeff * n
     return Polynomial._raw(table, out)
 
 

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from pushkit import Monomial, Polynomial, VariableTable, bundle_ring
+from pushkit import (
+    Monomial,
+    Permutation,
+    Polynomial,
+    VariableTable,
+    apply_permutation,
+    bundle_ring,
+    elementary_symmetric,
+    root_generators,
+)
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -61,3 +71,44 @@ def random_fiber_poly(rng: random.Random, rank: int, max_terms: int = 4) -> Poly
     table = bundle_ring(rank)
     names = ["y"] + [f"q{i}" for i in range(1, rank)] + [f"c{i}" for i in range(1, rank + 1)]
     return random_poly(rng, table, names, max_terms=max_terms, max_exp=2, max_vars_per_term=3)
+
+
+def symmetrize(p: Polynomial) -> Polynomial:
+    """The sum of p over every permutation of the roots u1..ur."""
+    r = len(root_generators(p.table))
+    out = p.table.zero()
+    for images in itertools.permutations(range(1, r + 1)):
+        out = out + apply_permutation(p, Permutation(images))
+    return out
+
+
+def symmetric_by_transpositions(p: Polynomial) -> bool:
+    """Symmetry by definition: p is fixed by every adjacent root transposition."""
+    r = len(root_generators(p.table))
+    return all(
+        apply_permutation(p, Permutation.transposition(r, i, i + 1)) == p for i in range(1, r)
+    )
+
+
+def leading_term_reduction(p: Polynomial) -> Polynomial:
+    """Reference rewrite of a symmetric polynomial in u1..ur into c1..cr by
+    classical leading-term subtraction: the graded-lex leading monomial is a
+    partition u^lambda; subtract coeff * e_1^(l1-l2) ... e_r^lr and repeat."""
+    table = p.table
+    roots = root_generators(table)
+    r = len(roots)
+    root_idx = [table.index(f"u{i}") for i in range(1, r + 1)]
+    elem = [elementary_symmetric(k, roots) for k in range(1, r + 1)]
+    work, out = p, table.zero()
+    while work:
+        mon, coeff = work.sorted_terms()[0]
+        lam = [mon.exponent(i) for i in root_idx] + [0]
+        if lam != sorted(lam, reverse=True):
+            raise ValueError("the leading monomial is not a partition")
+        term = e_product = table.const(coeff)
+        for k in range(r):
+            term = term * table.var(f"c{k + 1}").pow(lam[k] - lam[k + 1])
+            e_product = e_product * elem[k].pow(lam[k] - lam[k + 1])
+        out = out + term
+        work = work - e_product
+    return out

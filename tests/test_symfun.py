@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pushkit import (
     Permutation,
+    Polynomial,
     SymmetryError,
     VariableTable,
     apply_permutation,
@@ -22,7 +24,13 @@ from pushkit import (
     root_generators,
 )
 
-from helpers import random_chern_poly, random_poly
+from helpers import (
+    leading_term_reduction,
+    random_chern_poly,
+    random_poly,
+    symmetric_by_transpositions,
+    symmetrize,
+)
 
 
 @pytest.fixture
@@ -125,6 +133,18 @@ def test_reduce_rejects_asymmetric(ring3):
         reduce_to_elementary(u1 - u2)
 
 
+def test_reduce_rejects_incomplete_orbit(ring3):
+    u1, u2, u3 = root_generators(ring3)
+    # Two of the six members of the orbit of u1^2 u2, with one coefficient.
+    with pytest.raises(SymmetryError):
+        reduce_to_elementary(u1.pow(2) * u2 + u2.pow(2) * u1)
+    # The whole orbit, but one member with another coefficient.
+    orbit = symmetrize(u1.pow(2) * u2)
+    assert is_symmetric(orbit)
+    with pytest.raises(SymmetryError):
+        reduce_to_elementary(orbit + u3.pow(2) * u1)
+
+
 def test_reduce_rejects_foreign_variables(ring3):
     with pytest.raises(ValueError):
         reduce_to_elementary(ring3.var("y"))
@@ -153,6 +173,57 @@ def test_symmetry_preserved_by_action(seed):
     rng.shuffle(images)
     sigma = Permutation(images)
     assert is_symmetric(apply_permutation(p, sigma)) == is_symmetric(p)
+
+
+def _one_orbit_member_altered(p: Polynomial, rng: random.Random) -> tuple[Polynomial, Polynomial]:
+    """p with one term deleted, and p with that term's coefficient changed."""
+    terms = dict(p.sorted_terms())
+    mon = rng.choice(sorted(terms, key=repr))
+    changed = dict(terms)
+    changed[mon] = terms[mon] + 1
+    del terms[mon]
+    return Polynomial(p.table, terms), Polynomial(p.table, changed)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=5))
+def test_orbit_guard_matches_transposition_definition(seed_, rank):
+    rng = random.Random(seed_)
+    table = bundle_ring(rank)
+    names = [f"u{i}" for i in range(1, rank + 1)] * 2 + ["y"]
+    names += [f"q{i}" for i in range(1, rank)] + [f"c{i}" for i in range(1, rank + 1)]
+    sym = symmetrize(random_poly(rng, table, names, max_terms=3))
+    assert symmetric_by_transpositions(sym)
+    candidates = [sym]
+    if sym:
+        candidates += _one_orbit_member_altered(sym, rng)
+    for p in candidates:
+        assert is_symmetric(p) == symmetric_by_transpositions(p), p.render()
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_reduction_matches_leading_term_reference(seed_, rank, integral):
+    rng = random.Random(seed_)
+    table = bundle_ring(rank)
+    roots = [f"u{i}" for i in range(1, rank + 1)]
+    p = symmetrize(random_poly(rng, table, roots, max_terms=3)) + expand_elementary(
+        random_chern_poly(rng, rank, max_terms=3)
+    )
+    if integral:
+        p = Polynomial(table, {mon: c * c.denominator for mon, c in p.sorted_terms()})
+    result = reduce_to_elementary(p)
+    assert result == leading_term_reduction(p)
+    for _, c in result.sorted_terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    if integral:
+        assert all(type(c) is int for _, c in result.sorted_terms())
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
