@@ -1,13 +1,13 @@
 """End-to-end pushforward pipeline for projective bundles, plus the two
 independent classical oracles used to verify it.
 
-The pushforward of a class is computed by normalizing the fiber variable
-(x = -y), summing restriction/Euler over the torus fixed points, and
-rewriting the resulting symmetric root polynomial in the Chern classes
-c1..cr.  Two classical facts serve as oracles: the inverse total Chern
-class is the pushforward of the geometric series in x (the Segre series),
-and the ring presentation with the single relation
-x^r + c1 x^(r-1) + ... + cr determines the pushforward of every power of x.
+The pushforward of a class is computed by summing restriction/Euler over
+the torus fixed points and rewriting the resulting symmetric root
+polynomial in the Chern classes c1..cr.  Two classical facts serve as
+oracles: the inverse total Chern class is the pushforward of the geometric
+series in x (the Segre series), and the ring presentation with the single
+relation x^r + c1 x^(r-1) + ... + cr determines the pushforward of every
+power of x.
 """
 
 from __future__ import annotations
@@ -87,11 +87,12 @@ def _rename_fiber_variable(payload: Polynomial, old: str, new: str) -> Polynomia
 def pushforward(expr: ClassExpr, rank: int, *, verify: bool = True) -> PushforwardResult:
     """Push a fiber class forward to the base, in Chern-class form.
 
-    Normalizes x to -y, runs the fixed-point sum through ``expr.cutoff``,
-    asserts invariance under permuting the roots, and rewrites the result in
-    c1..cr.  Unless ``verify`` is false, the answer is cross-checked against
-    the presentation oracle whenever the input involves only x (or y) and
-    the Chern generators.
+    Runs the fixed-point sum through ``expr.cutoff`` (the charts restrict x
+    to -u_j and y to u_j, so neither is renamed first), asserts invariance
+    under permuting the roots, and rewrites the result in c1..cr.  Unless
+    ``verify`` is false, the answer is cross-checked against the
+    presentation oracle whenever the input involves only x (or y) and the
+    Chern generators.
     """
     table = bundle_ring(rank)
     if expr.payload.table is not table and expr.payload.table != table:
@@ -103,8 +104,7 @@ def pushforward(expr: ClassExpr, rank: int, *, verify: bool = True) -> Pushforwa
             "root variables u_i cannot be pushed forward; use localize for those"
         )
 
-    payload = _rename_fiber_variable(expr.payload, "x", "y")
-    result = localize(payload, rank, expr.cutoff)
+    result = localize(expr.payload, rank, expr.cutoff)
     checks: dict[str, str] = {"weyl_invariance": "pass"}
 
     chern_form = reduce_to_elementary(result.value)
@@ -115,10 +115,7 @@ def pushforward(expr: ClassExpr, rank: int, *, verify: bool = True) -> Pushforwa
     q_names = {f"q{i}" for i in range(1, rank)}
     if verify and not (support & q_names):
         x_payload = _rename_fiber_variable(expr.payload, "y", "x")
-        oracle = _presentation_reduce(x_payload, rank)
-        vt = result.valid_through
-        if vt is not None:
-            oracle = oracle.truncate(vt)
+        oracle = presentation_oracle(ClassExpr(x_payload, expr.cutoff), rank)
         checks["presentation_oracle"] = "pass" if oracle == chern_form else "fail"
 
     return PushforwardResult(

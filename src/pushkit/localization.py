@@ -8,15 +8,17 @@ the fiber has r isolated fixed points; at the j-th one, y restricts to u_j
 and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 
 The pushforward is evaluated as the exact sum over fixed points of
-(restriction / Euler class), organized over the fixed Vandermonde
-denominator so that only exact division by linear factors is ever needed.
+(restriction / Euler class), organized over the Vandermonde denominator so
+that only exact division by linear factors is ever needed.  Euler classes and
+cofactors are products of root differences; the r!-term Vandermonde is never
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     LocalizationIntegralityError,
@@ -72,6 +74,14 @@ class FixedPointChart:
         return p.substitute(self.restriction)
 
 
+def _root_product(table: VariableTable, pairs: Iterable[tuple[str, str]]) -> Polynomial:
+    """prod (a - b) over the root-name pairs (a, b)."""
+    product = table.one()
+    for a, b in pairs:
+        product = product * (table.var(a) - table.var(b))
+    return product
+
+
 @lru_cache(maxsize=None)
 def _charts(rank: int) -> tuple[FixedPointChart, ...]:
     table = bundle_ring(rank)
@@ -90,18 +100,13 @@ def _charts(rank: int) -> tuple[FixedPointChart, ...]:
             mapping[f"c{i}"] = total[i]
         for i in range(1, rank + 1):
             mapping[f"u{i}"] = roots[i - 1]
-        euler = table.one()
-        factors = []
-        for i in range(1, rank + 1):
-            if i != j:
-                euler = euler * (roots[i - 1] - roots[j - 1])
-                factors.append((f"u{i}", f"u{j}"))
+        factors = tuple((f"u{i}", f"u{j}") for i in range(1, rank + 1) if i != j)
         charts.append(
             FixedPointChart(
                 index=j,
                 restriction=mapping,
-                euler=euler,
-                euler_factors=tuple(factors),
+                euler=_root_product(table, factors),
+                euler_factors=factors,
             )
         )
     return tuple(charts)
@@ -113,34 +118,26 @@ def fixed_point_charts(rank: int) -> list[FixedPointChart]:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde(rank: int) -> tuple[Polynomial, tuple[tuple[str, str], ...]]:
-    """prod_{a<b} (u_a - u_b) and the list of its linear factors."""
-    table = bundle_ring(rank)
-    roots = root_generators(table)
-    product = table.one()
-    factors = []
-    for a in range(1, rank + 1):
-        for b in range(a + 1, rank + 1):
-            product = product * (roots[a - 1] - roots[b - 1])
-            factors.append((f"u{a}", f"u{b}"))
-    return product, tuple(factors)
+def _vandermonde(rank: int) -> tuple[tuple[str, str], ...]:
+    """The linear factors (u_a, u_b), a < b, of prod_{a<b} (u_a - u_b)."""
+    return tuple((f"u{a}", f"u{b}") for a in range(1, rank + 1) for b in range(a + 1, rank + 1))
 
 
 @lru_cache(maxsize=None)
 def _cofactors(rank: int) -> tuple[Polynomial, ...]:
-    """Per chart, the Vandermonde divided exactly by that chart's Euler class.
+    """Per chart j, the Vandermonde divided by that chart's Euler class.
 
-    Each division is by one linear factor at a time; sign bookkeeping falls
-    out of the exact division rather than any parity formula.
+    That is (-1)^(rank - j) times the product of the Vandermonde factors not
+    involving u_j: the Euler class lists each factor u_j - u_b (b > j) as
+    u_b - u_j, and there are rank - j of them.
     """
     table = bundle_ring(rank)
-    vandermonde, _ = _vandermonde(rank)
+    factors = _vandermonde(rank)
     out = []
-    for chart in _charts(rank):
-        cof = vandermonde
-        for a, b in chart.euler_factors:
-            cof = divide_exact_linear(cof, table.var(a) - table.var(b))
-        out.append(cof)
+    for j in range(1, rank + 1):
+        root = f"u{j}"
+        cof = _root_product(table, [pair for pair in factors if root not in pair])
+        out.append(-cof if (rank - j) % 2 else cof)
     return tuple(out)
 
 
@@ -177,9 +174,8 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
     for chart, cofactor in zip(_charts(rank), _cofactors(rank)):
         value = value + chart.restrict(phi) * cofactor
 
-    _, factors = _vandermonde(rank)
     try:
-        for a, b in factors:
+        for a, b in _vandermonde(rank):
             value = divide_exact_linear(value, table.var(a) - table.var(b))
     except NotDivisibleError as exc:
         raise LocalizationIntegralityError(

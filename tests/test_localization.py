@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushkit import (
+    ClassExpr,
     SymmetryError,
     bundle_ring,
     complete_homogeneous,
@@ -20,8 +24,23 @@ from pushkit import (
     root_generators,
     series_inverse,
 )
+from pushkit import gysin, localization
 
 from helpers import random_fiber_poly
+
+SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture
+def fresh_setup_caches():
+    """Empty the per-rank set-up caches before and after the test, so the
+    test fills them itself and leaves nothing it built behind."""
+    for name in SETUP_CACHES:
+        getattr(localization, name).cache_clear()
+    yield
+    for name in SETUP_CACHES:
+        getattr(localization, name).cache_clear()
 
 
 def test_bundle_ring_layout():
@@ -66,6 +85,57 @@ def test_rank_one_chart_is_trivial():
     charts = fixed_point_charts(1)
     assert len(charts) == 1
     assert charts[0].euler == bundle_ring(1).one()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_cofactor_times_euler_class_is_the_vandermonde(rank):
+    u = root_generators(bundle_ring(rank))
+    vandermonde = bundle_ring(rank).one()
+    for a in range(rank):
+        for b in range(a + 1, rank):
+            vandermonde = vandermonde * (u[a] - u[b])
+    charts, cofactors = fixed_point_charts(rank), localization._cofactors(rank)
+    assert len(cofactors) == rank
+    for chart, cofactor in zip(charts, cofactors):
+        assert cofactor * chart.euler == vandermonde
+
+
+def test_setup_makes_no_exact_division(monkeypatch, fresh_setup_caches):
+    def refuse(*args, **kwargs):
+        raise AssertionError("set-up divided")
+
+    monkeypatch.setattr(localization, "divide_exact_linear", refuse)
+    assert len(localization._charts(5)) == 5
+    assert len(localization._cofactors(5)) == 5
+    assert localization._vandermonde(5) == tuple(
+        (f"u{a}", f"u{b}") for a in range(1, 6) for b in range(a + 1, 6)
+    )
+    for name in SETUP_CACHES:
+        assert getattr(localization, name).cache_info().currsize == 1
+
+
+def test_benchmark_tracer_wraps_the_pipeline(monkeypatch, fresh_setup_caches):
+    # perfbench/spans.py finds the set-up caches and pipeline functions by
+    # name; a rename or a lost lru_cache must fail here, not only there.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {name: getattr(localization, name) for name in SETUP_CACHES}
+    originals["localize"] = localization.localize
+    push = gysin.pushforward
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        y = bundle_ring(2).var("y")
+        gysin.pushforward(ClassExpr(y.pow(3)), 2)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"gysin.pushforward", "localization.localize", "localization.setup"} <= names
+    assert gysin.pushforward is push
+    for name, fn in originals.items():
+        assert getattr(localization, name) is fn
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
