@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .errors import (
     ArityError,
-    LocalizationIntegralityError,
     NotInvertibleError,
     ParseError,
     PushkitError,
@@ -268,11 +267,8 @@ def run(argv: Sequence[str]) -> int:
     except SymmetryError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (LocalizationIntegralityError, ValueError) as exc:
+    except (PushkitError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except PushkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,6 +18,7 @@ parse failure carries the byte offset at which it occurred.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -32,9 +33,8 @@ __all__ = [
     "Num",
     "Var",
     "Neg",
-    "Add",
-    "Sub",
-    "Mul",
+    "Sum",
+    "Product",
     "Pow",
     "Inv",
     "parse_expression",
@@ -60,58 +60,20 @@ class Neg:
     operand: "ExprAst"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class _Binary:
-    """A binary operation.  A flat chain such as x + x + ... + x parses
-    left-deep, so ``==``, ``hash``, ``repr`` and elaboration walk the left
-    spine in a loop and the chain's length is not bounded by recursion."""
+@dataclass(frozen=True)
+class Sum:
+    """A chain t1 ± t2 ± ... of two or more terms, as ``(sign, node)`` pairs
+    with sign +1 or -1 (the first sign is +1).  A flat chain is one node, so
+    its length is not bounded by recursion."""
 
-    left: "ExprAst"
-    right: "ExprAst"
-
-    def _spine(self) -> tuple[list["_Binary"], "ExprAst"]:
-        """The nodes down the left spine, outermost first, and the first
-        left operand that is not a binary operation."""
-        spine, node = [], self
-        while isinstance(node, _Binary):
-            spine.append(node)
-            node = node.left
-        return spine, node
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        a, b = self, other
-        while isinstance(a, _Binary) and type(a) is type(b):
-            if a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a == b
-
-    def __hash__(self) -> int:
-        spine, leaf = self._spine()
-        h = hash(leaf)
-        for node in reversed(spine):
-            h = hash((type(node), h, node.right))
-        return h
-
-    def __repr__(self) -> str:
-        spine, leaf = self._spine()
-        heads = "".join(f"{type(node).__name__}(left=" for node in spine)
-        tails = "".join(f", right={node.right!r})" for node in reversed(spine))
-        return heads + repr(leaf) + tails
+    terms: tuple[tuple[int, "ExprAst"], ...]
 
 
-class Add(_Binary):
-    pass
+@dataclass(frozen=True)
+class Product:
+    """A chain of two or more factors, written with ``*`` or juxtaposed."""
 
-
-class Sub(_Binary):
-    pass
-
-
-class Mul(_Binary):
-    pass
+    factors: tuple["ExprAst", ...]
 
 
 @dataclass(frozen=True)
@@ -126,84 +88,54 @@ class Inv:
     offset: int
 
 
-ExprAst = Union[Num, Var, Neg, Add, Sub, Mul, Pow, Inv]
+ExprAst = Union[Num, Var, Neg, Sum, Product, Pow, Inv]
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # NAT VAR INV PLUS MINUS STAR SLASH CARET LPAREN RPAREN EOF
+    kind: str  # NAT VAR INV EOF, or the operator character itself
     text: str
     pos: int
     value: object = None
 
 
-_SIMPLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
-
-_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_DIGITS = set("0123456789")
+# A natural, a word (letters then digits), blanks, or one other character;
+# ASCII-only classes keep non-ASCII digits and blanks unexpected characters.
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)([0-9]*)|[ \t\r\n]+|(.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _SIMPLE:
-            out.append(_Token(_SIMPLE[ch], ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            body = text[start:i]
+    for match in _TOKEN.finditer(text):
+        nat, letters, digits, other = match.groups()
+        start = match.start()
+        if nat is not None:
             try:
-                value = int(body)
+                value = int(nat)
             except ValueError:
                 raise ParseError("integer literal too large", start) from None
-            out.append(_Token("NAT", body, start, value))
-            continue
-        if ch in _LETTERS:
-            start = i
-            while i < n and text[i] in _LETTERS:
-                i += 1
-            letters = text[start:i]
-            digit_start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            digits = text[digit_start:i]
-            if letters == "inv" and not digits:
-                out.append(_Token("INV", letters, start))
-                continue
-            if letters in ("x", "y"):
-                if digits:
-                    raise ParseError(f"unknown identifier {letters + digits!r}", start)
-                out.append(_Token("VAR", letters, start, (letters, None)))
-                continue
-            if letters in ("c", "q", "u"):
+            out.append(_Token("NAT", nat, start, value))
+        elif letters is not None:
+            word = letters + digits
+            if word == "inv":
+                out.append(_Token("INV", word, start))
+            elif letters in ("x", "y") and not digits:
+                out.append(_Token("VAR", word, start, (letters, None)))
+            elif letters in ("c", "q", "u"):
                 if not digits:
                     raise ParseError(f"{letters!r} needs a subscript, like {letters}1", start)
                 try:
                     sub = int(digits)
                 except ValueError:
                     raise ParseError("subscript too large", start) from None
-                out.append(_Token("VAR", letters + digits, start, (letters, sub)))
-                continue
-            raise ParseError(f"unknown identifier {letters + digits!r}", start)
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("EOF", "", n))
+                out.append(_Token("VAR", word, start, (letters, sub)))
+            else:
+                raise ParseError(f"unknown identifier {word!r}", start)
+        elif other is not None:
+            if other not in "+-*/^()":
+                raise ParseError(f"unexpected character {other!r}", start)
+            out.append(_Token(other, other, start))
+    out.append(_Token("EOF", "", len(text)))
     return out
 
 
@@ -222,6 +154,12 @@ class _Parser:
         self.i += 1
         return tok
 
+    def expect(self, kind: str, message: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(message, tok.pos)
+        return self.advance()
+
     def parse(self) -> ExprAst:
         node = self.expr(0)
         tok = self.peek()
@@ -230,34 +168,27 @@ class _Parser:
         return node
 
     def expr(self, depth: int) -> ExprAst:
-        if depth > _MAX_DEPTH:
-            raise ParseError("expression too deeply nested", self.peek().pos)
-        node = self.term(depth)
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            rhs = self.term(depth)
-            node = Add(node, rhs) if op.kind == "PLUS" else Sub(node, rhs)
-        return node
+        terms = [(1, self.term(depth))]
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+            terms.append((sign, self.term(depth)))
+        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self, depth: int) -> ExprAst:
-        node = self.factor(depth)
-        while True:
-            kind = self.peek().kind
-            if kind == "STAR":
+        factors = [self.factor(depth)]
+        # "*" or juxtaposition; "+"/"-" stay with the enclosing expr
+        while self.peek().kind in ("*", "NAT", "VAR", "INV", "("):
+            if self.peek().kind == "*":
                 self.advance()
-                node = Mul(node, self.factor(depth))
-            elif kind in ("NAT", "VAR", "INV", "LPAREN"):
-                # juxtaposition; "+"/"-" stay with the enclosing expr
-                node = Mul(node, self.factor(depth))
-            else:
-                return node
+            factors.append(self.factor(depth))
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self, depth: int) -> ExprAst:
         node = self.base(depth)
-        if self.peek().kind == "CARET":
+        if self.peek().kind == "^":
             self.advance()
             tok = self.peek()
-            if tok.kind == "MINUS":
+            if tok.kind == "-":
                 raise ExponentError("exponents must be non-negative", tok.pos)
             if tok.kind != "NAT":
                 raise ExponentError("exponents must be integer literals", tok.pos)
@@ -266,17 +197,14 @@ class _Parser:
         return node
 
     def base(self, depth: int) -> ExprAst:
-        if depth > _MAX_DEPTH:
-            raise ParseError("expression too deeply nested", self.peek().pos)
         tok = self.peek()
+        if depth > _MAX_DEPTH:
+            raise ParseError("expression too deeply nested", tok.pos)
         if tok.kind == "NAT":
             self.advance()
-            if self.peek().kind == "SLASH":
+            if self.peek().kind == "/":
                 self.advance()
-                den = self.peek()
-                if den.kind != "NAT":
-                    raise ParseError("expected a denominator", den.pos)
-                self.advance()
+                den = self.expect("NAT", "expected a denominator")
                 if den.value == 0:
                     raise ParseError("zero denominator", den.pos)
                 return Num(Fraction(tok.value, den.value))
@@ -286,42 +214,24 @@ class _Parser:
             letter, sub = tok.value
             if letter in ("x", "y"):
                 return Var(letter, tok.pos)
-            if letter == "c":
-                if not 1 <= sub <= self.rank:
-                    raise ArityError(f"c{sub} is out of range at rank {self.rank}", tok.pos)
-            elif letter == "q":
-                if not 1 <= sub <= self.rank - 1:
-                    raise ArityError(f"q{sub} is out of range at rank {self.rank}", tok.pos)
-            else:  # u
-                if not self.allow_u:
-                    raise ParseError(
-                        "u-variables are only available in the localize command", tok.pos
-                    )
-                if not 1 <= sub <= self.rank:
-                    raise ArityError(f"u{sub} is out of range at rank {self.rank}", tok.pos)
+            if letter == "u" and not self.allow_u:
+                raise ParseError("u-variables are only available in the localize command", tok.pos)
+            if not 1 <= sub <= (self.rank - 1 if letter == "q" else self.rank):
+                raise ArityError(f"{letter}{sub} is out of range at rank {self.rank}", tok.pos)
             return Var(f"{letter}{sub}", tok.pos)
-        if tok.kind == "MINUS":
+        if tok.kind == "-":
             self.advance()
             return Neg(self.factor(depth + 1))
-        if tok.kind == "LPAREN":
+        if tok.kind == "(":
             self.advance()
             node = self.expr(depth + 1)
-            closing = self.peek()
-            if closing.kind != "RPAREN":
-                raise ParseError("expected ')'", closing.pos)
-            self.advance()
+            self.expect(")", "expected ')'")
             return node
         if tok.kind == "INV":
             self.advance()
-            opening = self.peek()
-            if opening.kind != "LPAREN":
-                raise ParseError("expected '(' after inv", opening.pos)
-            self.advance()
+            self.expect("(", "expected '(' after inv")
             node = self.expr(depth + 1)
-            closing = self.peek()
-            if closing.kind != "RPAREN":
-                raise ParseError("expected ')'", closing.pos)
-            self.advance()
+            self.expect(")", "expected ')'")
             return Inv(node, tok.pos)
         raise ParseError(f"expected a value, found {tok.text!r}" if tok.text else "expected a value", tok.pos)
 
@@ -351,8 +261,6 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
     table = bundle_ring(rank)
-    combine = {Add: Polynomial.__add__, Sub: Polynomial.__sub__}
-    combine[Mul] = lambda a, b: a.mul_trunc(b, cutoff)
 
     def ev(node: ExprAst) -> Polynomial:
         if isinstance(node, Num):
@@ -361,11 +269,15 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
             return table.var(node.name).truncate(cutoff)
         if isinstance(node, Neg):
             return -ev(node.operand)
-        if isinstance(node, _Binary):
-            spine, leaf = node._spine()
-            value = ev(leaf)
-            for op in reversed(spine):
-                value = combine[type(op)](value, ev(op.right))
+        if isinstance(node, Sum):
+            value = ev(node.terms[0][1])
+            for sign, term in node.terms[1:]:
+                value = value + ev(term) if sign > 0 else value - ev(term)
+            return value
+        if isinstance(node, Product):
+            value = ev(node.factors[0])
+            for factor in node.factors[1:]:
+                value = value.mul_trunc(ev(factor), cutoff)
             return value
         if isinstance(node, Pow):
             return ev(node.base).pow(node.exponent, cutoff)

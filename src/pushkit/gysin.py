@@ -263,7 +263,7 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
         product = table.one()
         for u in root_generators(table):
             product = product.mul_trunc(series_inverse(table.one() + u, cutoff), cutoff)
-        expected = product.truncate(loc.valid_through if loc.valid_through is not None else cutoff)
+        expected = product.truncate(loc.valid_through)
         checks.append(
             VerificationCheck(
                 name="u_series_rank3",

@@ -167,6 +167,8 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
     if cutoff is not None:
         if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
             raise ValueError("cutoff must be a non-negative integer or None")
+        if cutoff < rank - 1:
+            raise ValueError(f"cutoff must be at least rank - 1 = {rank - 1}, the fiber dimension")
         if phi.degree() > cutoff:
             raise ValueError("series input must be pre-truncated at the cutoff")
 

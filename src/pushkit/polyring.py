@@ -420,6 +420,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {_MONOMIAL_ONE}:
+            return hash(self.constant_term())  # it equals that number, so hash alike
         return hash((self.table, frozenset(self._terms.items())))
 
     # -- grading -----------------------------------------------------------

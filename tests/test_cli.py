@@ -156,6 +156,16 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: broken invariant\n"
 
 
+def test_broken_expand_back_guard_is_an_internal_error(capsys, monkeypatch):
+    import pushkit.gysin
+
+    monkeypatch.setattr(pushkit.gysin, "expand_elementary", lambda chern_form: None)
+    assert run(["push", "--rank", "2", "x"]) == 1
+    assert capsys.readouterr().err == (
+        "internal error: internal invariant broken: Chern form does not expand back\n"
+    )
+
+
 def test_asymmetric_localization_exits_one(capsys):
     assert run(["localize", "--rank", "3", "u1 y^2"]) == 1
     err = capsys.readouterr().err

@@ -20,7 +20,7 @@ from pushkit import (
     parse_expression,
 )
 from pushkit.cli import run
-from pushkit.expressions import Add, Inv, Mul, Neg, Num, Pow, Sub, Var
+from pushkit.expressions import Inv, Neg, Num, Pow, Product, Sum, Var
 
 from helpers import random_poly
 
@@ -30,11 +30,7 @@ from helpers import random_poly
 
 def test_parse_inverse_of_linear():
     ast = parse_expression("inv(1-x)", 3)
-    assert isinstance(ast, Inv)
-    assert isinstance(ast.operand, Sub)
-    assert ast.operand.left == Num(Fraction(1))
-    assert isinstance(ast.operand.right, Var)
-    assert ast.operand.right.name == "x"
+    assert ast == Inv(Sum(((1, Num(Fraction(1))), (-1, Var("x", 6)))), 0)
 
 
 def test_parse_power():
@@ -57,17 +53,20 @@ def test_non_integer_exponent_rejected():
 
 
 def test_implicit_multiplication():
-    assert parse_expression("2x", 3) == Mul(Num(Fraction(2)), Var("x", 1))
+    assert parse_expression("2x", 3) == Product((Num(Fraction(2)), Var("x", 1)))
     ast = parse_expression("c1 x^2", 3)
-    assert isinstance(ast, Mul) and isinstance(ast.right, Pow)
+    assert ast == Product((Var("c1", 0), Pow(Var("x", 3), 2)))
     product = parse_expression("(1+x)(1-x)", 3)
-    assert isinstance(product, Mul)
+    one = Num(Fraction(1))
+    assert product == Product(
+        (Sum(((1, one), (1, Var("x", 3)))), Sum(((1, one), (-1, Var("x", 8)))))
+    )
 
 
 def test_rational_literal():
     assert parse_expression("3/4", 3) == Num(Fraction(3, 4))
     ast = parse_expression("3/4 c1", 3)
-    assert ast == Mul(Num(Fraction(3, 4)), Var("c1", 4))
+    assert ast == Product((Num(Fraction(3, 4)), Var("c1", 4)))
     with pytest.raises(ParseError):
         parse_expression("1/0", 3)
     with pytest.raises(ParseError):
@@ -76,7 +75,7 @@ def test_rational_literal():
 
 def test_minus_binds_as_subtraction_not_juxtaposition():
     ast = parse_expression("x-1", 3)
-    assert isinstance(ast, Sub)
+    assert ast == Sum(((1, Var("x", 0)), (-1, Num(Fraction(1)))))
 
 
 def test_unary_minus():
@@ -124,6 +123,45 @@ def test_syntax_errors_are_positioned():
         assert 0 <= info.value.offset <= len(text)
 
 
+@pytest.mark.parametrize(
+    "text, error, message, offset",
+    [
+        ("x2", ParseError, "unknown identifier 'x2'", 0),
+        ("inv2", ParseError, "unknown identifier 'inv2'", 0),
+        ("c", ParseError, "'c' needs a subscript, like c1", 0),
+        ("x foo", ParseError, "unknown identifier 'foo'", 2),
+        ("$", ParseError, "unexpected character '$'", 0),
+        ("1 \u0663", ParseError, "unexpected character '\u0663'", 2),
+        ("x\xa0", ParseError, "unexpected character '\\xa0'", 1),
+        ("x\x0b", ParseError, "unexpected character '\\x0b'", 1),
+        ("x + " + "9" * 5000, ParseError, "integer literal too large", 4),
+        ("x c" + "1" * 5000, ParseError, "subscript too large", 2),
+        ("1/0", ParseError, "zero denominator", 2),
+        ("3/x", ParseError, "expected a denominator", 2),
+        ("x^-1", ExponentError, "exponents must be non-negative", 2),
+        ("x^y", ExponentError, "exponents must be integer literals", 2),
+        ("inv x", ParseError, "expected '(' after inv", 4),
+        ("(", ParseError, "expected a value", 1),
+        ("(x", ParseError, "expected ')'", 2),
+        ("1)", ParseError, "unexpected ')'", 1),
+        ("x*+", ParseError, "expected a value, found '+'", 2),
+        ("", ParseError, "empty expression", 0),
+        ("(" * 5000 + "1", ParseError, "expression too deeply nested", 101),
+        ("q4", ArityError, "q4 is out of range at rank 3", 0),
+        ("x c4", ArityError, "c4 is out of range at rank 3", 2),
+        ("u1", ParseError, "u-variables are only available in the localize command", 0),
+    ],
+    ids=lambda v: v[:12] if isinstance(v, str) else None,
+)
+def test_tokenizer_and_parser_diagnostics_are_exact(text, error, message, offset):
+    with pytest.raises(PushkitError) as info:
+        parse_expression(text, 3)
+    assert type(info.value) is error
+    assert info.value.offset == offset
+    suffix = f" (at offset {offset})" if issubclass(error, ParseError) else ""
+    assert str(info.value) == message + suffix
+
+
 def test_deep_nesting_is_a_diagnostic_not_a_crash():
     text = "(" * 5000 + "1" + ")" * 5000
     with pytest.raises(ParseError):
@@ -144,16 +182,17 @@ def test_long_flat_chain_is_evaluated_not_a_crash(capsys, rank, text, answer):
     assert f"chern_form = {answer}\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("op", ["+", "*"], ids=["sum", "product"])
+@pytest.mark.parametrize("op", ["+", "*", "-"], ids=["sum", "product", "difference"])
 def test_long_flat_chain_compares_hashes_and_prints(op):
     text = op.join(["x"] * 3000)
     a, b = parse_expression(text, 2), parse_expression(text, 2)
     assert a == b and hash(a) == hash(b)
     assert a != parse_expression(text + op + "x", 2)
     assert a != parse_expression(text.replace("x", "y", 1), 2)
+    assert len(a.factors if op == "*" else a.terms) == 3000
     printed = repr(a)
-    assert printed.count("(left=") == 2999
-    assert printed.endswith(", right=Var(name='x', offset=5998))")
+    assert printed.count("Var(") == 3000
+    assert printed.rsplit("Var(", 1)[1].rstrip(")") == "name='x', offset=5998"
 
 
 def test_huge_integer_literal_is_handled():

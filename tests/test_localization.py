@@ -175,6 +175,15 @@ def test_localize_requires_pretruncated_input():
         localize(y.pow(5), 3, 4)
 
 
+def test_cutoff_below_the_fiber_dimension_is_refused():
+    x = bundle_ring(5).var("x")
+    message = "cutoff must be at least rank - 1 = 4, the fiber dimension"
+    with pytest.raises(ValueError, match=message):
+        localize(x.pow(2), 5, 2)
+    with pytest.raises(ValueError, match=message):
+        gysin.pushforward(ClassExpr(x.pow(2), 2), 5)
+
+
 def test_localize_rejects_asymmetric_output():
     table = bundle_ring(3)
     phi = table.var("u1") * table.var("y").pow(2)

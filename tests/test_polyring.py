@@ -394,6 +394,13 @@ def test_integral_fraction_constant_is_the_int_constant():
     assert type(table.const(Fraction(4, 2)).constant_term()) is int
 
 
+@pytest.mark.parametrize("value", [0, 3, Fraction(1, 2)])
+def test_constant_polynomial_hashes_like_its_number(value):
+    constant = bundle_ring(2).const(value)
+    assert constant == value and hash(constant) == hash(value)
+    assert value in {constant} and constant in {value}
+
+
 def test_localized_integral_coefficients_are_ints():
     table = bundle_ring(4)
     y = table.var("y")
