@@ -41,7 +41,11 @@ __all__ = [
     "elaborate",
 ]
 
-_MAX_DEPTH = 100
+# Nesting levels ("(", "inv(" or unary "-") the parser accepts.  The tree's
+# dataclass ==, hash and repr recurse, and the costliest level,
+# inv(1 + 2 X^2), nests Inv, Sum, Product and Pow: about 15 frames of the
+# default recursion limit of 1000, so 50 levels leave room for the caller.
+_MAX_DEPTH = 50
 
 
 @dataclass(frozen=True)

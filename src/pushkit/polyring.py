@@ -243,7 +243,7 @@ class Polynomial:
     the same table and with exact scalars (int, Fraction).
     """
 
-    __slots__ = ("table", "_terms", "_degree")
+    __slots__ = ("table", "_terms", "_degree_span")
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, object] | None = None):
         cleaned: dict[Monomial, _Coeff] = {}
@@ -259,7 +259,7 @@ class Polynomial:
                     cleaned[mon] = c
         self.table = table
         self._terms = cleaned
-        self._degree: int | None = None
+        self._degree_span: tuple[int, int] | None = None
 
     @classmethod
     def _raw(cls, table: VariableTable, terms: dict[Monomial, _Coeff]) -> Polynomial:
@@ -267,7 +267,7 @@ class Polynomial:
         p = object.__new__(cls)
         p.table = table
         p._terms = terms
-        p._degree = None
+        p._degree_span = None
         return p
 
     # -- inspection --------------------------------------------------------
@@ -284,14 +284,18 @@ class Polynomial:
     def coefficient(self, mon: Monomial) -> _Coeff:
         return self._terms.get(mon, 0)
 
+    def _span(self) -> tuple[int, int]:
+        """(smallest, largest) weighted degree of a term, computed once;
+        (0, -1) for the zero polynomial."""
+        if self._degree_span is None:
+            table = self.table
+            degrees = [mon.degree(table) for mon in self._terms]
+            self._degree_span = (min(degrees, default=0), max(degrees, default=-1))
+        return self._degree_span
+
     def degree(self) -> int:
         """Largest weighted total degree of a term; -1 for the zero polynomial."""
-        if self._degree is None:
-            table = self.table
-            self._degree = max(
-                (mon.degree(table) for mon in self._terms), default=-1
-            )
-        return self._degree
+        return self._span()[1]
 
     def variables(self) -> tuple[str, ...]:
         """Names of the generators that actually occur, in table order."""
@@ -309,8 +313,8 @@ class Polynomial:
 
     def is_homogeneous_of_degree(self, degree: int) -> bool:
         """True if every term has the given degree (vacuously true for zero)."""
-        table = self.table
-        return all(mon.degree(table) == degree for mon in self._terms)
+        low, high = self._span()
+        return not self._terms or low == high == degree
 
     # -- arithmetic --------------------------------------------------------
 
@@ -457,8 +461,17 @@ class Polynomial:
         """Apply the ring homomorphism sending each generator to its image.
 
         Every generator occurring in the polynomial must have an image; all
-        images must live in one target table; each image must be homogeneous
-        of the degree of the variable it replaces, so grading is preserved.
+        images must live in one target table; every image, used or not, must
+        be homogeneous of the degree of the variable it replaces, so grading
+        is preserved.
+
+        Evaluated by Horner's scheme, one moved generator at a time in table
+        order: the terms are split by that generator's exponent and folded
+        from the top exponent k down, acc = acc * img^(prev - k) + inner(k),
+        then acc * img^(k_min), so every product is the accumulator times a
+        cached power of one image.  A generator sent to itself (the target
+        generator of its own index) stays in the monomials and is never
+        split on.
         """
         table = self.table
         target: VariableTable | None = None
@@ -471,36 +484,46 @@ class Polynomial:
                 target = img.table
             elif target is not img.table and target != img.table:
                 raise TableMismatchError("substitution images use different tables")
+            want = table.degree_of(name)
+            if not img.is_homogeneous_of_degree(want):
+                raise GradingError(f"image of {name!r} must be homogeneous of degree {want}")
         if target is None:
             target = table
 
-        occurring = sorted({i for mon in self._terms for i, _ in mon})
-        img_by_idx: dict[int, Polynomial] = {}
-        for i in occurring:
+        # A generator whose image is the target generator of its own index
+        # is fixed: its monomial entries already mean the image.
+        moved: list[int] = []
+        for i in sorted({i for mon in self._terms for i, _ in mon}):
             name = table.names[i]
             if name not in images:
                 raise UnboundVariableError(f"no image for {name!r}")
-            img = images[name]
-            want = table.degrees[i]
-            if not img.is_homogeneous_of_degree(want):
-                raise GradingError(f"image of {name!r} must be homogeneous of degree {want}")
-            img_by_idx[i] = img
+            img_terms = images[name]._terms
+            if len(img_terms) != 1 or img_terms.get(((i, 1),)) != 1:
+                moved.append(i)
 
-        powers: dict[int, list[Polynomial]] = {i: [target.one()] for i in img_by_idx}
+        powers = {i: [target.one()] for i in moved}
 
         def power(i: int, e: int) -> Polynomial:
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(cache[-1] * img_by_idx[i])
+                cache.append(cache[-1] * images[table.names[i]])
             return cache[e]
 
-        out: dict[Monomial, _Coeff] = {}
-        for mon, coeff in self._terms.items():
-            prod = target.const(coeff)
-            for i, e in mon:
-                prod = prod * power(i, e)
-            _accumulate(out, prod._terms.items())
-        return Polynomial._raw(target, out)
+        def horner(terms: dict[Monomial, _Coeff], level: int) -> Polynomial:
+            if level == len(moved):
+                return Polynomial._raw(target, terms)
+            i = moved[level]
+            buckets = _split(Polynomial._raw(table, terms), i)
+            exps = sorted(buckets, reverse=True)
+            acc = horner(buckets[exps[0]], level + 1)
+            for prev, k in zip(exps, exps[1:]):
+                acc = acc._mul(power(i, prev - k), None)  # a fresh dict: add in place
+                _accumulate(acc._terms, horner(buckets[k], level + 1)._terms.items())
+            return acc._mul(power(i, exps[-1]), None) if exps[-1] else acc
+
+        if not self._terms:
+            return target.zero()
+        return horner(self._terms, 0)
 
     # -- rendering ---------------------------------------------------------
 

@@ -296,7 +296,11 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
 
 def expand_elementary(p: Polynomial) -> Polynomial:
     """Inverse direction of :func:`reduce_to_elementary`: substitute each
-    c_i by the i-th elementary symmetric polynomial of the roots."""
+    c_i by the i-th elementary symmetric polynomial of the roots.
+
+    One :meth:`Polynomial.substitute` call; its Horner scheme nests the
+    c-monomials by c1, then c2, ..., so each product is a partial result
+    times a cached power of one e_i, never a product of two large powers."""
     table = p.table
     chern_idx = _chern_indices(table)
     gens = root_generators(table)

@@ -112,3 +112,39 @@ def leading_term_reduction(p: Polynomial) -> Polynomial:
         out = out + term
         work = work - e_product
     return out
+
+
+def random_homogeneous(rng: random.Random, table: VariableTable, degree: int) -> Polynomial:
+    """Random polynomial of one to three terms, each homogeneous of ``degree``:
+    a coefficient times generators whose degrees add up to it (the table must
+    have a degree-1 generator)."""
+    p = table.zero()
+    for _ in range(rng.randint(1, 3)):
+        term, left = table.const(random_coeff(rng)), degree
+        while left:
+            name = rng.choice([n for n in table.names if table.degree_of(n) <= left])
+            term, left = term * table.var(name), left - table.degree_of(name)
+        p = p + term
+    return p
+
+
+def substitute_by_powers(p: Polynomial, images: dict[str, Polynomial]) -> Polynomial:
+    """Reference substitution, term by term: each term is its coefficient
+    times cached powers of the images of its generators."""
+    target = next(iter(images.values())).table if images else p.table
+    names = p.table.names
+    powers: dict[str, list[Polynomial]] = {}
+
+    def power(name: str, e: int) -> Polynomial:
+        cache = powers.setdefault(name, [target.one()])
+        while len(cache) <= e:
+            cache.append(cache[-1] * images[name])
+        return cache[e]
+
+    out = target.zero()
+    for mon, coeff in p.sorted_terms():
+        prod = target.const(coeff)
+        for i, e in mon:
+            prod = prod * power(names[i], e)
+        out = out + prod
+    return out

@@ -20,7 +20,7 @@ from pushkit import (
     parse_expression,
 )
 from pushkit.cli import run
-from pushkit.expressions import Inv, Neg, Num, Pow, Product, Sum, Var
+from pushkit.expressions import _MAX_DEPTH, Inv, Neg, Num, Pow, Product, Sum, Var
 
 from helpers import random_poly
 
@@ -146,7 +146,7 @@ def test_syntax_errors_are_positioned():
         ("1)", ParseError, "unexpected ')'", 1),
         ("x*+", ParseError, "expected a value, found '+'", 2),
         ("", ParseError, "empty expression", 0),
-        ("(" * 5000 + "1", ParseError, "expression too deeply nested", 101),
+        ("(" * 5000 + "1", ParseError, "expression too deeply nested", 51),
         ("q4", ArityError, "q4 is out of range at rank 3", 0),
         ("x c4", ArityError, "c4 is out of range at rank 3", 2),
         ("u1", ParseError, "u-variables are only available in the localize command", 0),
@@ -166,6 +166,23 @@ def test_deep_nesting_is_a_diagnostic_not_a_crash():
     text = "(" * 5000 + "1" + ")" * 5000
     with pytest.raises(ParseError):
         parse_expression(text, 3)
+
+
+@pytest.mark.parametrize(
+    "opening, closing",
+    [("inv(1+2", ")^2"), ("inv(1+", ")x^2"), ("-", ""), ("(", ")")],
+    ids=["inv-sum-product-pow", "product-inv-sum", "neg", "paren"],
+)
+def test_deepest_accepted_nest_compares_hashes_and_prints(opening, closing):
+    def nest(n: int) -> str:
+        return opening * n + "x" + closing * n
+
+    a, b = parse_expression(nest(_MAX_DEPTH), 2), parse_expression(nest(_MAX_DEPTH), 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a).count("Var(") == nest(_MAX_DEPTH).count("x")
+    assert a != parse_expression(nest(_MAX_DEPTH).replace("x", "y"), 2)
+    with pytest.raises(ParseError, match="too deeply nested"):
+        parse_expression(nest(_MAX_DEPTH + 1), 2)
 
 
 @pytest.mark.parametrize(

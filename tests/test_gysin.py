@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from pushkit import (
     ArityError,
     ClassExpr,
+    Polynomial,
     UnsupportedVariableError,
     bundle_ring,
+    elaborate,
     expand_elementary,
+    parse_expression,
     presentation_oracle,
     pushforward,
     segre_oracle,
@@ -87,6 +90,24 @@ def test_class_expr_invariants():
         ClassExpr(table.var("x") + table.var("y"))
     with pytest.raises(ValueError):
         ClassExpr(table.var("c3"), 2)  # degree above cutoff
+
+
+def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
+    # The benchmark's polyring.substitute_calls counts calls of the public
+    # method: one per chart restriction (r) and one for the expand-back
+    # guard.  A substitution that re-enters the public method would inflate
+    # the count and make traces of different revisions incomparable.
+    cls = elaborate(parse_expression("(q1 q2 y^3) inv(1 + y)", 4), 4, 14)
+    calls = []
+    original = Polynomial.substitute
+
+    def counting(self, images):
+        calls.append(images)
+        return original(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    pushforward(cls, 4)
+    assert len(calls) == 5
 
 
 # -- Segre oracle -----------------------------------------------------------------

@@ -21,11 +21,13 @@ from pushkit import (
     VariableTable,
     bundle_ring,
     divide_exact_linear,
+    elementary_symmetric,
+    fixed_point_charts,
     localize,
     series_inverse,
 )
 
-from helpers import random_poly
+from helpers import random_coeff, random_homogeneous, random_poly, substitute_by_powers
 
 
 @pytest.fixture
@@ -164,6 +166,116 @@ def test_substitute_degree_violation_raises(fiber3):
         y.substitute({"y": q2})  # degree 1 variable, degree 2 image
     with pytest.raises(GradingError):
         y.substitute({"y": 1 + y})  # inhomogeneous image
+
+
+def test_substitute_checks_every_image_not_only_the_used_ones():
+    table = bundle_ring(3)
+    x, y = table.var("x"), table.var("y")
+    with pytest.raises(GradingError):
+        (1 + x).substitute({"x": -y, "q1": 1 + y})  # q1 does not occur
+    with pytest.raises(GradingError):
+        table.one().substitute({"c2": y})
+    with pytest.raises(UnboundVariableError):
+        (1 + x).substitute({"x": -y, "z": y})
+    with pytest.raises(TypeError):
+        (1 + x).substitute({"x": -y, "q1": 1})
+    with pytest.raises(TableMismatchError):
+        (1 + x).substitute({"x": -y, "y": bundle_ring(2).var("y")})
+
+
+_R2 = bundle_ring(2)
+_X, _Y, _U1 = _R2.var("x"), _R2.var("y"), _R2.var("u1")
+_XY = VariableTable([("x", 1), ("y", 1)])
+_YX = VariableTable([("y", 1), ("x", 1)])  # the same names at swapped indices
+_ST = VariableTable([("s", 1), ("t", 1)])
+_GAPS = _X.pow(9) + _X.pow(2) + 1
+
+
+@pytest.mark.parametrize(
+    "p, images",
+    [
+        (_GAPS, {"x": -_Y}),
+        (_GAPS, {"x": _Y + _U1}),
+        (_GAPS, {"x": _R2.zero()}),
+        (_X.pow(9) * _Y.pow(3) + _X.pow(2) * _Y, {"x": _U1, "y": _Y}),
+        (_XY.var("x").pow(2) * _XY.var("y") + 3, {"x": _YX.var("x"), "y": _YX.var("y")}),
+        (_XY.var("x").pow(5) * _XY.var("y") - _XY.var("y"), {"x": _ST.var("s"), "y": -_ST.var("t")}),
+    ],
+    ids=["gaps-negated", "gaps-two-terms", "gaps-zero", "gaps-fixed-y", "same-names", "other-names"],
+)
+def test_substitute_matches_term_by_term_powers_on_fixed_cases(p, images):
+    got = p.substitute(images)
+    assert got == substitute_by_powers(p, images)
+    assert got.table is next(iter(images.values())).table
+
+
+def _random_source(rng: random.Random, table: VariableTable, names: list[str]) -> Polynomial:
+    """Up to five terms over ``names`` with int and Fraction coefficients;
+    degree-1 generators take exponents up to 9, so exponent gaps occur."""
+    terms: dict[Monomial, object] = {}
+    for _ in range(rng.randint(0, 5)):
+        exps: dict[int, int] = {}
+        for name in rng.sample(names, min(len(names), rng.randint(0, 2))):
+            high = (1, 2, 3, 9) if table.degree_of(name) == 1 else (1, 2)
+            exps[table.index(name)] = rng.choice(high)
+        coeff = rng.randint(-4, 4) if rng.random() < 0.5 else random_coeff(rng)
+        terms[Monomial(exps)] = coeff
+    return Polynomial(table, terms)
+
+
+def _random_images(rng: random.Random, table: VariableTable, target: VariableTable) -> dict:
+    """An image for every generator of ``table``, each homogeneous of its
+    degree in ``target``: itself (or the same name), negated, zero, another
+    generator of that degree or a multi-term polynomial."""
+    images = {}
+    for name in table.names:
+        degree = table.degree_of(name)
+        same = [n for n in target.names if target.degree_of(n) == degree]
+        own = target.var(name) if name in same else random_homogeneous(rng, target, degree)
+        kind = rng.randrange(5)
+        if kind == 0:
+            images[name] = own
+        elif kind == 1:
+            images[name] = -own
+        elif kind == 2:
+            images[name] = target.zero()
+        elif kind == 3 and same:
+            images[name] = target.var(rng.choice(same))
+        else:
+            images[name] = random_homogeneous(rng, target, degree)
+    return images
+
+
+_OTHER_TARGET = VariableTable([("u1", 1), ("y", 1), ("x", 1), ("z", 2), ("c1", 1), ("c2", 2)])
+
+
+@seed(20261022)
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from(["mixed", "chart", "chern", "other table"]),
+    st.integers(0, 10**9),
+)
+@example(2, "mixed", 0)
+def test_substitute_matches_term_by_term_powers(rank, kind, draw):
+    rng = random.Random(draw)
+    table = bundle_ring(rank)
+    names = list(table.names)
+    if kind == "mixed":
+        images = _random_images(rng, table, table)
+    elif kind == "chart":
+        images = dict(rng.choice(fixed_point_charts(rank)).restriction)
+    elif kind == "chern":
+        roots = [table.var(f"u{i}") for i in range(1, rank + 1)]
+        names = [f"c{i}" for i in range(1, rank + 1)]
+        images = {f"c{i}": elementary_symmetric(i, roots) for i in range(1, rank + 1)}
+    else:
+        images = _random_images(rng, table, _OTHER_TARGET)
+    p = _random_source(rng, table, names)
+    got = p.substitute(images)
+    assert got == substitute_by_powers(p, images)
+    assert got.table == (table if kind != "other table" else _OTHER_TARGET)
+    _assert_exact(got)
 
 
 # -- exact division ----------------------------------------------------------
