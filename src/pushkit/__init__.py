@@ -44,7 +44,7 @@ from .localization import (
     bundle_ring,
     fixed_point_charts,
     localize,
-    localize_pairwise,
+    localize_divided_differences,
     relation_check,
 )
 from .gysin import (
@@ -95,7 +95,7 @@ __all__ = [
     "fixed_point_charts",
     "is_symmetric",
     "localize",
-    "localize_pairwise",
+    "localize_divided_differences",
     "parse_expression",
     "presentation_oracle",
     "pushforward",

@@ -64,4 +64,5 @@ class ParseError(PushkitError):
 
 
 class ExponentError(ParseError):
-    """An exponent is negative or not an integer literal."""
+    """An exponent is negative, not an integer literal, or so large that the
+    constant term of the power would have more digits than Python prints."""

@@ -18,7 +18,9 @@ parse failure carries the byte offset at which it occurred.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -84,6 +86,7 @@ class Product:
 class Pow:
     base: "ExprAst"
     exponent: int
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ class _Parser:
             if tok.kind != "NAT":
                 raise ExponentError("exponents must be integer literals", tok.pos)
             self.advance()
-            node = Pow(node, tok.value)
+            node = Pow(node, tok.value, tok.pos)
         return node
 
     def base(self, depth: int) -> ExprAst:
@@ -256,6 +259,11 @@ def parse_expression(text: str, rank: int, *, allow_u: bool = False) -> ExprAst:
     return _Parser(_tokenize(text), rank, allow_u).parse()
 
 
+# Python's limit on the digits of an int printed as text, 4,300 by default;
+# 0 means none (also before Python 3.10.7, which has no limit).
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     """Evaluate a syntax tree in the rank-r ring, truncated at ``cutoff``.
 
@@ -284,7 +292,17 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
                 value = value.mul_trunc(ev(factor), cutoff)
             return value
         if isinstance(node, Pow):
-            return ev(node.base).pow(node.exponent, cutoff)
+            base = ev(node.base)
+            # refuse before computing it a constant term too long to print
+            c, limit = base.constant_term(), _digit_limit()
+            size = max(abs(c.numerator), c.denominator)
+            if limit and node.exponent * math.log10(size) >= limit:
+                raise ExponentError(
+                    f"power too large: its constant term would have more than {limit:,} "
+                    "digits, Python's limit for printing an integer",
+                    node.offset,
+                )
+            return base.pow(node.exponent, cutoff)
         if isinstance(node, Inv):
             inner = ev(node.operand)
             try:

@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 
-def _chern_names(rank: int) -> set[str]:
-    return {f"c{i}" for i in range(1, rank + 1)}
-
-
 @dataclass(frozen=True)
 class ClassExpr:
     """A cohomology class of the projectivized bundle, already expanded.
@@ -145,7 +141,7 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
     """
     table = payload.table
     support = set(payload.variables())
-    allowed = {"x"} | _chern_names(rank)
+    allowed = {"x"} | {f"c{i}" for i in range(1, rank + 1)}
     extra = support - allowed
     if extra:
         raise UnsupportedVariableError(

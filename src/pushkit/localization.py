@@ -12,12 +12,17 @@ The pushforward is evaluated as the exact sum over fixed points of
 that only exact division by linear factors is ever needed.  Euler classes and
 cofactors are products of root differences; the r!-term Vandermonde is never
 built.
+
+The reference evaluator reads the first fixed point only: for a class without
+roots, the sum is (-1)^(r-1) d_(r-1) ... d_1 of the first restriction, the
+divided-difference form of Gysin maps (Fulton-Pragacz, LNM 1689).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -25,9 +30,11 @@ from .errors import (
     NotDivisibleError,
     SymmetryError,
     TableMismatchError,
+    UnsupportedVariableError,
 )
 from .polyring import Polynomial, VariableTable, divide_exact_linear
-from .symfun import elementary_symmetric, is_symmetric, root_generators
+from .symfun import Permutation, apply_permutation, elementary_symmetric, is_symmetric
+from .symfun import root_generators
 
 __all__ = [
     "bundle_ring",
@@ -35,7 +42,7 @@ __all__ = [
     "LocalizationResult",
     "fixed_point_charts",
     "localize",
-    "localize_pairwise",
+    "localize_divided_differences",
     "relation_check",
 ]
 
@@ -61,14 +68,13 @@ class FixedPointChart:
     """Per-fixed-point substitution data.
 
     ``restriction`` maps every generator to its value at the fixed point
-    p_index; ``euler`` is the equivariant Euler class of the normal bundle,
-    the product of the name pairs listed in ``euler_factors``.
+    p_index (a read-only view, since charts are cached per rank); ``euler``
+    is the equivariant Euler class of the normal bundle.
     """
 
     index: int
     restriction: Mapping[str, Polynomial]
     euler: Polynomial
-    euler_factors: tuple[tuple[str, str], ...]
 
     def restrict(self, p: Polynomial) -> Polynomial:
         return p.substitute(self.restriction)
@@ -104,9 +110,8 @@ def _charts(rank: int) -> tuple[FixedPointChart, ...]:
         charts.append(
             FixedPointChart(
                 index=j,
-                restriction=mapping,
+                restriction=MappingProxyType(mapping),
                 euler=_root_product(table, factors),
-                euler_factors=factors,
             )
         )
     return tuple(charts)
@@ -193,29 +198,21 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
     return LocalizationResult(value=value, valid_through=valid_through)
 
 
-def localize_pairwise(phi: Polynomial, rank: int) -> Polynomial:
-    """Reference evaluation of the fixed-point sum for exact polynomial input.
-
-    Adds the per-point fractions two at a time over pairwise common
-    denominators, then divides once by the accumulated denominator, factor by
-    factor.  Shares no denominator bookkeeping with :func:`localize`, so the
-    two routes cross-check each other.
-    """
+def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
+    """Reference evaluation of the fixed-point sum, for input without roots:
+    (-1)^(rank-1) d_(rank-1) ... d_1 (phi|_1), with d_i f = (f - s_i f) /
+    (u_i - u_(i+1)) and s_i swapping u_i and u_(i+1).  It needs phi|_j to be
+    phi|_1 with u_1 and u_j swapped, true for every class in x, y, q_i, c_i."""
     table = bundle_ring(rank)
     if phi.table is not table and phi.table != table:
         raise TableMismatchError("phi must live in bundle_ring(rank)")
-    charts = _charts(rank)
-    numerator = charts[0].restrict(phi)
-    denominator = charts[0].euler
-    factors = list(charts[0].euler_factors)
-    for chart in charts[1:]:
-        numerator = numerator * chart.euler + chart.restrict(phi) * denominator
-        denominator = denominator * chart.euler
-        factors.extend(chart.euler_factors)
-    value = numerator
-    for a, b in factors:
-        value = divide_exact_linear(value, table.var(a) - table.var(b))
-    return value
+    if set(phi.variables()) & {f"u{i}" for i in range(1, rank + 1)}:
+        raise UnsupportedVariableError("the divided-difference reference takes no roots u_i")
+    value = _charts(rank)[0].restrict(phi)
+    for i in range(1, rank):
+        swapped = apply_permutation(value, Permutation.transposition(rank, i, i + 1))
+        value = divide_exact_linear(value - swapped, table.var(f"u{i}") - table.var(f"u{i + 1}"))
+    return -value if rank % 2 == 0 else value
 
 
 def relation_check(rank: int) -> bool:

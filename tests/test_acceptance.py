@@ -20,7 +20,7 @@ from pushkit import (
     fixed_point_charts,
     is_symmetric,
     localize,
-    localize_pairwise,
+    localize_divided_differences,
     parse_expression,
     presentation_oracle,
     pushforward,
@@ -146,7 +146,7 @@ def test_criterion_6_oracle_triangle_suite():
             via_presentation = presentation_oracle(expr, rank)
             assert via_sum == via_presentation, (rank, p.render())
 
-        # Monomial family, verified against the pairwise-denominator oracle.
+        # Monomial family, verified against the divided-difference reference.
         # With y restricting to u_j at the j-th point, the closed form carries
         # the parity of the fiber dimension (y = -x): the sum equals
         # (-1)^(rank-1) h_m, which is h_m itself at every odd rank, including
@@ -160,9 +160,9 @@ def test_criterion_6_oracle_triangle_suite():
             parity = 1 if rank % 2 == 1 else -1
             for m in range(6):
                 value = localize(y.pow(rank - 1 + m), rank).value
-                brute = localize_pairwise(y.pow(rank - 1 + m), rank)
+                reference = localize_divided_differences(y.pow(rank - 1 + m), rank)
                 h_m = complete_homogeneous(m, roots, table=table)
-                assert value == brute, (rank, m)
+                assert value == reference, (rank, m)
                 assert value == parity * h_m, (rank, m)
                 if rank % 2 == 1:
                     assert value == h_m, (rank, m)

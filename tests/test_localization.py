@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from pushkit import (
     ClassExpr,
     SymmetryError,
+    UnsupportedVariableError,
     bundle_ring,
     complete_homogeneous,
     fixed_point_charts,
     is_symmetric,
     localize,
-    localize_pairwise,
+    localize_divided_differences,
     relation_check,
     root_generators,
     series_inverse,
@@ -79,6 +80,14 @@ def test_charts_restriction_maps():
     # base Chern classes restrict uniformly
     assert charts[1].restriction["c1"] == u[0] + u[1] + u[2]
     assert charts[1].restriction["c3"] == u[0] * u[1] * u[2]
+
+
+def test_chart_maps_are_read_only():
+    # the charts are cached per rank: a caller's write must not reach them
+    with pytest.raises(TypeError):
+        fixed_point_charts(3)[0].restriction["y"] = bundle_ring(3).var("u2")
+    y = bundle_ring(3).var("y")
+    assert localize(y * y, 3).value == 1
 
 
 def test_rank_one_chart_is_trivial():
@@ -205,18 +214,18 @@ def test_rank_one_localization_is_restriction():
     assert localize(table.one(), 1).value == table.one()
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
-def test_monomial_family_against_pairwise_oracle(rank):
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_monomial_family_closed_form_and_reference(rank):
     table = bundle_ring(rank)
     y = table.var("y")
     roots = root_generators(table)
     sign = 1 if rank % 2 == 1 else -1
     for k in range(rank - 1):
         assert localize(y.pow(k), rank).value == table.zero()
-        assert localize_pairwise(y.pow(k), rank) == table.zero()
+        assert localize_divided_differences(y.pow(k), rank) == table.zero()
     for m in range(0, 4):
         value = localize(y.pow(rank - 1 + m), rank).value
-        assert value == localize_pairwise(y.pow(rank - 1 + m), rank)
+        assert value == localize_divided_differences(y.pow(rank - 1 + m), rank)
         # closed form: h_m up to the parity of the fiber dimension (y = -x)
         assert value == sign * complete_homogeneous(m, roots, table=table)
         x_value = localize(table.var("x").pow(rank - 1 + m), rank).value
@@ -225,13 +234,26 @@ def test_monomial_family_against_pairwise_oracle(rank):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=5))
 def test_pipelines_agree_on_random_inputs(seed, rank):
     rng = random.Random(seed)
     phi = random_fiber_poly(rng, rank)
     result = localize(phi, rank)
-    assert result.value == localize_pairwise(phi, rank)
+    assert result.value == localize_divided_differences(phi, rank)
     assert is_symmetric(result.value)
+
+
+def test_reference_refuses_root_variables():
+    # phi|_j = s(phi|_1) fails for a non-symmetric root coefficient, so the
+    # reference refuses every root; the literal sum reports the asymmetry
+    table = bundle_ring(3)
+    phi = table.var("u1") * table.var("y").pow(2)
+    with pytest.raises(UnsupportedVariableError):
+        localize_divided_differences(phi, 3)
+    with pytest.raises(UnsupportedVariableError):
+        localize_divided_differences(table.var("u2"), 3)
+    with pytest.raises(SymmetryError):
+        localize(phi, 3)
 
 
 @settings(max_examples=25, deadline=None)
