@@ -31,17 +31,14 @@ from .errors import (
     PushkitError,
     SymmetryError,
     UnsupportedVariableError,
+    UsageError,
 )
-from .expressions import _digit_limit, elaborate, parse_expression
+from .expressions import elaborate, parse_expression, refuse_unprintable
 from .gysin import ClassExpr, pushforward, verify_classical
 from .localization import bundle_ring, localize
 from .polyring import Polynomial, _render_terms
 
 __all__ = ["OutputRecord", "run", "main"]
-
-
-class UsageError(ValueError):
-    """A command-line argument is out of range: the user's mistake, exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -107,16 +104,6 @@ def _tex_power(base: str, e: int) -> str:
     return f"{base}^{{{e}}}"
 
 
-def _check_printable(*polys: Polynomial) -> None:
-    """Refuse output with a coefficient longer than Python prints."""
-    limit = _digit_limit()
-    bound = 10**limit
-    sizes = (max(abs(c.numerator), c.denominator) for p in polys for c in p._terms.values())
-    if limit and any(size >= bound for size in sizes):
-        too_long = f"more than {limit:,} digits, Python's limit for printing an integer"
-        raise UsageError(f"a coefficient has {too_long}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pushkit",
@@ -177,7 +164,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
     ast = parse_expression(args.expr, rank)
     cls = elaborate(ast, rank, degree)
     result = pushforward(cls, rank, verify=not args.no_verify)
-    _check_printable(cls.payload, result.chern_form, result.u_form)
+    refuse_unprintable(cls.payload, result.chern_form, result.u_form)
     record = OutputRecord(
         rank=rank,
         cutoff=degree,
@@ -202,7 +189,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     ast = parse_expression(args.expr, rank, allow_u=True)
     cls = elaborate(ast, rank, degree)
     result = localize(cls.payload, rank, degree)
-    _check_printable(cls.payload, result.value)
+    refuse_unprintable(cls.payload, result.value)
     record = OutputRecord(
         rank=rank,
         cutoff=degree,
@@ -224,7 +211,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     failed = False
     for k in range(args.start, args.stop + 1):
         result = pushforward(ClassExpr(x.pow(k)), rank)
-        _check_printable(result.chern_form)
+        refuse_unprintable(result.chern_form)
         if any(v == "fail" for v in result.checks.values()):
             failed = True
         print(f"f_*(x^{k}) = {result.chern_form.render()}")

@@ -64,5 +64,8 @@ class ParseError(PushkitError):
 
 
 class ExponentError(ParseError):
-    """An exponent is negative, not an integer literal, or so large that the
-    constant term of the power would have more digits than Python prints."""
+    """An exponent is negative or not an integer literal."""
+
+
+class UsageError(ValueError):
+    """The input asks for something out of range: the user's mistake, exit code 2."""

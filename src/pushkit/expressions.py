@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
+from .errors import ArityError, ExponentError, NotInvertibleError, ParseError, UsageError
 from .gysin import ClassExpr, _rename_fiber_variable
 from .localization import bundle_ring
 from .polyring import Polynomial, series_inverse
@@ -86,7 +86,6 @@ class Product:
 class Pow:
     base: "ExprAst"
     exponent: int
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ class _Parser:
             if tok.kind != "NAT":
                 raise ExponentError("exponents must be integer literals", tok.pos)
             self.advance()
-            node = Pow(node, tok.value, tok.pos)
+            node = Pow(node, tok.value)
         return node
 
     def base(self, depth: int) -> ExprAst:
@@ -259,9 +258,19 @@ def parse_expression(text: str, rank: int, *, allow_u: bool = False) -> ExprAst:
     return _Parser(_tokenize(text), rank, allow_u).parse()
 
 
-# Python's limit on the digits of an int printed as text, 4,300 by default;
-# 0 means none (also before Python 3.10.7, which has no limit).
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+def refuse_unprintable(*polys: Polynomial, exponent: int = 1) -> None:
+    """Raise UsageError if a coefficient of ``polys`` to the power ``exponent``
+    has more digits than Python prints (``sys.get_int_max_str_digits()``)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    coeffs = (c for p in polys for c in p._terms.values())
+    size = max((max(abs(c.numerator), c.denominator) for c in coeffs), default=0)
+    if exponent == 1:
+        too_long = size >= 10**limit
+    else:  # an int against a float: exact, and no float overflow for any exponent
+        too_long = size > 1 and exponent >= limit / math.log10(size)
+    if limit and too_long:
+        digits = f"more than {limit:,} digits, Python's limit for printing an integer"
+        raise UsageError(f"a coefficient would have {digits}")
 
 
 def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
@@ -293,15 +302,8 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
             return value
         if isinstance(node, Pow):
             base = ev(node.base)
-            # refuse before computing it a constant term too long to print
-            c, limit = base.constant_term(), _digit_limit()
-            size = max(abs(c.numerator), c.denominator)
-            if limit and node.exponent * math.log10(size) >= limit:
-                raise ExponentError(
-                    f"power too large: its constant term would have more than {limit:,} "
-                    "digits, Python's limit for printing an integer",
-                    node.offset,
-                )
+            # refuse a constant term too long to print before computing it
+            refuse_unprintable(table.const(base.constant_term()), exponent=node.exponent)
             return base.pow(node.exponent, cutoff)
         if isinstance(node, Inv):
             inner = ev(node.operand)

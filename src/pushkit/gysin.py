@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+def _chern_names(rank: int) -> set[str]:
+    return {f"c{i}" for i in range(1, rank + 1)}
+
+
 @dataclass(frozen=True)
 class ClassExpr:
     """A cohomology class of the projectivized bundle, already expanded.
@@ -141,7 +145,7 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
     """
     table = payload.table
     support = set(payload.variables())
-    allowed = {"x"} | {f"c{i}" for i in range(1, rank + 1)}
+    allowed = {"x"} | _chern_names(rank)
     extra = support - allowed
     if extra:
         raise UnsupportedVariableError(

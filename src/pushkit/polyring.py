@@ -604,13 +604,25 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     """
     p._check_table(factor)
     table = p.table
-    by_coeff = {c: mon for mon, c in factor._terms.items()}
-    if len(factor._terms) != 2 or sorted(by_coeff) != [-1, 1] or any(
-        len(mon) != 1 or mon[0][1] != 1 or table.degrees[mon[0][0]] != 1
-        for mon in by_coeff.values()
-    ):
-        raise ValueError("factor must be a - b for two distinct degree-1 generators a and b")
-    a, b = by_coeff[1][0][0], by_coeff[-1][0][0]
+    pos = neg = None
+    if len(factor._terms) != 2:
+        raise ValueError("factor must be a difference of two generators")
+    for mon, coeff in factor._terms.items():
+        if len(mon) != 1 or mon[0][1] != 1:
+            raise ValueError("factor must be a difference of two generators")
+        idx = mon[0][0]
+        if table.degrees[idx] != 1:
+            raise ValueError("factor generators must have degree 1")
+        if coeff == 1:
+            pos = idx
+        elif coeff == -1:
+            neg = idx
+        else:
+            raise ValueError("factor coefficients must be +1 and -1")
+    if pos is None or neg is None or pos == neg:
+        raise ValueError("factor must be a difference of two distinct generators")
+
+    a, b = pos, neg
     buckets = _split(p, a)
     b_mon = Monomial._raw(((b, 1),))
     carry: dict[Monomial, _Coeff] = {}
