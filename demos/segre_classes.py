@@ -24,7 +24,7 @@ x = table.var("x")
 print(f"pushforward of x^k for a rank-{RANK} bundle")
 print("=" * 60)
 for k in range(0, 7):
-    via_fixed_points = pushforward(ClassExpr(x.pow(k)), RANK, verify=False).chern_form
+    via_fixed_points = pushforward(ClassExpr(x.pow(k)), RANK).chern_form
     via_presentation = presentation_oracle(ClassExpr(x.pow(k)), RANK)
     marker = "ok" if via_fixed_points == via_presentation else "MISMATCH"
     print(f"  f_*(x^{k}) = {via_fixed_points.render():40s} [{marker}]")

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    push      --rank R --max-degree D [--format text|json|tex] [--no-verify] EXPR
+    push      --rank R --max-degree D [--format text|json|tex] EXPR
     localize  --rank R --max-degree D EXPR
     table     --rank R --from K0 --to K1
     verify    --rank R --max-degree D
@@ -127,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     push = sub.add_parser("push", help="compute the pushforward of EXPR")
     add_common(push)
     push.add_argument("--format", choices=("text", "json", "tex"), default="text")
-    push.add_argument("--no-verify", action="store_true", help="skip oracle cross-checks")
     push.add_argument("expr", metavar="EXPR")
 
     loc = sub.add_parser("localize", help="print the raw fixed-point sum in the roots u_i")
@@ -163,7 +162,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
     degree = _effective_degree(args, rank)
     ast = parse_expression(args.expr, rank)
     cls = elaborate(ast, rank, degree)
-    result = pushforward(cls, rank, verify=not args.no_verify)
+    result = pushforward(cls, rank)
     refuse_unprintable(cls.payload, result.chern_form, result.u_form)
     record = OutputRecord(
         rank=rank,

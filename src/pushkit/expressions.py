@@ -258,16 +258,24 @@ def parse_expression(text: str, rank: int, *, allow_u: bool = False) -> ExprAst:
     return _Parser(_tokenize(text), rank, allow_u).parse()
 
 
-def refuse_unprintable(*polys: Polynomial, exponent: int = 1) -> None:
-    """Raise UsageError if a coefficient of ``polys`` to the power ``exponent``
-    has more digits than Python prints (``sys.get_int_max_str_digits()``)."""
+def refuse_unprintable(*polys: Polynomial, exponent: int = 1, cutoff: int = 0) -> None:
+    """Raise UsageError if a coefficient of ``polys`` has more digits than
+    Python prints (``sys.get_int_max_str_digits()``).  With an ``exponent`` N,
+    the one poly is a power's base c0 + rest, checked before it is computed:
+    through ``cutoff`` its largest coefficient is about C(N, j) c0^(N-j) R^cutoff,
+    j = min(N, cutoff // lowest degree in rest), R = max size^(1/degree) in rest."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    coeffs = (c for p in polys for c in p._terms.values())
-    size = max((max(abs(c.numerator), c.denominator) for c in coeffs), default=0)
+    size = lambda c: max(abs(c.numerator), c.denominator)
     if exponent == 1:
-        too_long = size >= 10**limit
-    else:  # an int against a float: exact, and no float overflow for any exponent
-        too_long = size > 1 and exponent >= limit / math.log10(size)
+        too_long = max((size(c) for p in polys for c in p._terms.values()), default=0) >= 10**limit
+    else:  # in log10, N - j clamped to a float: 10^300 log10(2) is past any limit
+        c0 = polys[0].constant_term()
+        rest = polys[0] - c0
+        j = min(exponent, cutoff // rest._span()[0]) if rest else 0
+        rates = (math.log10(size(c)) / m.degree(rest.table) for m, c in rest._terms.items())
+        log_c = cutoff * max(rates, default=0.0) + min(exponent - j, 10**300) * math.log10(size(c0))
+        log_c += sum(math.log10(exponent - i) - math.log10(i + 1) for i in range(j))
+        too_long = (c0 != 0 or j == exponent) and log_c >= limit  # c0 = 0, j < N: the power is 0
     if limit and too_long:
         digits = f"more than {limit:,} digits, Python's limit for printing an integer"
         raise UsageError(f"a coefficient would have {digits}")
@@ -302,8 +310,7 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
             return value
         if isinstance(node, Pow):
             base = ev(node.base)
-            # refuse a constant term too long to print before computing it
-            refuse_unprintable(table.const(base.constant_term()), exponent=node.exponent)
+            refuse_unprintable(base, exponent=node.exponent, cutoff=cutoff)  # before computing it
             return base.pow(node.exponent, cutoff)
         if isinstance(node, Inv):
             inner = ev(node.operand)

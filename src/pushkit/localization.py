@@ -101,7 +101,7 @@ def _charts(rank: int) -> tuple[FixedPointChart, ...]:
             "y": roots[j - 1],
         }
         for i in range(1, rank):
-            mapping[f"q{i}"] = elementary_symmetric(i, complement, table=table)
+            mapping[f"q{i}"] = elementary_symmetric(i, complement)
         for i in range(1, rank + 1):
             mapping[f"c{i}"] = total[i]
         for i in range(1, rank + 1):

@@ -71,15 +71,9 @@ def _generator_index(gen: Polynomial) -> int:
     return idx
 
 
-def _resolve_gens(
-    gens: Iterable[Polynomial], table: VariableTable | None
-) -> tuple[VariableTable, tuple[int, ...]]:
+def _resolve_gens(gens: Iterable[Polynomial]) -> tuple[VariableTable, tuple[int, ...]]:
     gens = tuple(gens)
-    if not gens:
-        if table is None:
-            raise ValueError("an empty generator set needs an explicit table")
-        return table, ()
-    resolved = gens[0].table if table is None else table
+    resolved = gens[0].table
     indices = []
     for g in gens:
         if g.table is not resolved and g.table != resolved:
@@ -90,12 +84,10 @@ def _resolve_gens(
     return resolved, tuple(indices)
 
 
-def elementary_symmetric(
-    k: int, gens: Iterable[Polynomial], *, table: VariableTable | None = None
-) -> Polynomial:
+def elementary_symmetric(k: int, gens: Iterable[Polynomial]) -> Polynomial:
     """e_k of the given degree-1 generators: the sum of all k-fold products
     of distinct generators; e_0 = 1."""
-    table, indices = _resolve_gens(gens, table)
+    table, indices = _resolve_gens(gens)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > len(indices):
         raise ValueError(f"k must satisfy 0 <= k <= {len(indices)}")
     terms = {
@@ -105,12 +97,10 @@ def elementary_symmetric(
     return Polynomial._raw(table, terms)
 
 
-def complete_homogeneous(
-    k: int, gens: Iterable[Polynomial], *, table: VariableTable | None = None
-) -> Polynomial:
+def complete_homogeneous(k: int, gens: Iterable[Polynomial]) -> Polynomial:
     """h_k of the given degree-1 generators: the sum of all monomials of
     total degree k; h_0 = 1."""
-    table, indices = _resolve_gens(gens, table)
+    table, indices = _resolve_gens(gens)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be a non-negative integer")
     terms = {

@@ -108,7 +108,7 @@ def test_criterion_3_segre_identity_all_ranks(rank):
         cutoff = rank + 4
         table = bundle_ring(rank)
         geometric = series_inverse(table.one() - table.var("x"), cutoff)
-        result = pushforward(ClassExpr(geometric, cutoff), rank, verify=False)
+        result = pushforward(ClassExpr(geometric, cutoff), rank)
         assert result.valid_through == 5
         oracle = segre_oracle(rank, 5)
         for d in range(6):
@@ -142,7 +142,7 @@ def test_criterion_6_oracle_triangle_suite():
             rank = 1 + (n % 5)
             p = random_x_class(rng, rank, max_x_degree=8)
             expr = ClassExpr(p)
-            via_sum = pushforward(expr, rank, verify=False).chern_form
+            via_sum = pushforward(expr, rank).chern_form
             via_presentation = presentation_oracle(expr, rank)
             assert via_sum == via_presentation, (rank, p.render())
 
@@ -161,7 +161,7 @@ def test_criterion_6_oracle_triangle_suite():
             for m in range(6):
                 value = localize(y.pow(rank - 1 + m), rank).value
                 reference = localize_divided_differences(y.pow(rank - 1 + m), rank)
-                h_m = complete_homogeneous(m, roots, table=table)
+                h_m = complete_homogeneous(m, roots)
                 assert value == reference, (rank, m)
                 assert value == parity * h_m, (rank, m)
                 if rank % 2 == 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,12 +71,6 @@ def test_push_tex_output(capsys):
     assert run(["push", "--rank", "3", "--max-degree", "5", "--format", "tex", "x^3"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "-c_{1}"
-
-
-def test_push_no_verify_skips_oracle(capsys):
-    assert run(["push", "--rank", "3", "--no-verify", "x^2"]) == 0
-    out = capsys.readouterr().out
-    assert "presentation_oracle" not in out
 
 
 def test_push_default_cutoff_is_rank_plus_three(capsys):
@@ -167,6 +162,53 @@ def test_power_with_an_unprintable_constant_term_is_refused_before_computing(cap
     for text, answer in ((f"x^{huge}", "chern_form = 0"), (f"1^{huge} x", "chern_form = 1")):
         assert run(["push", "--rank", "2", "--", text]) == 0
         assert answer in capsys.readouterr().out
+
+
+def test_power_with_growing_binomial_coefficients_is_refused_before_computing(capsys, monkeypatch):
+    # C(N, k) for k <= D has about k log10 N digits, past the limit here
+    from pushkit.polyring import Polynomial
+
+    def forbidden(self, exponent, cutoff=None):
+        raise AssertionError("the power was computed before it was refused")
+
+    monkeypatch.setattr(Polynomial, "pow", forbidden)
+    for zeros, degree in ((1000, 10), (2000, 10), (400, 12)):
+        text = f"(1+x)^1{'0' * zeros}"
+        assert run(["push", "--rank", "2", "--max-degree", str(degree), "--", text]) == 2
+        assert capsys.readouterr() == ("", _TOO_LONG)
+
+
+def test_power_with_printable_coefficients_answers_as_its_expansion(capsys):
+    # C(10^400, 4) has about 1,600 digits; 2^3000 x^5 is used at most once through degree 5
+    n = 10**400
+    cases = [
+        (4, f"(1+x)^{n}", " + ".join(f"{math.comb(n, k)} x^{k}" for k in range(5))),
+        (5, "(1 + x + 2^3000 x^5)^1000", f"{1000 * 2**3000} x^5 + (1+x)^1000"),
+    ]
+    for degree, power, expansion in cases:
+        outputs = []
+        for text in (power, expansion):
+            assert run(["push", "--rank", "2", "--max-degree", str(degree), "--", text]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+        assert "presentation_oracle=pass" in outputs[0].out
+
+
+def test_wrong_presentation_oracle_fails_every_command(capsys, monkeypatch):
+    import pushkit.gysin
+
+    oracle = pushkit.gysin.presentation_oracle
+
+    def wrong(expr, rank):
+        return oracle(expr, rank) + 1
+
+    monkeypatch.setattr(pushkit.gysin, "presentation_oracle", wrong)
+    assert run(["push", "--rank", "3", "x^2"]) == 1
+    assert "presentation_oracle=fail" in capsys.readouterr().out
+    assert run(["table", "--rank", "3", "--from", "0", "--to", "2"]) == 1
+    capsys.readouterr()
+    assert run(["verify", "--rank", "2", "--max-degree", "5"]) == 1
+    assert "FAIL hyperplane_powers: first mismatch at x^0\n" in capsys.readouterr().out
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -227,10 +227,10 @@ def test_monomial_family_closed_form_and_reference(rank):
         value = localize(y.pow(rank - 1 + m), rank).value
         assert value == localize_divided_differences(y.pow(rank - 1 + m), rank)
         # closed form: h_m up to the parity of the fiber dimension (y = -x)
-        assert value == sign * complete_homogeneous(m, roots, table=table)
+        assert value == sign * complete_homogeneous(m, roots)
         x_value = localize(table.var("x").pow(rank - 1 + m), rank).value
         sign_m = 1 if m % 2 == 0 else -1
-        assert x_value == sign_m * complete_homogeneous(m, roots, table=table)
+        assert x_value == sign_m * complete_homogeneous(m, roots)
 
 
 @settings(max_examples=25, deadline=None)

@@ -237,9 +237,7 @@ def test_elementary_complete_convolution(rank):
             if k > rank:
                 continue
             sign = -1 if k % 2 else 1
-            acc = acc + sign * elementary_symmetric(k, roots) * complete_homogeneous(
-                m - k, roots, table=table
-            )
+            acc = acc + sign * elementary_symmetric(k, roots) * complete_homogeneous(m - k, roots)
         assert acc == table.zero(), (rank, m)
 
 
