@@ -164,26 +164,33 @@ def test_power_with_an_unprintable_constant_term_is_refused_before_computing(cap
         assert answer in capsys.readouterr().out
 
 
-def test_power_with_growing_binomial_coefficients_is_refused_before_computing(capsys, monkeypatch):
-    # C(N, k) for k <= D has about k log10 N digits, past the limit here
+def test_power_with_growing_coefficients_is_refused_before_computing(capsys, monkeypatch):
+    # C(N, k) for k <= D has about k log10 N digits, and c0^N about N log10 c0,
+    # past the limit here however small the other coefficients are
     from pushkit.polyring import Polynomial
 
     def forbidden(self, exponent, cutoff=None):
         raise AssertionError("the power was computed before it was refused")
 
     monkeypatch.setattr(Polynomial, "pow", forbidden)
-    for zeros, degree in ((1000, 10), (2000, 10), (400, 12)):
-        text = f"(1+x)^1{'0' * zeros}"
-        assert run(["push", "--rank", "2", "--max-degree", str(degree), "--", text]) == 2
+    cases = [("2", str(degree), f"(1+x)^1{'0' * zeros}") for zeros, degree in ((1000, 10), (2000, 10), (400, 12))]
+    cases += [("2", "5", f"(1{'0' * 1000} + x)^5"), ("1", "100", f"(1{'0' * 4000} + x)^100")]
+    for rank, degree, text in cases:
+        assert run(["push", "--rank", rank, "--max-degree", degree, "--", text]) == 2
         assert capsys.readouterr() == ("", _TOO_LONG)
 
 
 def test_power_with_printable_coefficients_answers_as_its_expansion(capsys):
-    # C(10^400, 4) has about 1,600 digits; 2^3000 x^5 is used at most once through degree 5
+    # C(10^400, 4) has about 1,600 digits; 2^3000 x^5 is used at most once through
+    # degree 5, and 10^1000 x at most twice through any degree when squared; a power
+    # of x past the cutoff is 0, however large C(N, 10) is
     n = 10**400
     cases = [
         (4, f"(1+x)^{n}", " + ".join(f"{math.comb(n, k)} x^{k}" for k in range(5))),
         (5, "(1 + x + 2^3000 x^5)^1000", f"{1000 * 2**3000} x^5 + (1+x)^1000"),
+        (5, "(10^1000 x)^2", "10^2000 x^2"),
+        (5, "(10^1000 x)^0", "1"),
+        (10, f"x^1{'0' * 1000}", "0"),
     ]
     for degree, power, expansion in cases:
         outputs = []
