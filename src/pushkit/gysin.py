@@ -215,10 +215,12 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
     geometric = series_inverse(table.one() - x, cutoff)
     result = pushforward(ClassExpr(geometric, cutoff), rank)
     vt = cutoff - (rank - 1)
-    chern, oracle = result.chern_form, segre_oracle(rank, vt)
-    wrong = (d for d in range(vt + 1)
-             if chern.homogeneous_component(d) != oracle.homogeneous_component(d))
-    mismatch = next((f"first mismatch in degree {d}" for d in wrong), "")
+    oracle = segre_oracle(rank, vt)
+    mismatch = ""
+    for d in range(vt + 1):
+        if result.chern_form.homogeneous_component(d) != oracle.homogeneous_component(d):
+            mismatch = f"first mismatch in degree {d}"
+            break
     checks.append(
         VerificationCheck(
             name="segre_series",
@@ -228,9 +230,11 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
     )
 
     # Powers of x against the presentation oracle, both exact.
-    powers = (pushforward(ClassExpr(x.pow(k)), rank) for k in range(cutoff + 1))
-    failed = (k for k, r in enumerate(powers) if r.checks["presentation_oracle"] != "pass")
-    mismatch = next((f"first mismatch at x^{k}" for k in failed), "")
+    mismatch = ""
+    for k in range(cutoff + 1):
+        if pushforward(ClassExpr(x.pow(k)), rank).checks["presentation_oracle"] != "pass":
+            mismatch = f"first mismatch at x^{k}"
+            break
     checks.append(
         VerificationCheck(
             name="hyperplane_powers",
