@@ -1,10 +1,12 @@
 """Exact Gysin pushforwards for projectivized vector bundles.
 
-The pushforward along P(V) -> M is evaluated by summing restrictions over
-the torus fixed points of the fiber, dividing by equivariant Euler classes,
-and rewriting the resulting symmetric polynomial in the Chern classes of V.
-All arithmetic is exact over the rationals, and every result can be
-cross-checked against two independent classical descriptions of the map.
+The pushforward along P(V) -> M is the sum of restrictions over the torus
+fixed points of the fiber, divided by equivariant Euler classes.  Its
+Chern-class form is computed by the closed form of that sum over the Segre
+series, and checked against the same sum evaluated in the Chern roots by
+divided differences; ``localize`` is the literal sum.  All arithmetic is
+exact over the rationals, and every result can be cross-checked against two
+independent classical descriptions of the map.
 """
 
 from .errors import (

@@ -1,9 +1,10 @@
 """End-to-end pushforward pipeline for projective bundles, plus the two
 independent classical oracles used to verify it.
 
-The pushforward of a class is computed by summing restriction/Euler over
-the torus fixed points and rewriting the resulting symmetric root
-polynomial in the Chern classes c1..cr.  Two classical facts serve as
+The pushforward of a class is the sum of restriction/Euler over the torus
+fixed points.  Its Chern-class form comes from the closed form of that sum
+over the Segre series; the same sum in the roots, evaluated by divided
+differences at the first fixed point, checks it.  Two classical facts serve as
 oracles: the inverse total Chern class is the pushforward of the geometric
 series in x (the Segre series), and the ring presentation with the single
 relation x^r + c1 x^(r-1) + ... + cr determines the pushforward of every
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ArityError, PushkitError, UnsupportedVariableError
-from .localization import bundle_ring, localize, relation_check
+from .errors import ArityError, PushkitError, SymmetryError, UnsupportedVariableError
+from .localization import bundle_ring, localize, localize_divided_differences, relation_check
 from .polyring import Monomial, Polynomial, _accumulate, _split, series_inverse
-from .symfun import expand_elementary, reduce_to_elementary, root_generators
+from .symfun import expand_elementary, is_symmetric, root_generators
 
 __all__ = [
     "ClassExpr",
@@ -63,8 +64,9 @@ class ClassExpr:
 class PushforwardResult:
     """The pushforward in Chern-class form, with intermediates and checks.
 
-    ``u_form`` is the symmetric root polynomial before rewriting; expanding
-    ``chern_form`` back into roots reproduces it exactly.  ``checks`` records
+    ``u_form`` is the same fixed-point sum in the roots, evaluated
+    independently by ``localize_divided_differences``; expanding
+    ``chern_form`` into roots reproduces it exactly.  ``checks`` records
     which verifications ran and their outcomes ("pass" or "fail").
     """
 
@@ -84,15 +86,51 @@ def _rename_fiber_variable(payload: Polynomial, old: str, new: str) -> Polynomia
     return payload.substitute(images)
 
 
+def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
+    """The fixed-point sum in c1..cr by the closed form.
+
+    With x = -y and each q_i eliminated by the Whitney relation
+    q_i = sum_(m <= i) (-y)^m c_(i-m), the class is sum_k a_k y^k with each
+    a_k in c1..cr.  At the fixed points, sum_j u_j^k / prod_(i != j)
+    (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so
+    f_*(y^k) = (-1)^k s_(k-r+1), s = 1/c(V) the Segre series (Fulton,
+    *Intersection Theory*, Prop. 3.1(a)).
+    """
+    table = payload.table
+    y = table.var("y")
+    chern = [table.one()] + [table.var(f"c{i}") for i in range(1, rank + 1)]
+    images = {name: table.var(name) for name in payload.variables()}
+    images["x"] = -y
+    for i in range(1, rank):
+        images[f"q{i}"] = sum(((-y).pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
+    buckets = _split(payload.substitute(images), table.index("y"))
+
+    segre = [table.one()]  # s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)
+    for m in range(1, max(buckets, default=0) - rank + 2):
+        lower = (chern[i] * segre[m - i] for i in range(1, min(m, rank) + 1))
+        segre.append(-sum(lower, table.zero()))
+    value = table.zero()
+    for k, terms in buckets.items():
+        if k >= rank - 1:
+            part = Polynomial._raw(table, terms) * segre[k - rank + 1]
+            value = value - part if k % 2 else value + part
+    return value
+
+
 def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     """Push a fiber class forward to the base, in Chern-class form.
 
-    Runs the fixed-point sum through ``expr.cutoff`` (the charts restrict x
-    to -u_j and y to u_j, so neither is renamed first), asserts invariance
-    under permuting the roots, and rewrites the result in c1..cr.  The
-    answer is always cross-checked against the presentation oracle when the
+    ``chern_form`` is the closed form of the fixed-point sum (the Segre
+    series, see ``_closed_form``).  ``u_form`` is the same sum evaluated
+    independently in the roots by divided differences, which restrict q_i
+    through the first chart rather than by the Whitney relation; it must be
+    invariant under permuting the roots (``weyl_invariance``) and equal
+    ``chern_form`` expanded into the roots (``chern_expansion``).  The
+    answer is also cross-checked against the presentation oracle when the
     input involves only x (or y) and the Chern generators; the outcome is
-    recorded as ``checks["presentation_oracle"]``.
+    recorded as ``checks["presentation_oracle"]``.  The payload is already
+    truncated at ``expr.cutoff`` and both evaluators lower every degree by
+    exactly r - 1, so both results stop at ``valid_through``.
     """
     table = bundle_ring(rank)
     if expr.payload.table is not table and expr.payload.table != table:
@@ -103,12 +141,19 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
         raise UnsupportedVariableError(
             "root variables u_i cannot be pushed forward; use localize for those"
         )
+    valid_through = None
+    if expr.cutoff is not None:
+        if expr.cutoff < rank - 1:
+            raise ValueError(f"cutoff must be at least rank - 1 = {rank - 1}, the fiber dimension")
+        valid_through = expr.cutoff - (rank - 1)
 
-    result = localize(expr.payload, rank, expr.cutoff)
+    u_form = localize_divided_differences(expr.payload, rank)
+    if not is_symmetric(u_form):
+        raise SymmetryError("localization result is not invariant under permuting the roots")
     checks: dict[str, str] = {"weyl_invariance": "pass"}
 
-    chern_form = reduce_to_elementary(result.value)
-    if expand_elementary(chern_form) != result.value:
+    chern_form = _closed_form(expr.payload, rank)
+    if expand_elementary(chern_form) != u_form:
         raise PushkitError("internal invariant broken: Chern form does not expand back")
     checks["chern_expansion"] = "pass"
 
@@ -120,8 +165,8 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
 
     return PushforwardResult(
         chern_form=chern_form,
-        u_form=result.value,
-        valid_through=result.valid_through,
+        u_form=u_form,
+        valid_through=valid_through,
         checks=checks,
     )
 

@@ -394,12 +394,25 @@ class Polynomial:
         return self._mul(rhs, cutoff)
 
     def pow(self, exponent: int, cutoff: int | None = None) -> Polynomial:
-        """``self ** exponent``, optionally truncating at ``cutoff`` throughout."""
+        """``self ** exponent``, optionally truncating at ``cutoff`` throughout.
+
+        With a cutoff and a constant term c0 != 0, the base is c0 + g and the
+        power is the binomial sum of C(N, i) c0^(N-i) g^i over i <= j, where
+        j = min(N, cutoff // lowest degree of g): g^i vanishes past it, so a
+        huge N costs j products, not log2 N squarings."""
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
-        result = self.table.one()
         base = self if cutoff is None else self.truncate(cutoff)
-        n = exponent
+        result, n, c0 = self.table.one(), exponent, base.constant_term()
+        if cutoff is not None and c0:
+            g = base - c0
+            j = min(n, cutoff // g._span()[0]) if g else 0
+            total, binom = self.table.zero(), 1
+            for i in range(j + 1):  # result = g^i
+                total = total + result * (binom * c0 ** (n - i))
+                binom = binom * (n - i) // (i + 1)
+                result = result._mul(g, cutoff)
+            return total
         while n:
             if n & 1:
                 result = result._mul(base, cutoff)

@@ -73,6 +73,19 @@ def random_fiber_poly(rng: random.Random, rank: int, max_terms: int = 4) -> Poly
     return random_poly(rng, table, names, max_terms=max_terms, max_exp=2, max_vars_per_term=3)
 
 
+def random_class(rng: random.Random, rank: int, fiber: str = "y") -> Polynomial:
+    """Random class in one fiber variable (x or y), the q_i and the c_i: one
+    to three terms, each a small q/c polynomial times a power of the fiber
+    variable up to rank + 3."""
+    table = bundle_ring(rank)
+    names = [f"q{i}" for i in range(1, rank)] + [f"c{i}" for i in range(1, rank + 1)]
+    p = table.zero()
+    for _ in range(rng.randint(1, 3)):
+        coeff = random_coeff(rng) + random_poly(rng, table, names, 2, 2, 2)
+        p = p + coeff * table.var(fiber).pow(rng.randint(0, rank + 3))
+    return p
+
+
 def symmetrize(p: Polynomial) -> Polynomial:
     """The sum of p over every permutation of the roots u1..ur."""
     r = len(root_generators(p.table))

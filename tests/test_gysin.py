@@ -17,6 +17,7 @@ from pushkit import (
     bundle_ring,
     elaborate,
     expand_elementary,
+    localize,
     parse_expression,
     presentation_oracle,
     pushforward,
@@ -25,7 +26,7 @@ from pushkit import (
     verify_classical,
 )
 
-from helpers import random_chern_poly, random_coeff, random_x_class
+from helpers import random_chern_poly, random_class, random_coeff, random_x_class
 
 
 def _geometric_class(rank: int, cutoff: int) -> ClassExpr:
@@ -92,9 +93,10 @@ def test_class_expr_invariants():
 
 def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
     # The benchmark's polyring.substitute_calls counts calls of the public
-    # method: one per chart restriction (r) and one for the expand-back
-    # guard.  A substitution that re-enters the public method would inflate
-    # the count and make traces of different revisions incomparable.
+    # method: one for the closed form's Whitney substitution, one for the
+    # reference's first-chart restriction and one for the expand-back guard.
+    # A substitution that re-enters the public method would inflate the
+    # count and make traces of different revisions incomparable.
     cls = elaborate(parse_expression("(q1 q2 y^3) inv(1 + y)", 4), 4, 14)
     calls = []
     original = Polynomial.substitute
@@ -105,7 +107,41 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", counting)
     pushforward(cls, 4)
-    assert len(calls) == 5
+    assert len(calls) == 3
+
+
+# -- the closed form against independent evaluators ----------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=5))
+def test_closed_form_matches_the_literal_sum(seed, rank):
+    # the closed form eliminates q_i by the Whitney relation; the literal
+    # sum restricts q_i through every chart and divides by the Euler classes
+    rng = random.Random(seed)
+    phi = random_class(rng, rank, rng.choice(["x", "y"]))
+    top = max(rank - 1, phi.degree())
+    cutoff = rng.choice([None, rng.randint(max(rank - 1, top - 3), top)])
+    if cutoff is not None:
+        phi = phi.truncate(cutoff)
+    chern_form = pushforward(ClassExpr(phi, cutoff), rank).chern_form
+    assert expand_elementary(chern_form) == localize(phi, rank, cutoff).value
+
+
+def test_closed_form_matches_the_literal_sum_on_powers_of_y_at_rank_six():
+    y = bundle_ring(6).var("y")
+    for k in range(11):
+        chern_form = pushforward(ClassExpr(y.pow(k)), 6).chern_form
+        assert expand_elementary(chern_form) == localize(y.pow(k), 6).value, k
+
+
+@pytest.mark.parametrize("rank", [8, 12])
+def test_geometric_series_is_segre_beyond_the_literal_sum(rank):
+    # past the reach of the literal sum, whose numerator grows like r!
+    result = pushforward(_geometric_class(rank, rank + 4), rank)
+    assert result.valid_through == 5
+    assert result.chern_form == segre_oracle(rank, 5)
+    assert set(result.checks.values()) == {"pass"}
 
 
 # -- Segre oracle -----------------------------------------------------------------

@@ -3,6 +3,7 @@ series inversion."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -398,6 +399,30 @@ def test_truncate_laws(a, b, cutoff):
     ).truncate(cutoff)
     assert a.mul_trunc(b, cutoff) == (a * b).truncate(cutoff)
     assert a.pow(3, cutoff) == a.pow(3).truncate(cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _poly_strategy(_T, _NAMES),
+    st.sampled_from([0, 1, -1, 3, Fraction(-2, 3)]),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=6),
+)
+def test_truncated_power_is_repeated_multiplication(a, shift, exponent, cutoff):
+    # a shifted constant term switches between the binomial sum and squaring
+    base, expected = a + shift, _T.one()
+    for _ in range(exponent):
+        expected = expected.mul_trunc(base, cutoff)
+    assert base.pow(exponent, cutoff) == expected
+
+
+def test_truncated_power_of_a_huge_exponent_is_its_binomial_expansion():
+    n = 10**1000
+    x = bundle_ring(2).var("x")
+    assert (1 + x).pow(n, 4) == sum(math.comb(n, k) * x.pow(k) for k in range(5))
+    # c0 = -1 and N even: the terms of (2x^2)^i alternate from + at i = 0
+    expected = sum((-1) ** i * math.comb(n, i) * (2 * x * x).pow(i) for i in range(3))
+    assert (2 * x * x - 1).pow(n, 5) == expected
 
 
 @settings(max_examples=60, deadline=None)
