@@ -81,7 +81,9 @@ def random_class(rng: random.Random, rank: int, fiber: str = "y") -> Polynomial:
     names = [f"q{i}" for i in range(1, rank)] + [f"c{i}" for i in range(1, rank + 1)]
     p = table.zero()
     for _ in range(rng.randint(1, 3)):
-        coeff = random_coeff(rng) + random_poly(rng, table, names, 2, 2, 2)
+        coeff = random_coeff(rng) + random_poly(
+            rng, table, names, max_terms=2, max_exp=2, max_vars_per_term=2
+        )
         p = p + coeff * table.var(fiber).pow(rng.randint(0, rank + 3))
     return p
 

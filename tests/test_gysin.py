@@ -137,7 +137,7 @@ def test_closed_form_matches_the_literal_sum_on_powers_of_y_at_rank_six():
 
 @pytest.mark.parametrize("rank", [8, 12])
 def test_geometric_series_is_segre_beyond_the_literal_sum(rank):
-    # past the reach of the literal sum, whose numerator grows like r!
+    # ranks where the literal sum, whose numerator grows like r!, is too slow to compare
     result = pushforward(_geometric_class(rank, rank + 4), rank)
     assert result.valid_through == 5
     assert result.chern_form == segre_oracle(rank, 5)
