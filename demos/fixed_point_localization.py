@@ -3,8 +3,10 @@
 The torus acting on the fiber has three fixed points.  A class restricts to
 a polynomial in the roots u_j at each of them; dividing by the equivariant
 Euler class of the normal bundle and summing gives the pushforward to the
-classifying-space level.  The denominators cancel exactly, and the sum for
-1/(1+y) collapses to the product of three geometric series.
+classifying-space level.  The denominators cancel exactly: ``localize``
+evaluates the sum by its closed form over the Segre series, read in the
+roots, and the sum for 1/(1+y) collapses to the product of three geometric
+series.
 """
 
 from pushkit import (

@@ -4,16 +4,15 @@ The pushforward along P(V) -> M is the sum of restrictions over the torus
 fixed points of the fiber, divided by equivariant Euler classes.  Its
 Chern-class form is computed by the closed form of that sum over the Segre
 series, and checked against the same sum evaluated in the Chern roots by
-divided differences; ``localize`` is the literal sum.  All arithmetic is
-exact over the rationals, and every result can be cross-checked against two
-independent classical descriptions of the map.
+divided differences; ``localize`` reads the closed form in the roots.  All
+arithmetic is exact over the rationals, and every result can be
+cross-checked against two independent classical descriptions of the map.
 """
 
 from .errors import (
     ArityError,
     ExponentError,
     GradingError,
-    LocalizationIntegralityError,
     NotDivisibleError,
     NotInvertibleError,
     ParseError,
@@ -70,7 +69,6 @@ __all__ = [
     "ExprAst",
     "FixedPointChart",
     "GradingError",
-    "LocalizationIntegralityError",
     "LocalizationResult",
     "Monomial",
     "NotDivisibleError",

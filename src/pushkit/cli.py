@@ -8,11 +8,11 @@ Subcommands:
     verify    --rank R --max-degree D
 
 Exit codes: 0 on success, 1 on a verification failure or an internal error
-(a broken invariant such as LocalizationIntegralityError), 2 on usage or
-parse errors.  When --max-degree is omitted it defaults to rank + 3; it must
-be at least rank - 1, the fiber dimension.  JSON output serializes every
-coefficient as a "p/q" string so arbitrary precision survives any JSON
-reader; no floats appear anywhere.
+(a broken invariant, such as a Chern form that does not expand back), 2 on
+usage or parse errors.  When --max-degree is omitted it defaults to
+rank + 3; it must be at least rank - 1, the fiber dimension.  JSON output
+serializes every coefficient as a "p/q" string so arbitrary precision
+survives any JSON reader; no floats appear anywhere.
 """
 
 from __future__ import annotations

@@ -35,14 +35,6 @@ class SymmetryError(PushkitError):
     """A value that must be invariant under permuting the Chern roots is not."""
 
 
-class LocalizationIntegralityError(PushkitError):
-    """The fixed-point sum failed to reduce to a polynomial.
-
-    This signals a broken internal invariant, not bad user input: the sum over
-    fixed points is always a polynomial when the inputs are well formed.
-    """
-
-
 class ArityError(PushkitError):
     """A generator subscript is out of range for the working rank."""
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ArityError, PushkitError, SymmetryError, UnsupportedVariableError
-from .localization import bundle_ring, localize, localize_divided_differences, relation_check
+from .localization import _closed_form, bundle_ring, localize, localize_divided_differences
+from .localization import relation_check
 from .polyring import Monomial, Polynomial, _accumulate, _split, series_inverse
 from .symfun import expand_elementary, is_symmetric, root_generators
 
@@ -84,37 +85,6 @@ def _rename_fiber_variable(payload: Polynomial, old: str, new: str) -> Polynomia
     images = {name: table.var(name) for name in payload.variables()}
     images[old] = -table.var(new)
     return payload.substitute(images)
-
-
-def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
-    """The fixed-point sum in c1..cr by the closed form.
-
-    With x = -y and each q_i eliminated by the Whitney relation
-    q_i = sum_(m <= i) (-y)^m c_(i-m), the class is sum_k a_k y^k with each
-    a_k in c1..cr.  At the fixed points, sum_j u_j^k / prod_(i != j)
-    (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so
-    f_*(y^k) = (-1)^k s_(k-r+1), s = 1/c(V) the Segre series (Fulton,
-    *Intersection Theory*, Prop. 3.1(a)).
-    """
-    table = payload.table
-    y = table.var("y")
-    chern = [table.one()] + [table.var(f"c{i}") for i in range(1, rank + 1)]
-    images = {name: table.var(name) for name in payload.variables()}
-    images["x"] = -y
-    for i in range(1, rank):
-        images[f"q{i}"] = sum(((-y).pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
-    buckets = _split(payload.substitute(images), table.index("y"))
-
-    segre = [table.one()]  # s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)
-    for m in range(1, max(buckets, default=0) - rank + 2):
-        lower = (chern[i] * segre[m - i] for i in range(1, min(m, rank) + 1))
-        segre.append(-sum(lower, table.zero()))
-    value = table.zero()
-    for k, terms in buckets.items():
-        if k >= rank - 1:
-            part = Polynomial._raw(table, terms) * segre[k - rank + 1]
-            value = value - part if k % 2 else value + part
-    return value
 
 
 def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:

@@ -13,9 +13,12 @@ from pushkit import (
     VariableTable,
     apply_permutation,
     bundle_ring,
+    divide_exact_linear,
     elementary_symmetric,
+    fixed_point_charts,
     root_generators,
 )
+from pushkit import localization
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -86,6 +89,23 @@ def random_class(rng: random.Random, rank: int, fiber: str = "y") -> Polynomial:
         )
         p = p + coeff * table.var(fiber).pow(rng.randint(0, rank + 3))
     return p
+
+
+def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polynomial:
+    """Reference fixed-point sum, the localization formula verbatim: the sum
+    over charts j of phi|_j times the j-th cofactor (the Vandermonde divided
+    by that chart's Euler class), then exact division by each linear factor
+    of the Vandermonde; truncated at cutoff - (rank - 1) when a cutoff is
+    given.  The numerator grows like rank!, so ranks above 6 are refused."""
+    if rank > 6:
+        raise ValueError("the literal sum is too slow above rank 6")
+    table = bundle_ring(rank)
+    value = table.zero()
+    for chart, cofactor in zip(fixed_point_charts(rank), localization._cofactors(rank)):
+        value = value + chart.restrict(phi) * cofactor
+    for a, b in localization._vandermonde(rank):
+        value = divide_exact_linear(value, table.var(a) - table.var(b))
+    return value if cutoff is None else value.truncate(cutoff - (rank - 1))
 
 
 def symmetrize(p: Polynomial) -> Polynomial:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from pushkit import bundle_ring, elaborate, parse_expression, segre_oracle
+from pushkit import bundle_ring, elaborate, expand_elementary, parse_expression, segre_oracle
+from pushkit import series_inverse
 from pushkit.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,6 +93,21 @@ def test_localize_output(capsys):
         product = product.mul_trunc(series_inverse(1 + u, 6), 6)
     assert value == product.truncate(4)
     assert "valid_through = 4" in out
+
+
+@pytest.mark.parametrize("rank, degree", [(12, 16), (20, 23)])
+def test_localize_at_high_rank_is_the_segre_series_in_the_roots(capsys, rank, degree):
+    # ranks far beyond the literal sum, whose numerator grows like rank!
+    argv = ["localize", "--rank", str(rank), "--max-degree", str(degree), "inv(1-x)"]
+    assert run(argv) == 0
+    valid_through = degree - rank + 1
+    table = bundle_ring(rank)
+    expected = [
+        f"input = {series_inverse(table.one() - table.var('x'), degree).render()}",
+        f"u_form = {expand_elementary(segre_oracle(rank, valid_through)).render()}",
+        f"valid_through = {valid_through}",
+    ]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_table_output(capsys):

@@ -17,7 +17,6 @@ from pushkit import (
     bundle_ring,
     elaborate,
     expand_elementary,
-    localize,
     parse_expression,
     presentation_oracle,
     pushforward,
@@ -26,7 +25,7 @@ from pushkit import (
     verify_classical,
 )
 
-from helpers import random_chern_poly, random_class, random_coeff, random_x_class
+from helpers import literal_sum, random_chern_poly, random_class, random_coeff, random_x_class
 
 
 def _geometric_class(rank: int, cutoff: int) -> ClassExpr:
@@ -125,14 +124,14 @@ def test_closed_form_matches_the_literal_sum(seed, rank):
     if cutoff is not None:
         phi = phi.truncate(cutoff)
     chern_form = pushforward(ClassExpr(phi, cutoff), rank).chern_form
-    assert expand_elementary(chern_form) == localize(phi, rank, cutoff).value
+    assert expand_elementary(chern_form) == literal_sum(phi, rank, cutoff)
 
 
 def test_closed_form_matches_the_literal_sum_on_powers_of_y_at_rank_six():
     y = bundle_ring(6).var("y")
     for k in range(11):
         chern_form = pushforward(ClassExpr(y.pow(k)), 6).chern_form
-        assert expand_elementary(chern_form) == localize(y.pow(k), 6).value, k
+        assert expand_elementary(chern_form) == literal_sum(y.pow(k), 6), k
 
 
 @pytest.mark.parametrize("rank", [8, 12])
@@ -204,7 +203,7 @@ def test_verify_classical_passes(rank, cutoff):
 
 
 def test_verify_classical_validates_arguments():
-    # refused by the callees (bundle_ring, series_inverse, localize), not by a guard of its own
+    # refused by the callees (bundle_ring, series_inverse, pushforward), not by a guard of its own
     for rank, cutoff in ((0, 4), (3, 1), (True, 4), (3, 2.0), (3, -1)):
         with pytest.raises(ValueError):
             verify_classical(rank, cutoff)

@@ -27,7 +27,7 @@ from pushkit import (
 )
 from pushkit import gysin, localization
 
-from helpers import random_fiber_poly
+from helpers import literal_sum, random_fiber_poly, random_poly, symmetrize
 
 SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -138,7 +138,7 @@ def test_benchmark_tracer_wraps_the_pipeline(monkeypatch, fresh_setup_caches):
     try:
         y = bundle_ring(2).var("y")
         gysin.pushforward(ClassExpr(y.pow(3)), 2)
-        localization.localize(y.pow(3), 2)  # the literal sum, which pushforward no longer runs
+        localization.localize(y.pow(3), 2)  # the closed form in the roots; pushforward skips it
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -244,9 +244,29 @@ def test_pipelines_agree_on_random_inputs(seed, rank):
     assert is_symmetric(result.value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=5))
+def test_localize_matches_the_literal_sum_on_classes_with_roots(seed, rank):
+    # a class in y, q_i and c_i plus a root polynomial times a power of y;
+    # the root part is symmetrized half the time, so both outcomes occur
+    rng = random.Random(seed)
+    table = bundle_ring(rank)
+    roots = [f"u{i}" for i in range(1, rank + 1)]
+    coefficient = random_poly(rng, table, roots, max_terms=3, max_exp=2, max_vars_per_term=2)
+    if rng.random() < 0.5:
+        coefficient = symmetrize(coefficient)
+    phi = random_fiber_poly(rng, rank) + coefficient * table.var("y").pow(rng.randint(0, rank + 2))
+    expected = literal_sum(phi, rank)
+    if is_symmetric(expected):
+        assert localize(phi, rank).value == expected
+    else:
+        with pytest.raises(SymmetryError):
+            localize(phi, rank)
+
+
 def test_reference_refuses_root_variables():
     # phi|_j = s(phi|_1) fails for a non-symmetric root coefficient, so the
-    # reference refuses every root; the literal sum reports the asymmetry
+    # reference refuses every root; localize reports the asymmetry
     table = bundle_ring(3)
     phi = table.var("u1") * table.var("y").pow(2)
     with pytest.raises(UnsupportedVariableError):
