@@ -41,7 +41,10 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+_CACHED_RANKS = 32  # ranks each per-rank cache keeps; the test suite uses 1..20
+
+
+@lru_cache(maxsize=_CACHED_RANKS)
 def bundle_ring(rank: int) -> VariableTable:
     """The working ring for a rank-``rank`` projective bundle.
 
@@ -82,7 +85,7 @@ def _root_product(table: VariableTable, pairs: Iterable[tuple[str, str]]) -> Pol
     return product
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_RANKS)
 def _charts(rank: int) -> tuple[FixedPointChart, ...]:
     table = bundle_ring(rank)
     roots = root_generators(table)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from pushkit import bundle_ring, elaborate, expand_elementary, parse_expression, segre_oracle
-from pushkit import series_inverse
+from pushkit import ClassExpr, Polynomial, PushkitError, series_inverse
 from pushkit.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -245,14 +245,49 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: broken invariant\n"
 
 
+EXPAND_BACK_ERROR = "internal error: internal invariant broken: Chern form does not expand back\n"
+
+
 def test_broken_expand_back_guard_is_an_internal_error(capsys, monkeypatch):
     import pushkit.gysin
 
-    monkeypatch.setattr(pushkit.gysin, "expand_elementary", lambda chern_form: None)
+    monkeypatch.setattr(pushkit.gysin, "reduce_to_elementary", lambda u_form: None)
     assert run(["push", "--rank", "2", "x"]) == 1
-    assert capsys.readouterr().err == (
-        "internal error: internal invariant broken: Chern form does not expand back\n"
-    )
+    assert capsys.readouterr().err == EXPAND_BACK_ERROR
+
+
+def test_wrong_closed_form_is_an_internal_error(capsys, monkeypatch):
+    # a wrong answer, not a broken guard: the divided-difference reference catches it
+    import pushkit.gysin
+
+    closed_form = pushkit.gysin._closed_form
+
+    def shifted(payload, rank):
+        value = closed_form(payload, rank)
+        mon, _ = value.sorted_terms()[-1]
+        return value + Polynomial._raw(value.table, {mon: 1})
+
+    monkeypatch.setattr(pushkit.gysin, "_closed_form", shifted)
+    x = bundle_ring(3).var("x")
+    with pytest.raises(PushkitError, match="Chern form does not expand back"):
+        pushkit.gysin.pushforward(ClassExpr(x.pow(4)), 3)
+    assert run(["push", "--rank", "3", "x^3"]) == 1
+    assert capsys.readouterr() == ("", EXPAND_BACK_ERROR)
+
+
+def test_asymmetric_reference_is_a_verification_failure(capsys, monkeypatch):
+    import pushkit.gysin
+
+    reference = pushkit.gysin.localize_divided_differences
+
+    def asymmetric(phi, rank):
+        return reference(phi, rank) + phi.table.var("u1")
+
+    monkeypatch.setattr(pushkit.gysin, "localize_divided_differences", asymmetric)
+    assert run(["push", "--rank", "3", "x^3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure:")
 
 
 def test_asymmetric_localization_exits_one(capsys):

@@ -92,8 +92,9 @@ def test_class_expr_invariants():
 
 def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
     # The benchmark's polyring.substitute_calls counts calls of the public
-    # method: one for the closed form's Whitney substitution, one for the
-    # reference's first-chart restriction and one for the expand-back guard.
+    # method: one for the closed form's Whitney substitution and one for the
+    # reference's first-chart restriction; the basis check runs in c1..cr and
+    # substitutes nothing.
     # A substitution that re-enters the public method would inflate the
     # count and make traces of different revisions incomparable.
     cls = elaborate(parse_expression("(q1 q2 y^3) inv(1 + y)", 4), 4, 14)
@@ -106,7 +107,22 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", counting)
     pushforward(cls, 4)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_pushforward_runs_the_symmetry_guard_once(monkeypatch):
+    from pushkit import symfun
+
+    calls = []
+    original = symfun.is_symmetric
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(symfun, "is_symmetric", counting)
+    result = pushforward(_geometric_class(4, 9), 4)
+    assert calls == [result.u_form]
 
 
 # -- the closed form against independent evaluators ----------------------------------

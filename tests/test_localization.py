@@ -86,8 +86,23 @@ def test_chart_maps_are_read_only():
     # the charts are cached per rank: a caller's write must not reach them
     with pytest.raises(TypeError):
         fixed_point_charts(3)[0].restriction["y"] = bundle_ring(3).var("u2")
+    # localize reads no chart; the reference and the relation check do
     y = bundle_ring(3).var("y")
-    assert localize(y * y, 3).value == 1
+    assert localize_divided_differences(y * y, 3) == 1
+    assert relation_check(3)
+
+
+def test_per_rank_caches_are_bounded():
+    # a fixed bound, at least the 20 ranks the suite uses
+    bound = bundle_ring.cache_info().maxsize
+    assert bound is not None and bound >= 20
+    assert localization._charts.cache_info().maxsize == bound
+    first = bundle_ring(1)
+    for rank in range(2, bound + 2):
+        bundle_ring(rank)
+    assert bundle_ring.cache_info().currsize == bound
+    # rank 1 was evicted; the rebuilt table is a new object equal to the old
+    assert bundle_ring(1) is not first and bundle_ring(1) == first
 
 
 def test_rank_one_chart_is_trivial():
