@@ -8,7 +8,8 @@ differences at the first fixed point and rewritten in c1..cr, checks it.
 Two classical facts serve as oracles: the inverse total Chern class is the
 pushforward of the geometric series in x (the Segre series), and the ring
 presentation with the single relation x^r + c1 x^(r-1) + ... + cr determines
-the pushforward of every power of x.
+the pushforward of every power of x.  ``localization._valid_through`` holds
+the cutoff rule and the argument guards all of these evaluators share.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ArityError, PushkitError, UnsupportedVariableError
-from .localization import _closed_form, bundle_ring, localize, localize_divided_differences
-from .localization import relation_check
+from .errors import PushkitError, UnsupportedVariableError
+from .localization import _closed_form, _valid_through, bundle_ring, localize
+from .localization import localize_divided_differences, relation_check
 from .polyring import Monomial, Polynomial, _accumulate, _split, series_inverse
 from .symfun import reduce_to_elementary, root_generators
 
@@ -32,10 +33,6 @@ __all__ = [
     "VerificationReport",
     "verify_classical",
 ]
-
-
-def _chern_names(rank: int) -> set[str]:
-    return {f"c{i}" for i in range(1, rank + 1)}
 
 
 @dataclass(frozen=True)
@@ -99,33 +96,19 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     (``chern_expansion``; the c-to-u map is injective).  The answer is also
     cross-checked against the presentation oracle when the input involves
     only x (or y) and the Chern generators; the outcome is recorded as
-    ``checks["presentation_oracle"]``.  The payload is already
-    truncated at ``expr.cutoff`` and both evaluators lower every degree by
-    exactly r - 1, so both results stop at ``valid_through``.
+    ``checks["presentation_oracle"]``.  ``_valid_through`` checks the ring
+    and the cutoff and gives ``valid_through``; the reference refuses roots.
+    The payload is truncated at ``expr.cutoff`` and every evaluator lowers
+    degree by exactly r - 1, so the results stop at ``valid_through``.
     """
-    table = bundle_ring(rank)
-    if expr.payload.table is not table and expr.payload.table != table:
-        raise ArityError(f"expression does not live in the rank-{rank} working ring")
-    support = set(expr.payload.variables())
-    root_names = {f"u{i}" for i in range(1, rank + 1)}
-    if support & root_names:
-        raise UnsupportedVariableError(
-            "root variables u_i cannot be pushed forward; use localize for those"
-        )
-    valid_through = None
-    if expr.cutoff is not None:
-        if expr.cutoff < rank - 1:
-            raise ValueError(f"cutoff must be at least rank - 1 = {rank - 1}, the fiber dimension")
-        valid_through = expr.cutoff - (rank - 1)
-
+    valid_through = _valid_through(expr.payload, rank, expr.cutoff)
     u_form = localize_divided_differences(expr.payload, rank)
     chern_form = _closed_form(expr.payload, rank)
     if reduce_to_elementary(u_form) != chern_form:
         raise PushkitError("internal invariant broken: Chern form does not expand back")
     checks: dict[str, str] = {"weyl_invariance": "pass", "chern_expansion": "pass"}
 
-    q_names = {f"q{i}" for i in range(1, rank)}
-    if not (support & q_names):
+    if not {f"q{i}" for i in range(1, rank)} & set(expr.payload.variables()):
         x_payload = _rename_fiber_variable(expr.payload, "y", "x")
         oracle = presentation_oracle(ClassExpr(x_payload, expr.cutoff), rank)
         checks["presentation_oracle"] = "pass" if oracle == chern_form else "fail"
@@ -157,7 +140,7 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
     """
     table = payload.table
     support = set(payload.variables())
-    allowed = {"x"} | _chern_names(rank)
+    allowed = {"x"} | {f"c{i}" for i in range(1, rank + 1)}
     extra = support - allowed
     if extra:
         raise UnsupportedVariableError(
@@ -177,15 +160,11 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
 
 def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
     """Independent pushforward of a class in x and c1..cr via the ring
-    presentation; truncated at ``expr.cutoff - (rank - 1)`` when the class
-    has a cutoff."""
-    table = bundle_ring(rank)
-    if expr.payload.table is not table and expr.payload.table != table:
-        raise ArityError(f"expression does not live in the rank-{rank} working ring")
-    value = _presentation_reduce(expr.payload, rank)
-    if expr.cutoff is not None:
-        value = value.truncate(expr.cutoff - (rank - 1))
-    return value
+    presentation.  The arguments pass ``_valid_through`` as in ``pushforward``;
+    the reduction lowers degree by exactly r - 1, so the value stops at the
+    ``valid_through`` bound when the class has a cutoff."""
+    _valid_through(expr.payload, rank, expr.cutoff)
+    return _presentation_reduce(expr.payload, rank)
 
 
 @dataclass(frozen=True)
@@ -226,7 +205,7 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
     # Pushforward of the geometric series in x against the Segre series.
     geometric = series_inverse(table.one() - x, cutoff)
     result = pushforward(ClassExpr(geometric, cutoff), rank)
-    vt = cutoff - (rank - 1)
+    vt = result.valid_through
     oracle = segre_oracle(rank, vt)
     mismatch = ""
     for d in range(vt + 1):

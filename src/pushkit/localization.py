@@ -11,7 +11,9 @@ The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_closed_form``); ``localize`` reads it in the roots
 by sending each c_i to e_i(u).  The literal sum, organized over the
 Vandermonde denominator, is the test suite's reference; ``_vandermonde`` and
-``_cofactors`` stay here as its building blocks.
+``_cofactors`` stay here as its building blocks.  ``_valid_through`` holds
+the one cutoff rule (every evaluator lowers degree by the fiber dimension
+r - 1) and the argument guards the evaluators share.
 
 The reference evaluator reads the first fixed point only: for a class without
 roots, the sum is (-1)^(r-1) d_(r-1) ... d_1 of the first restriction, the
@@ -25,10 +27,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import SymmetryError, TableMismatchError, UnsupportedVariableError
+from .errors import ArityError, SymmetryError, UnsupportedVariableError
 from .polyring import Polynomial, VariableTable, _split, divide_exact_linear
 from .symfun import Permutation, apply_permutation, elementary_symmetric, is_symmetric
-from .symfun import root_generators
+from .symfun import _chern_to_roots, root_generators
 
 __all__ = [
     "bundle_ring",
@@ -191,38 +193,36 @@ def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     return value
 
 
+def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:
+    """The pushforward lowers degree by the fiber dimension r - 1, so ``phi``
+    known through ``cutoff`` pushes forward exactly through the returned
+    ``cutoff - (rank - 1)``; None without a cutoff.  ``phi`` must live in
+    ``bundle_ring(rank)``, and a cutoff be at least r - 1 and truncate ``phi``."""
+    table = bundle_ring(rank)
+    if phi.table is not table and phi.table != table:
+        raise ArityError(f"expression does not live in the rank-{rank} working ring")
+    if cutoff is None:
+        return None
+    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+        raise ValueError("cutoff must be a non-negative integer or None")
+    if cutoff < rank - 1:
+        raise ValueError(f"cutoff must be at least rank - 1 = {rank - 1}, the fiber dimension")
+    if phi.degree() > cutoff:
+        raise ValueError("series input must be pre-truncated at the cutoff")
+    return cutoff - (rank - 1)
+
+
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:
     """Sum of restriction/Euler over the fixed points, computed exactly.
 
-    ``phi`` lives in ``bundle_ring(rank)``; series inputs must already be
-    truncated at ``cutoff``.  The sum is the closed form read in the roots:
-    ``_closed_form`` with each c_i sent to e_i(u1..ur).  The result is exact
-    through ``cutoff - (rank - 1)`` and is truncated there; it must be
-    invariant under permuting the roots, which is asserted.
+    ``phi`` and ``cutoff`` are checked by ``_valid_through``.  The sum is the
+    closed form read in the roots: ``_closed_form`` with each c_i sent to
+    e_i(u1..ur).  It lowers every degree by exactly r - 1, so a ``phi``
+    truncated at ``cutoff`` gives a value that stops at ``valid_through``.
+    The value must be invariant under permuting the roots, which is asserted.
     """
-    table = bundle_ring(rank)
-    if phi.table is not table and phi.table != table:
-        raise TableMismatchError("phi must live in bundle_ring(rank)")
-    if cutoff is not None:
-        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
-            raise ValueError("cutoff must be a non-negative integer or None")
-        if cutoff < rank - 1:
-            raise ValueError(f"cutoff must be at least rank - 1 = {rank - 1}, the fiber dimension")
-        if phi.degree() > cutoff:
-            raise ValueError("series input must be pre-truncated at the cutoff")
-
-    value = _closed_form(phi, rank)
-    roots = root_generators(table)
-    images = {name: table.var(name) for name in value.variables()}
-    for i in range(1, rank + 1):
-        if f"c{i}" in images:
-            images[f"c{i}"] = elementary_symmetric(i, roots)
-    value = value.substitute(images)
-
-    valid_through: int | None = None
-    if cutoff is not None:
-        valid_through = cutoff - (rank - 1)
-        value = value.truncate(valid_through)
+    valid_through = _valid_through(phi, rank, cutoff)
+    value = _chern_to_roots(_closed_form(phi, rank))
     if not is_symmetric(value):
         raise SymmetryError("localization result is not invariant under permuting the roots")
     return LocalizationResult(value=value, valid_through=valid_through)
@@ -233,11 +233,12 @@ def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
     (-1)^(rank-1) d_(rank-1) ... d_1 (phi|_1), with d_i f = (f - s_i f) /
     (u_i - u_(i+1)) and s_i swapping u_i and u_(i+1).  It needs phi|_j to be
     phi|_1 with u_1 and u_j swapped, true for every class in x, y, q_i, c_i."""
-    table = bundle_ring(rank)
-    if phi.table is not table and phi.table != table:
-        raise TableMismatchError("phi must live in bundle_ring(rank)")
+    _valid_through(phi, rank, None)
     if set(phi.variables()) & {f"u{i}" for i in range(1, rank + 1)}:
-        raise UnsupportedVariableError("the divided-difference reference takes no roots u_i")
+        raise UnsupportedVariableError(
+            "root variables u_i cannot be pushed forward; use localize for those"
+        )
+    table = bundle_ring(rank)
     value = _charts(rank)[0].restrict(phi)
     for i in range(1, rank):
         swapped = apply_permutation(value, Permutation.transposition(rank, i, i + 1))

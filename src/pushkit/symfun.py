@@ -284,25 +284,26 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
     return Polynomial._raw(table, out)
 
 
-def expand_elementary(p: Polynomial) -> Polynomial:
-    """Inverse direction of :func:`reduce_to_elementary`: substitute each
-    c_i by the i-th elementary symmetric polynomial of the roots.
+def _chern_to_roots(p: Polynomial) -> Polynomial:
+    """Send each occurring c_i to e_i(u1..ur); every other generator is fixed.
 
     One :meth:`Polynomial.substitute` call; its Horner scheme nests the
     c-monomials by c1, then c2, ..., so each product is a partial result
     times a cached power of one e_i, never a product of two large powers."""
     table = p.table
-    chern_idx = _chern_indices(table)
-    gens = root_generators(table)
-    allowed = set(chern_idx)
-    for mon in p._terms:
-        for i, _ in mon:
-            if i not in allowed:
-                raise ValueError("input must involve only the Chern generators c1..cr")
-    occurring = set(p.variables())
-    images = {
-        f"c{i}": elementary_symmetric(i, gens)
-        for i in range(1, len(chern_idx) + 1)
-        if f"c{i}" in occurring
-    }
+    roots = root_generators(table)
+    images = {name: table.var(name) for name in p.variables()}
+    for i in range(1, len(roots) + 1):
+        if f"c{i}" in images:
+            images[f"c{i}"] = elementary_symmetric(i, roots)
     return p.substitute(images)
+
+
+def expand_elementary(p: Polynomial) -> Polynomial:
+    """Inverse direction of :func:`reduce_to_elementary`: substitute each
+    c_i by the i-th elementary symmetric polynomial of the roots.  The map
+    is ``_chern_to_roots``; the input must involve only c1..cr."""
+    allowed = set(_chern_indices(p.table))
+    if any(i not in allowed for mon in p._terms for i, _ in mon):
+        raise ValueError("input must involve only the Chern generators c1..cr")
+    return _chern_to_roots(p)

@@ -17,6 +17,8 @@ from pushkit import (
     bundle_ring,
     elaborate,
     expand_elementary,
+    localize,
+    localize_divided_differences,
     parse_expression,
     presentation_oracle,
     pushforward,
@@ -72,14 +74,24 @@ def test_pushforward_u_form_expands_from_chern_form():
 
 def test_pushforward_rejects_root_variables():
     table = bundle_ring(3)
-    with pytest.raises(UnsupportedVariableError):
+    with pytest.raises(UnsupportedVariableError, match="root variables u_i cannot be pushed forward"):
         pushforward(ClassExpr(table.var("u1")), 3)
 
 
-def test_pushforward_rank_mismatch():
-    expr = ClassExpr(bundle_ring(2).var("x"))
-    with pytest.raises(ArityError):
-        pushforward(expr, 3)
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda phi: pushforward(ClassExpr(phi), 3),
+        lambda phi: presentation_oracle(ClassExpr(phi), 3),
+        lambda phi: localize(phi, 3),
+        lambda phi: localize_divided_differences(phi, 3),
+    ],
+    ids=["pushforward", "presentation_oracle", "localize", "localize_divided_differences"],
+)
+def test_pushforward_rank_mismatch(evaluate):
+    # one exception and one message for a class from another rank's ring
+    with pytest.raises(ArityError, match="expression does not live in the rank-3 working ring"):
+        evaluate(bundle_ring(2).var("x"))
 
 
 def test_class_expr_invariants():

@@ -207,6 +207,8 @@ def test_cutoff_below_the_fiber_dimension_is_refused():
         localize(x.pow(2), 5, 2)
     with pytest.raises(ValueError, match=message):
         gysin.pushforward(ClassExpr(x.pow(2), 2), 5)
+    with pytest.raises(ValueError, match=message):
+        gysin.presentation_oracle(ClassExpr(x.pow(2), 2), 5)
 
 
 def test_localize_rejects_asymmetric_output():
@@ -284,9 +286,10 @@ def test_reference_refuses_root_variables():
     # reference refuses every root; localize reports the asymmetry
     table = bundle_ring(3)
     phi = table.var("u1") * table.var("y").pow(2)
-    with pytest.raises(UnsupportedVariableError):
+    message = "root variables u_i cannot be pushed forward"
+    with pytest.raises(UnsupportedVariableError, match=message):
         localize_divided_differences(phi, 3)
-    with pytest.raises(UnsupportedVariableError):
+    with pytest.raises(UnsupportedVariableError, match=message):
         localize_divided_differences(table.var("u2"), 3)
     with pytest.raises(SymmetryError):
         localize(phi, 3)
