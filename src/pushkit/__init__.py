@@ -3,8 +3,8 @@
 The pushforward along P(V) -> M is the sum of restrictions over the torus
 fixed points of the fiber, divided by equivariant Euler classes.  Its
 Chern-class form is computed by the closed form of that sum over the Segre
-series, and checked against the same sum evaluated in the Chern roots by
-divided differences; ``localize`` reads the closed form in the roots.  All
+series, and checked against the sum itself evaluated exactly at one integer
+point per rank; ``localize`` reads the closed form in the roots.  All
 arithmetic is exact over the rationals, and every result can be
 cross-checked against two independent classical descriptions of the map.
 """

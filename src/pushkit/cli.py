@@ -7,12 +7,13 @@ Subcommands:
     table     --rank R --from K0 --to K1
     verify    --rank R --max-degree D
 
-Exit codes: 0 on success, 1 on a verification failure or an internal error
-(a broken invariant, such as a Chern form that does not expand back), 2 on
-usage or parse errors.  When --max-degree is omitted it defaults to
-rank + 3; it must be at least rank - 1, the fiber dimension.  JSON output
-serializes every coefficient as a "p/q" string so arbitrary precision
-survives any JSON reader; no floats appear anywhere.
+Exit codes: 0 on success, 1 on a verification failure (a check recorded as
+"fail", such as ``fixed_point_sample``, or a ``localize`` value that is not
+symmetric in the roots) or an internal error, 2 on usage or parse errors.
+When --max-degree is omitted it defaults to rank + 3; it must be at least
+rank - 1, the fiber dimension.  JSON output serializes every coefficient as
+a "p/q" string so arbitrary precision survives any JSON reader; no floats
+appear anywhere.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     push.add_argument("--format", choices=("text", "json", "tex"), default="text")
     push.add_argument("expr", metavar="EXPR")
 
-    loc = sub.add_parser("localize", help="print the raw fixed-point sum in the roots u_i")
+    loc = sub.add_parser("localize", help="print the pushforward's closed form read in the roots u_i")
     add_common(loc)
     loc.add_argument("expr", metavar="EXPR")
 
@@ -163,7 +164,8 @@ def _cmd_push(args: argparse.Namespace) -> int:
     ast = parse_expression(args.expr, rank)
     cls = elaborate(ast, rank, degree)
     result = pushforward(cls, rank)
-    refuse_unprintable(cls.payload, result.chern_form, result.u_form)
+    u_form = (result.u_form,) if args.format == "text" else ()
+    refuse_unprintable(cls.payload, result.chern_form, *u_form)
     record = OutputRecord(
         rank=rank,
         cutoff=degree,
@@ -178,7 +180,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
         print(record.render_tex())
     else:
         print(record.render_text())
-        print(f"u_form = {result.u_form.render()}")
+        print(f"u_form = {u_form[0].render()}")
     return 1 if any(v == "fail" for _, v in record.checks) else 0
 
 

@@ -9,8 +9,10 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_closed_form``); ``localize`` reads it in the roots
-by sending each c_i to e_i(u).  The literal sum, organized over the
-Vandermonde denominator, is the test suite's reference; ``_vandermonde`` and
+by sending each c_i to e_i(u).  ``fixed_point_sample`` checks the closed
+form against the sum itself, evaluated exactly at one integer point per
+rank.  The literal sum in the roots, organized over the Vandermonde
+denominator, is the test suite's reference; ``_vandermonde`` and
 ``_cofactors`` stay here as its building blocks.  ``_valid_through`` holds
 the one cutoff rule (every evaluator lowers degree by the fiber dimension
 r - 1) and the argument guards the evaluators share.
@@ -23,6 +25,7 @@ divided-difference form of Gysin maps (Fulton-Pragacz, LNM 1689).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -37,6 +40,7 @@ __all__ = [
     "FixedPointChart",
     "LocalizationResult",
     "fixed_point_charts",
+    "fixed_point_sample",
     "localize",
     "localize_divided_differences",
     "relation_check",
@@ -175,8 +179,7 @@ def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     table = payload.table
     y = table.var("y")
     chern = [table.one()] + [table.var(f"c{i}") for i in range(1, rank + 1)]
-    images = {name: table.var(name) for name in payload.variables()}
-    images["x"] = -y
+    images = {"x": -y}
     for i in range(1, rank):
         images[f"q{i}"] = sum(((-y).pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
     buckets = _split(payload.substitute(images), table.index("y"))
@@ -212,6 +215,108 @@ def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None
     return cutoff - (rank - 1)
 
 
+def _refuse_roots(phi: Polynomial, rank: int) -> None:
+    """The pushforward's Chern-class form has no roots; ``localize`` takes them."""
+    if set(phi.variables()) & {f"u{i}" for i in range(1, rank + 1)}:
+        raise UnsupportedVariableError(
+            "root variables u_i cannot be pushed forward; use localize for those"
+        )
+
+
+_SAMPLE_BITS = 40  # sample coordinates lie in S = {1, ..., 2^40 - 1}
+
+
+@lru_cache(maxsize=_CACHED_RANKS)
+def _sample_point(rank: int) -> tuple[int, ...]:
+    """``rank`` distinct integers a_1..a_r in S, the same at every call for one
+    rank: the top 40 bits of successive splitmix64 outputs seeded with the
+    rank (Steele, Lea and Flood, OOPSLA 2014), skipping 0 and repeats."""
+    mask = (1 << 64) - 1
+    state, point = rank, []
+    while len(point) < rank:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        a = (z ^ (z >> 31)) >> (64 - _SAMPLE_BITS)
+        if a and a not in point:
+            point.append(a)
+    return tuple(point)
+
+
+def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple, object]:
+    """The terms of ``p`` with each generator index in ``values`` set to that
+    integer, summed by (degree, the rest of the monomial)."""
+    degrees = p.table.degrees
+    out: dict[tuple, object] = {}
+    for mon, value in p._terms.items():
+        degree, rest = 0, []
+        for i, e in mon:
+            degree += degrees[i] * e
+            if i in values:
+                value = value * values[i] ** e
+            else:
+                rest.append((i, e))
+        key = (degree, tuple(rest))
+        out[key] = out.get(key, 0) + value
+    return out
+
+
+def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
+    """Check ``chern_form`` against the fixed-point sum of ``phi`` at one point.
+
+    Put u_i = a_i t, with a = ``_sample_point(rank)``.  At fixed point j each
+    generator restricts to an integer times t^degree: x -> -a_j, y -> a_j,
+    q_i -> e_i(a without a_j), c_i -> e_i(a), u_i -> a_i.  So phi restricts to
+    one number per degree D.  Divided by the Euler class
+    prod_(i != j) (a_i - a_j) and summed over j, it is the degree D - (r - 1)
+    part of the pushforward at c_i = e_i(a), exactly.  True when every such
+    sum equals ``chern_form`` at c_i = e_i(a), and the degrees below r - 1
+    sum to 0.  Nothing is shared with ``_closed_form``: no Whitney relation
+    and no Segre series.
+
+    A wrong ``chern_form`` passes only where its error Delta_d in some degree
+    d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
+    degree d in the roots (c -> e(u) is injective), so at a point drawn
+    uniformly from S^r that has probability at most d / |S|, |S| = 2^40 - 1
+    (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).  The point is fixed
+    per rank, so the bound holds over that seeded choice, not against an
+    input built to vanish there.
+    """
+    table = bundle_ring(rank)
+    a = _sample_point(rank)
+    total = [1]  # e_0(a)..e_r(a), the coefficients of prod (1 + a_i z)
+    for ai in a:
+        total = [1] + [total[i] + ai * total[i - 1] for i in range(1, len(total))] + [ai * total[-1]]
+    shared = {table.index(f"c{i}"): total[i] for i in range(1, rank + 1)}
+    shared.update((table.index(f"u{i}"), ai) for i, ai in enumerate(a, 1))
+
+    expected: dict[int, object] = {}
+    for (degree, rest), value in _by_degree(chern_form, shared).items():
+        if rest:
+            return False  # a pushforward lives in c1..cr
+        expected[degree + rank - 1] = value
+    restricted = _by_degree(phi, shared)
+    sums: dict[int, object] = {}
+    for aj in a:
+        local = {table.index("x"): -aj, table.index("y"): aj}
+        q = 1  # e_i(a without a_j) = e_i(a) - a_j e_(i-1)(a without a_j)
+        for i in range(1, rank):
+            q = total[i] - aj * q
+            local[table.index(f"q{i}")] = q
+        euler = 1
+        for ai in a:
+            if ai != aj:
+                euler *= ai - aj
+        numerators: dict[int, object] = {}
+        for (degree, rest), value in restricted.items():
+            for i, e in rest:
+                value = value * local[i] ** e
+            numerators[degree] = numerators.get(degree, 0) + value
+        for degree, n in numerators.items():
+            sums[degree] = sums.get(degree, 0) + Fraction(n, euler)
+    return all(sums.get(d, 0) == expected.get(d, 0) for d in set(sums) | set(expected))
+
+
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:
     """Sum of restriction/Euler over the fixed points, computed exactly.
 
@@ -234,10 +339,7 @@ def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
     (u_i - u_(i+1)) and s_i swapping u_i and u_(i+1).  It needs phi|_j to be
     phi|_1 with u_1 and u_j swapped, true for every class in x, y, q_i, c_i."""
     _valid_through(phi, rank, None)
-    if set(phi.variables()) & {f"u{i}" for i in range(1, rank + 1)}:
-        raise UnsupportedVariableError(
-            "root variables u_i cannot be pushed forward; use localize for those"
-        )
+    _refuse_roots(phi, rank)
     table = bundle_ring(rank)
     value = _charts(rank)[0].restrict(phi)
     for i in range(1, rank):

@@ -470,10 +470,11 @@ class Polynomial:
     def substitute(self, images: Mapping[str, Polynomial]) -> Polynomial:
         """Apply the ring homomorphism sending each generator to its image.
 
-        Every generator occurring in the polynomial must have an image; all
-        images must live in one target table; every image, used or not, must
-        be homogeneous of the degree of the variable it replaces, so grading
-        is preserved.
+        All images must live in one target table; every image, used or not,
+        must be homogeneous of the degree of the variable it replaces, so
+        grading is preserved.  A generator given no image is fixed when the
+        target table is this polynomial's own; with another target table,
+        every occurring generator must have an image.
 
         Evaluated by Horner's scheme, one moved generator at a time in table
         order: the terms are split by that generator's exponent and folded
@@ -500,12 +501,15 @@ class Polynomial:
         if target is None:
             target = table
 
-        # A generator whose image is the target generator of its own index
-        # is fixed: its monomial entries already mean the image.
+        # A generator without an image, or whose image is the target generator
+        # of its own index, is fixed: its monomial entries already mean the image.
+        same = target is table or target == table
         moved: list[int] = []
         for i in sorted({i for mon in self._terms for i, _ in mon}):
             name = table.names[i]
             if name not in images:
+                if same:
+                    continue
                 raise UnboundVariableError(f"no image for {name!r}")
             img_terms = images[name]._terms
             if len(img_terms) != 1 or img_terms.get(((i, 1),)) != 1:

@@ -290,12 +290,10 @@ def _chern_to_roots(p: Polynomial) -> Polynomial:
     One :meth:`Polynomial.substitute` call; its Horner scheme nests the
     c-monomials by c1, then c2, ..., so each product is a partial result
     times a cached power of one e_i, never a product of two large powers."""
-    table = p.table
-    roots = root_generators(table)
-    images = {name: table.var(name) for name in p.variables()}
-    for i in range(1, len(roots) + 1):
-        if f"c{i}" in images:
-            images[f"c{i}"] = elementary_symmetric(i, roots)
+    roots = root_generators(p.table)
+    names = p.variables()
+    images = {f"c{i}": elementary_symmetric(i, roots) for i in range(1, len(roots) + 1)
+              if f"c{i}" in names}
     return p.substitute(images)
 
 

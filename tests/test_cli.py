@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from pushkit import bundle_ring, elaborate, expand_elementary, parse_expression, segre_oracle
-from pushkit import ClassExpr, Polynomial, PushkitError, series_inverse
+from pushkit import ClassExpr, Polynomial, series_inverse
 from pushkit.cli import run
+
+from helpers import literal_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,6 +29,18 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 def _poly_from_text(text: str, rank: int, cutoff: int):
     return elaborate(parse_expression(text, rank, allow_u=True), rank, cutoff).payload
+
+
+def _poly_from_json(text: str, rank: int):
+    table = bundle_ring(rank)
+    rebuilt = table.zero()
+    for term in json.loads(text)["terms"]:
+        num, den = term["coeff"].split("/")
+        piece = table.const(Fraction(int(num), int(den)))
+        for name, exp in term["exps"].items():
+            piece = piece * table.var(name).pow(exp)
+        rebuilt = rebuilt + piece
+    return rebuilt
 
 
 def test_push_text_output(capsys):
@@ -45,16 +59,8 @@ def test_push_json_round_trip(capsys):
     assert payload["rank"] == 3
     assert payload["cutoff"] == 6
     assert payload["valid_through"] == 4
-    assert payload["checks"]["weyl_invariance"] == "pass"
-    table = bundle_ring(3)
-    rebuilt = table.zero()
-    for term in payload["terms"]:
-        num, den = term["coeff"].split("/")
-        piece = table.const(Fraction(int(num), int(den)))
-        for name, exp in term["exps"].items():
-            piece = piece * table.var(name).pow(exp)
-        rebuilt = rebuilt + piece
-    assert rebuilt == segre_oracle(3, 4)
+    assert payload["checks"] == {"fixed_point_sample": "pass", "presentation_oracle": "pass"}
+    assert _poly_from_json(json.dumps(payload), 3) == segre_oracle(3, 4)
     # exactness: every coefficient is a string, nothing is a float
     def no_floats(node):
         if isinstance(node, float):
@@ -245,49 +251,99 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: broken invariant\n"
 
 
-EXPAND_BACK_ERROR = "internal error: internal invariant broken: Chern form does not expand back\n"
-
-
-def test_broken_expand_back_guard_is_an_internal_error(capsys, monkeypatch):
-    import pushkit.gysin
-
-    monkeypatch.setattr(pushkit.gysin, "reduce_to_elementary", lambda u_form: None)
-    assert run(["push", "--rank", "2", "x"]) == 1
-    assert capsys.readouterr().err == EXPAND_BACK_ERROR
-
-
-def test_wrong_closed_form_is_an_internal_error(capsys, monkeypatch):
-    # a wrong answer, not a broken guard: the divided-difference reference catches it
+def _shift_top_coefficient(monkeypatch):
+    """Make ``pushforward`` answer its closed form plus 1 on its top-degree term."""
     import pushkit.gysin
 
     closed_form = pushkit.gysin._closed_form
 
     def shifted(payload, rank):
         value = closed_form(payload, rank)
-        mon, _ = value.sorted_terms()[-1]
+        mon, _ = value.sorted_terms()[0]
         return value + Polynomial._raw(value.table, {mon: 1})
 
     monkeypatch.setattr(pushkit.gysin, "_closed_form", shifted)
-    x = bundle_ring(3).var("x")
-    with pytest.raises(PushkitError, match="Chern form does not expand back"):
-        pushkit.gysin.pushforward(ClassExpr(x.pow(4)), 3)
-    assert run(["push", "--rank", "3", "x^3"]) == 1
-    assert capsys.readouterr() == ("", EXPAND_BACK_ERROR)
 
 
-def test_asymmetric_reference_is_a_verification_failure(capsys, monkeypatch):
+def test_failed_check_is_a_verification_failure(capsys, monkeypatch):
+    # a failed check is reported in the output with exit 1, not as an internal error
     import pushkit.gysin
 
-    reference = pushkit.gysin.localize_divided_differences
+    monkeypatch.setattr(pushkit.gysin, "fixed_point_sample", lambda phi, rank, chern_form: False)
+    assert run(["push", "--rank", "2", "x"]) == 1
+    captured = capsys.readouterr()
+    assert "checks: fixed_point_sample=fail presentation_oracle=pass\n" in captured.out
+    assert captured.err == ""
 
-    def asymmetric(phi, rank):
-        return reference(phi, rank) + phi.table.var("u1")
 
-    monkeypatch.setattr(pushkit.gysin, "localize_divided_differences", asymmetric)
+def test_wrong_closed_form_fails_the_fixed_point_sample(capsys, monkeypatch):
+    # a wrong answer, not a broken check: the sum at the sample point catches it
+    import pushkit.gysin
+
+    _shift_top_coefficient(monkeypatch)
+    x = bundle_ring(3).var("x")
+    assert pushkit.gysin.pushforward(ClassExpr(x.pow(4)), 3).checks["fixed_point_sample"] == "fail"
     assert run(["push", "--rank", "3", "x^3"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("verification failure:")
+    assert "fixed_point_sample=fail" in captured.out and captured.err == ""
+
+
+def test_wrong_closed_form_fails_every_push_format(capsys, monkeypatch):
+    _shift_top_coefficient(monkeypatch)
+    argv = ["push", "--rank", "4", "--max-degree", "8", "inv(1-x)"]
+    assert run([*argv[:-1], "--format", "json", argv[-1]]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"]["fixed_point_sample"] == "fail"
+    assert run([*argv[:-1], "--format", "tex", argv[-1]]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "rank, degree, text",
+    [(4, 10, "(q1 q2 y^3) inv(1+y)"), (12, 20, "q3 q5 y^8 inv(1+y)")],
+)
+def test_shifted_top_coefficient_on_a_q_class_fails_the_fixed_point_sample(
+    capsys, monkeypatch, rank, degree, text
+):
+    # no presentation oracle runs for a q class: the sample check alone catches it
+    argv = ["push", "--rank", str(rank), "--max-degree", str(degree), "--format", "json", text]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {"fixed_point_sample": "pass"}
+    _shift_top_coefficient(monkeypatch)
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == {"fixed_point_sample": "fail"}
+
+
+def test_push_runs_no_divided_differences(capsys, monkeypatch):
+    # the divided differences and the symmetric reduction are test references only
+    from pushkit import localization, polyring, symfun
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline ran a divided-difference reference")
+
+    for module, name in (
+        (localization, "localize_divided_differences"),
+        (localization, "divide_exact_linear"),
+        (polyring, "divide_exact_linear"),
+        (symfun, "reduce_to_elementary"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    assert run(["push", "--rank", "6", "--max-degree", "12", "--format", "json", "inv(1-x)"]) == 0
+    assert _poly_from_json(capsys.readouterr().out, 6) == segre_oracle(6, 7)
+    assert run(["push", "--rank", "6", "--max-degree", "7", "q2 y^4 + c1 q1 y^5"]) == 0
+    out = capsys.readouterr().out
+    chern = _poly_from_text(out.split("chern_form = ")[1].splitlines()[0], 6, 2)
+    phi = _poly_from_text("q2 y^4 + c1 q1 y^5", 6, 7)
+    assert expand_elementary(chern) == literal_sum(phi, 6)
+    assert "checks: fixed_point_sample=pass\n" in out
+
+
+@pytest.mark.parametrize("rank, degree", [(16, 20), (20, 24)])
+def test_push_json_at_high_rank_is_the_segre_series(capsys, rank, degree):
+    argv = ["push", "--rank", str(rank), "--max-degree", str(degree), "--format", "json", "inv(1-x)"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["checks"] == {"fixed_point_sample": "pass", "presentation_oracle": "pass"}
+    assert _poly_from_json(out, rank) == segre_oracle(rank, degree - rank + 1)
 
 
 def test_asymmetric_localization_exits_one(capsys):

@@ -62,9 +62,9 @@ def test_pushforward_point_and_vanishing_powers():
 
 def test_pushforward_records_checks():
     result = pushforward(_geometric_class(3, 5), 3)
-    assert result.checks["weyl_invariance"] == "pass"
-    assert result.checks["chern_expansion"] == "pass"
-    assert result.checks["presentation_oracle"] == "pass"
+    assert dict(result.checks) == {"fixed_point_sample": "pass", "presentation_oracle": "pass"}
+    q_class = elaborate(parse_expression("q1 y^3", 3), 3, 6)
+    assert dict(pushforward(q_class, 3).checks) == {"fixed_point_sample": "pass"}
 
 
 def test_pushforward_u_form_expands_from_chern_form():
@@ -104,9 +104,8 @@ def test_class_expr_invariants():
 
 def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
     # The benchmark's polyring.substitute_calls counts calls of the public
-    # method: one for the closed form's Whitney substitution and one for the
-    # reference's first-chart restriction; the basis check runs in c1..cr and
-    # substitutes nothing.
+    # method: one for the closed form's Whitney substitution; the fixed-point
+    # sample evaluates the class term by term and substitutes nothing.
     # A substitution that re-enters the public method would inflate the
     # count and make traces of different revisions incomparable.
     cls = elaborate(parse_expression("(q1 q2 y^3) inv(1 + y)", 4), 4, 14)
@@ -119,22 +118,23 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", counting)
     pushforward(cls, 4)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_pushforward_runs_the_symmetry_guard_once(monkeypatch):
-    from pushkit import symfun
+def test_pushforward_runs_no_symmetry_guard(monkeypatch):
+    # the answer lives in c1..cr: nothing in the roots is left to be symmetric
+    from pushkit import localization, symfun
 
     calls = []
-    original = symfun.is_symmetric
 
     def counting(p):
         calls.append(p)
-        return original(p)
+        return True
 
     monkeypatch.setattr(symfun, "is_symmetric", counting)
-    result = pushforward(_geometric_class(4, 9), 4)
-    assert calls == [result.u_form]
+    monkeypatch.setattr(localization, "is_symmetric", counting)
+    pushforward(_geometric_class(4, 9), 4)
+    assert calls == []
 
 
 # -- the closed form against independent evaluators ----------------------------------

@@ -156,9 +156,22 @@ def test_substitute_quotient_class_restriction():
 
 
 def test_substitute_missing_image_raises(fiber3):
-    y = fiber3.var("y")
-    with pytest.raises(UnboundVariableError):
-        (y + fiber3.var("q1")).substitute({"y": y})
+    # into another table, a generator without an image has no meaning
+    y, t = fiber3.var("y"), VariableTable([("t", 1)]).var("t")
+    with pytest.raises(UnboundVariableError, match="no image for 'q1'"):
+        (y + fiber3.var("q1")).substitute({"y": t})
+
+
+def test_substitute_fixes_a_generator_without_an_image(fiber3):
+    # within the polynomial's own table, a generator without an image is fixed
+    y, q1, q2 = fiber3.gens()
+    p = (1 + y) * (1 + q1 + q2) + q1 * q1
+    assert p.substitute({"y": -y}) == (1 - y) * (1 + q1 + q2) + q1 * q1
+    assert p.substitute({"q1": y}) == (1 + y) * (1 + y + q2) + y * y
+    assert p.substitute({}) == p
+    assert (q1 + q2).substitute({"y": q1}) == q1 + q2  # an unused image is still checked
+    with pytest.raises(GradingError):
+        (q1 + q2).substitute({"y": q2})
 
 
 def test_substitute_degree_violation_raises(fiber3):
