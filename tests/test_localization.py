@@ -21,13 +21,15 @@ from pushkit import (
     is_symmetric,
     localize,
     localize_divided_differences,
+    reduce_to_elementary,
     relation_check,
     root_generators,
     series_inverse,
 )
 from pushkit import gysin, localization
 
-from helpers import literal_sum, random_fiber_poly, random_poly, symmetrize
+from helpers import literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
+from helpers import symmetrize
 
 SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -260,6 +262,21 @@ def test_pipelines_agree_on_random_inputs(seed, rank):
     result = localize(phi, rank)
     assert result.value == localize_divided_differences(phi, rank)
     assert is_symmetric(result.value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=4))
+def test_fixed_point_sample_accepts_the_reference_and_refuses_a_shifted_answer(seed, rank):
+    # the divided differences share nothing with the sample check; any nonzero
+    # shift in c1..cr, and any fiber generator left in the answer, is refused
+    rng = random.Random(seed)
+    table = bundle_ring(rank)
+    phi = random_class(rng, rank, rng.choice(["x", "y"]))
+    answer = reduce_to_elementary(localize_divided_differences(phi, rank))
+    assert localization.fixed_point_sample(phi, rank, answer)
+    shift = random_chern_poly(rng, rank) or table.var(f"c{rank}")
+    assert not localization.fixed_point_sample(phi, rank, answer + shift)
+    assert not localization.fixed_point_sample(phi, rank, answer + table.var("y"))
 
 
 @settings(max_examples=40, deadline=None)
