@@ -30,8 +30,6 @@ from .polyring import (
     series_inverse,
 )
 from .symfun import (
-    Permutation,
-    apply_permutation,
     complete_homogeneous,
     elementary_symmetric,
     expand_elementary,
@@ -45,7 +43,6 @@ from .localization import (
     bundle_ring,
     fixed_point_charts,
     localize,
-    localize_divided_differences,
     relation_check,
 )
 from .gysin import (
@@ -74,7 +71,6 @@ __all__ = [
     "NotDivisibleError",
     "NotInvertibleError",
     "ParseError",
-    "Permutation",
     "Polynomial",
     "PushforwardResult",
     "PushkitError",
@@ -85,7 +81,6 @@ __all__ = [
     "VariableTable",
     "VerificationCheck",
     "VerificationReport",
-    "apply_permutation",
     "bundle_ring",
     "complete_homogeneous",
     "divide_exact_linear",
@@ -95,7 +90,6 @@ __all__ = [
     "fixed_point_charts",
     "is_symmetric",
     "localize",
-    "localize_divided_differences",
     "parse_expression",
     "presentation_oracle",
     "pushforward",

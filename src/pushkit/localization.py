@@ -10,29 +10,25 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_closed_form``); ``localize`` reads it in the roots
 by sending each c_i to e_i(u).  ``fixed_point_sample`` checks the closed
-form against the sum itself, evaluated exactly at one integer point per
-rank.  The literal sum in the roots, organized over the Vandermonde
-denominator, is the test suite's reference; ``_vandermonde`` and
-``_cofactors`` stay here as its building blocks.  ``_valid_through`` holds
-the one cutoff rule (every evaluator lowers degree by the fiber dimension
-r - 1) and the argument guards the evaluators share.
-
-The reference evaluator reads the first fixed point only: for a class without
-roots, the sum is (-1)^(r-1) d_(r-1) ... d_1 of the first restriction, the
-divided-difference form of Gysin maps (Fulton-Pragacz, LNM 1689).
+form against the sum itself, evaluated exactly in integers at one point per
+rank.  ``_valid_through`` holds the one cutoff rule (every evaluator lowers
+degree by the fiber dimension r - 1) and the argument guards the evaluators
+share.  The test suite's symbolic references in the roots live with the
+tests; they build on the charts and on ``_vandermonde`` and ``_cofactors``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ArityError, SymmetryError, UnsupportedVariableError
-from .polyring import Polynomial, VariableTable, _split, divide_exact_linear
-from .symfun import Permutation, apply_permutation, elementary_symmetric, is_symmetric
+from .polyring import Polynomial, VariableTable, _split
+from .symfun import elementary_symmetric, is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "fixed_point_charts",
     "fixed_point_sample",
     "localize",
-    "localize_divided_differences",
     "relation_check",
 ]
 
@@ -125,7 +120,7 @@ def fixed_point_charts(rank: int) -> list[FixedPointChart]:
     return list(_charts(rank))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_RANKS)
 def _vandermonde(rank: int) -> tuple[tuple[str, str], ...]:
     """The linear factors (u_a, u_b), a < b, of prod_{a<b} (u_a - u_b).
 
@@ -135,7 +130,7 @@ def _vandermonde(rank: int) -> tuple[tuple[str, str], ...]:
     return tuple((f"u{a}", f"u{b}") for a in range(1, rank + 1) for b in range(a + 1, rank + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_RANKS)
 def _cofactors(rank: int) -> tuple[Polynomial, ...]:
     """Per chart j, the Vandermonde divided by that chart's Euler class.
 
@@ -271,8 +266,11 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     prod_(i != j) (a_i - a_j) and summed over j, it is the degree D - (r - 1)
     part of the pushforward at c_i = e_i(a), exactly.  True when every such
     sum equals ``chern_form`` at c_i = e_i(a), and the degrees below r - 1
-    sum to 0.  Nothing is shared with ``_closed_form``: no Whitney relation
-    and no Segre series.
+    sum to 0.  Both sides are scaled by the Vandermonde
+    V = prod_(i < k) (a_i - a_k), so chart j contributes its numbers times the
+    exact integer V / prod_(i != j) (a_i - a_j) and nothing is divided.
+    Nothing is shared with ``_closed_form``: no Whitney relation and no Segre
+    series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
     d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
@@ -296,6 +294,7 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
             return False  # a pushforward lives in c1..cr
         expected[degree + rank - 1] = value
     restricted = _by_degree(phi, shared)
+    vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
     sums: dict[int, object] = {}
     for aj in a:
         local = {table.index("x"): -aj, table.index("y"): aj}
@@ -303,18 +302,17 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
         for i in range(1, rank):
             q = total[i] - aj * q
             local[table.index(f"q{i}")] = q
-        euler = 1
-        for ai in a:
-            if ai != aj:
-                euler *= ai - aj
+        cofactor = vandermonde // math.prod(ai - aj for ai in a if ai != aj)
         numerators: dict[int, object] = {}
         for (degree, rest), value in restricted.items():
             for i, e in rest:
                 value = value * local[i] ** e
             numerators[degree] = numerators.get(degree, 0) + value
         for degree, n in numerators.items():
-            sums[degree] = sums.get(degree, 0) + Fraction(n, euler)
-    return all(sums.get(d, 0) == expected.get(d, 0) for d in set(sums) | set(expected))
+            sums[degree] = sums.get(degree, 0) + n * cofactor
+    return all(
+        sums.get(d, 0) == vandermonde * expected.get(d, 0) for d in set(sums) | set(expected)
+    )
 
 
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:
@@ -331,21 +329,6 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
     if not is_symmetric(value):
         raise SymmetryError("localization result is not invariant under permuting the roots")
     return LocalizationResult(value=value, valid_through=valid_through)
-
-
-def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
-    """Reference evaluation of the fixed-point sum, for input without roots:
-    (-1)^(rank-1) d_(rank-1) ... d_1 (phi|_1), with d_i f = (f - s_i f) /
-    (u_i - u_(i+1)) and s_i swapping u_i and u_(i+1).  It needs phi|_j to be
-    phi|_1 with u_1 and u_j swapped, true for every class in x, y, q_i, c_i."""
-    _valid_through(phi, rank, None)
-    _refuse_roots(phi, rank)
-    table = bundle_ring(rank)
-    value = _charts(rank)[0].restrict(phi)
-    for i in range(1, rank):
-        swapped = apply_permutation(value, Permutation.transposition(rank, i, i + 1))
-        value = divide_exact_linear(value - swapped, table.var(f"u{i}") - table.var(f"u{i + 1}"))
-    return -value if rank % 2 == 0 else value
 
 
 def relation_check(rank: int) -> bool:

@@ -1,34 +1,30 @@
 """Symmetric-polynomial machinery over the Chern-root generators u1..ur.
 
-Provides elementary and complete homogeneous symmetric polynomials, the
-symmetric-group action permuting the roots, a symmetry test, and the
-rewriting of a symmetric polynomial into the elementary basis (that is,
-into the Chern classes c1..cr).
+Provides elementary and complete homogeneous symmetric polynomials, a
+symmetry test, the rewriting of a symmetric polynomial into the elementary
+basis (that is, into the Chern classes c1..cr), and its inverse.
 
-The symmetry test and the rewriting both work on orbits of monomials: the
-rewriting keeps only the dominant monomial u^lambda of each orbit, keyed by
-the partition lambda (Macdonald, *Symmetric Functions*, I.2 and I.6).
+The symmetry test works on orbits of monomials under permuting the roots.
+The rewriting is classical leading-term subtraction (Macdonald, *Symmetric
+Functions*, I.2); nothing in the pushforward calls it, and the test suite
+uses it as a reference.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import re
 from collections import Counter
-from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import SymmetryError
-from .polyring import Monomial, Polynomial, VariableTable, _as_coeff, _Coeff
+from .polyring import Monomial, Polynomial, VariableTable, _Coeff
 
 __all__ = [
-    "Permutation",
     "root_generators",
     "elementary_symmetric",
     "complete_homogeneous",
-    "apply_permutation",
     "is_symmetric",
     "reduce_to_elementary",
     "expand_elementary",
@@ -110,64 +106,6 @@ def complete_homogeneous(k: int, gens: Iterable[Polynomial]) -> Polynomial:
     return Polynomial._raw(table, terms)
 
 
-class Permutation:
-    """A bijection of {1..r}; ``images[i-1]`` is the image of ``i``."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        imgs = tuple(images)
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ValueError("images must be a permutation of 1..r")
-        self.images = imgs
-
-    @classmethod
-    def identity(cls, r: int) -> Permutation:
-        return cls(tuple(range(1, r + 1)))
-
-    @classmethod
-    def transposition(cls, r: int, i: int, j: int) -> Permutation:
-        if not (1 <= i <= r and 1 <= j <= r and i != j):
-            raise ValueError("transposition needs two distinct points in 1..r")
-        imgs = list(range(1, r + 1))
-        imgs[i - 1], imgs[j - 1] = j, i
-        return cls(imgs)
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.images)})"
-
-
-def apply_permutation(p: Polynomial, sigma: Permutation) -> Polynomial:
-    """Rename u_i to u_sigma(i); every other generator is fixed.
-
-    This is a ring automorphism, implemented as an index remap on monomials.
-    """
-    root_idx = _root_indices(p.table)
-    if sigma.size != len(root_idx):
-        raise ValueError(f"permutation size {sigma.size} != number of roots {len(root_idx)}")
-    remap = {root_idx[i - 1]: root_idx[sigma(i) - 1] for i in range(1, sigma.size + 1)}
-    out = {
-        Monomial._raw(sorted((remap.get(i, i), e) for i, e in mon)): c
-        for mon, c in p._terms.items()
-    }
-    return Polynomial._raw(p.table, out)
-
-
 def is_symmetric(p: Polynomial) -> bool:
     """True when p is invariant under every permutation of the roots.
 
@@ -208,45 +146,20 @@ def _chern_indices(table: VariableTable) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _partition(exps: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(exps, reverse=True))
-
-
-def _elementary_product(lam: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
-    """The dominant part (partition -> coefficient) of e_1^(l1-l2) ... e_r^lr,
-    the e-product whose largest partition is lam.  It is that of lam less its
-    first column times e_k, k = length(lam), and for a symmetric f,
-    (f e_k)[nu] is the sum of f[sort(nu - 1_S)] over the k-subsets S."""
-    chain = []
-    while lam not in memo:
-        chain.append(lam)
-        lam = tuple(max(e - 1, 0) for e in lam)
-    f = memo[lam]
-    for lam in reversed(chain):
-        r, k = len(lam), len(lam) - lam.count(0)
-        ones = [tuple(int(i in s) for i in range(r)) for s in itertools.combinations(range(r), k)]
-        support = {_partition(map(add, mu, v)) for mu in f for v in ones}
-        f = memo[lam] = {
-            nu: sum(f.get(_partition(map(sub, nu, v)), 0) for v in ones) for nu in support
-        }
-    return f
-
-
 def reduce_to_elementary(p: Polynomial) -> Polynomial:
     """Rewrite a symmetric polynomial in u1..ur as a polynomial in c1..cr,
     where c_i stands for the i-th elementary symmetric polynomial.
 
-    A symmetric polynomial is determined by its dominant terms u^lambda,
-    lambda a partition, so only those are kept.  The largest remaining
-    lambda in graded-lex order, with coefficient a, gives the term a * c^m,
-    m_i = lambda_i - lambda_(i+1); a times the dominant part of
-    e_1^m1 ... e_r^mr, whose largest partition is lambda, is subtracted.
-    The result P satisfies P(e_1..e_r) == p exactly.
+    Classical leading-term subtraction (Macdonald, *Symmetric Functions*,
+    I.2): the graded-lex leading monomial of a symmetric polynomial is a
+    partition u^lambda; with coefficient a it gives the term a * c^m,
+    m_i = lambda_i - lambda_(i+1), and a * e_1^m1 ... e_r^mr, whose leading
+    monomial is u^lambda, is subtracted.  The result P satisfies
+    P(e_1..e_r) == p exactly.
     """
     table = p.table
     root_idx = _root_indices(table)
     chern_idx = _chern_indices(table)
-    r = len(root_idx)
 
     allowed = set(root_idx)
     for mon in p._terms:
@@ -256,31 +169,16 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
     if not is_symmetric(p):
         raise SymmetryError("input is not symmetric in u1..ur")
 
-    work: dict[tuple[int, ...], _Coeff] = {}
-    for mon, c in p._terms.items():
-        lam = tuple(mon.exponent(i) for i in root_idx)
-        if all(a >= b for a, b in zip(lam, lam[1:])):
-            work[lam] = c
-
-    def order(lam: tuple[int, ...]) -> tuple:
-        return (-sum(lam), tuple(-e for e in lam), lam)
-
-    heap = [order(lam) for lam in work]
-    heapq.heapify(heap)
-    memo = {(0,) * r: {(0,) * r: 1}}
     out: dict[Monomial, _Coeff] = {}
-    while heap:
-        lam = heapq.heappop(heap)[-1]
-        coeff = work[lam]
-        if not coeff:
-            continue
-        mults = enumerate(zip(lam, lam[1:] + (0,)))
+    while p:
+        mon, coeff = max(p._terms.items(), key=lambda term: term[0].sort_key(table))
+        lam = [mon.exponent(i) for i in root_idx] + [0]
+        mults = enumerate(zip(lam, lam[1:]))
         c_mon = Monomial._raw(tuple((chern_idx[k], a - b) for k, (a, b) in mults if a > b))
-        out[c_mon] = _as_coeff(coeff)
-        for nu, n in _elementary_product(lam, memo).items():
-            if nu not in work:
-                heapq.heappush(heap, order(nu))
-            work[nu] = work.get(nu, 0) - coeff * n
+        out[c_mon] = coeff
+        p = p - _chern_to_roots(Polynomial._raw(table, {c_mon: coeff}))
+        if mon in p._terms:  # each step must cancel u^lambda, or the loop would not end
+            raise ArithmeticError("leading-term subtraction left its leading monomial")
     return Polynomial._raw(table, out)
 
 

@@ -1,20 +1,19 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators and symbolic references for the test suite
+(seeded, deterministic)."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from pushkit import (
     Monomial,
-    Permutation,
     Polynomial,
     VariableTable,
-    apply_permutation,
     bundle_ring,
     divide_exact_linear,
-    elementary_symmetric,
     fixed_point_charts,
     root_generators,
 )
@@ -108,45 +107,51 @@ def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polyno
     return value if cutoff is None else value.truncate(cutoff - (rank - 1))
 
 
+def permute_roots(p: Polynomial, images: Sequence[int]) -> Polynomial:
+    """Rename u_i to u_(images[i-1]); every other generator is fixed.
+    ``images`` must be a permutation of 1..r, r the number of roots."""
+    table = p.table
+    if sorted(images) != list(range(1, len(root_generators(table)) + 1)):
+        raise ValueError("images must be a permutation of 1..r")
+    return p.substitute({f"u{i}": table.var(f"u{k}") for i, k in enumerate(images, 1)})
+
+
+def _swap(r: int, i: int) -> list[int]:
+    """The images of the adjacent transposition of i and i + 1 in 1..r."""
+    images = list(range(1, r + 1))
+    images[i - 1], images[i] = i + 1, i
+    return images
+
+
 def symmetrize(p: Polynomial) -> Polynomial:
     """The sum of p over every permutation of the roots u1..ur."""
     r = len(root_generators(p.table))
     out = p.table.zero()
     for images in itertools.permutations(range(1, r + 1)):
-        out = out + apply_permutation(p, Permutation(images))
+        out = out + permute_roots(p, images)
     return out
 
 
 def symmetric_by_transpositions(p: Polynomial) -> bool:
     """Symmetry by definition: p is fixed by every adjacent root transposition."""
     r = len(root_generators(p.table))
-    return all(
-        apply_permutation(p, Permutation.transposition(r, i, i + 1)) == p for i in range(1, r)
-    )
+    return all(permute_roots(p, _swap(r, i)) == p for i in range(1, r))
 
 
-def leading_term_reduction(p: Polynomial) -> Polynomial:
-    """Reference rewrite of a symmetric polynomial in u1..ur into c1..cr by
-    classical leading-term subtraction: the graded-lex leading monomial is a
-    partition u^lambda; subtract coeff * e_1^(l1-l2) ... e_r^lr and repeat."""
-    table = p.table
-    roots = root_generators(table)
-    r = len(roots)
-    root_idx = [table.index(f"u{i}") for i in range(1, r + 1)]
-    elem = [elementary_symmetric(k, roots) for k in range(1, r + 1)]
-    work, out = p, table.zero()
-    while work:
-        mon, coeff = work.sorted_terms()[0]
-        lam = [mon.exponent(i) for i in root_idx] + [0]
-        if lam != sorted(lam, reverse=True):
-            raise ValueError("the leading monomial is not a partition")
-        term = e_product = table.const(coeff)
-        for k in range(r):
-            term = term * table.var(f"c{k + 1}").pow(lam[k] - lam[k + 1])
-            e_product = e_product * elem[k].pow(lam[k] - lam[k + 1])
-        out = out + term
-        work = work - e_product
-    return out
+def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
+    """Reference evaluation of the fixed-point sum, for input without roots:
+    (-1)^(rank-1) d_(rank-1) ... d_1 (phi|_1), with d_i f = (f - s_i f) /
+    (u_i - u_(i+1)) and s_i swapping u_i and u_(i+1) (Fulton-Pragacz, LNM
+    1689).  It needs phi|_j to be phi|_1 with u_1 and u_j swapped, true for
+    every class in x, y, q_i, c_i, so a class with a root is refused."""
+    localization._valid_through(phi, rank, None)
+    localization._refuse_roots(phi, rank)
+    table = bundle_ring(rank)
+    value = fixed_point_charts(rank)[0].restrict(phi)
+    for i in range(1, rank):
+        swapped = permute_roots(value, _swap(rank, i))
+        value = divide_exact_linear(value - swapped, table.var(f"u{i}") - table.var(f"u{i + 1}"))
+    return -value if rank % 2 == 0 else value
 
 
 def random_homogeneous(rng: random.Random, table: VariableTable, degree: int) -> Polynomial:

@@ -20,7 +20,6 @@ from pushkit import (
     fixed_point_charts,
     is_symmetric,
     localize,
-    localize_divided_differences,
     parse_expression,
     presentation_oracle,
     pushforward,
@@ -32,7 +31,8 @@ from pushkit import (
 )
 from pushkit.cli import run
 
-from helpers import random_chern_poly, random_fiber_poly, random_poly, random_x_class
+from helpers import localize_divided_differences, random_chern_poly, random_fiber_poly
+from helpers import random_poly, random_x_class
 
 
 @contextmanager

@@ -18,7 +18,6 @@ from pushkit import (
     elaborate,
     expand_elementary,
     localize,
-    localize_divided_differences,
     parse_expression,
     presentation_oracle,
     pushforward,
@@ -27,7 +26,8 @@ from pushkit import (
     verify_classical,
 )
 
-from helpers import literal_sum, random_chern_poly, random_class, random_coeff, random_x_class
+from helpers import literal_sum, localize_divided_differences, random_chern_poly, random_class
+from helpers import random_coeff, random_x_class
 
 
 def _geometric_class(rank: int, cutoff: int) -> ClassExpr:

@@ -20,16 +20,15 @@ from pushkit import (
     fixed_point_charts,
     is_symmetric,
     localize,
-    localize_divided_differences,
     reduce_to_elementary,
     relation_check,
     root_generators,
     series_inverse,
 )
-from pushkit import gysin, localization
+from pushkit import gysin, localization, polyring
 
 from helpers import literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
-from helpers import symmetrize
+from helpers import localize_divided_differences, symmetrize
 
 SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -95,10 +94,12 @@ def test_chart_maps_are_read_only():
 
 
 def test_per_rank_caches_are_bounded():
-    # a fixed bound, at least the 20 ranks the suite uses
-    bound = bundle_ring.cache_info().maxsize
-    assert bound is not None and bound >= 20
-    assert localization._charts.cache_info().maxsize == bound
+    # one fixed bound for every per-rank cache, at least the 20 ranks the suite uses
+    bound = localization._CACHED_RANKS
+    assert bound >= 20
+    for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES),
+                  localization._sample_point):
+        assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
         bundle_ring(rank)
@@ -130,7 +131,7 @@ def test_setup_makes_no_exact_division(monkeypatch, fresh_setup_caches):
     def refuse(*args, **kwargs):
         raise AssertionError("set-up divided")
 
-    monkeypatch.setattr(localization, "divide_exact_linear", refuse)
+    monkeypatch.setattr(polyring, "divide_exact_linear", refuse)
     assert len(localization._charts(5)) == 5
     assert len(localization._cofactors(5)) == 5
     assert localization._vandermonde(5) == tuple(
