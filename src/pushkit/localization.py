@@ -6,15 +6,16 @@ tautological line and its dual), the quotient-bundle classes q1..q(r-1), the
 base Chern classes c1..cr, and the Chern roots u1..ur.  The torus action on
 the fiber has r isolated fixed points; at the j-th one, y restricts to u_j
 and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
+``_fixed_points`` builds that data at any root values, for the charts.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_closed_form``); ``localize`` reads it in the roots
 by sending each c_i to e_i(u).  ``fixed_point_sample`` checks the closed
-form against the sum itself, evaluated exactly in integers at one point per
-rank.  ``_valid_through`` holds the one cutoff rule (every evaluator lowers
-degree by the fiber dimension r - 1) and the argument guards the evaluators
-share.  The test suite's symbolic references in the roots live with the
-tests; they build on the charts and on ``_vandermonde`` and ``_cofactors``.
+form against the sum itself, from ``_fixed_points`` at one integer point.
+``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
+by the fiber dimension r - 1) and the argument guards the evaluators share.
+The test suite's symbolic references in the roots live with the tests;
+they build on the charts and on ``_vandermonde`` and ``_cofactors``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ArityError, SymmetryError, UnsupportedVariableError
 from .polyring import Polynomial, VariableTable, _split
-from .symfun import elementary_symmetric, is_symmetric
+from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
 __all__ = [
@@ -78,41 +79,35 @@ class FixedPointChart:
         return p.substitute(self.restriction)
 
 
-def _root_product(table: VariableTable, pairs: Iterable[tuple[str, str]]) -> Polynomial:
-    """prod (a - b) over the root-name pairs (a, b)."""
-    product = table.one()
-    for a, b in pairs:
-        product = product * (table.var(a) - table.var(b))
-    return product
+def _fixed_points(a: tuple, one) -> list[tuple[dict, object]]:
+    """Per fixed point j, the image of every generator and the Euler class,
+    at root values ``a`` = a_1..a_r: Python ints or ``Polynomial``s, with
+    ``one`` their unit.  x -> -a_j, y -> a_j, q_i -> e_i(a without a_j),
+    c_i -> e_i(a), u_i -> a_i; the Euler class is prod_(i != j) (a_i - a_j).
+    """
+    total = [one]  # e_0(a)..e_r(a), the coefficients of prod (1 + a_i z)
+    for ai in a:
+        total = [one] + [total[i] + ai * total[i - 1] for i in range(1, len(total))] + [ai * total[-1]]
+    points = []
+    for j, aj in enumerate(a):
+        images = {"x": -aj, "y": aj}
+        q = one  # e_i(a without a_j) = e_i(a) - a_j e_(i-1)(a without a_j)
+        for i in range(1, len(a)):
+            q = total[i] - aj * q
+            images[f"q{i}"] = q
+        images.update((f"c{i}", total[i]) for i in range(1, len(a) + 1))
+        images.update((f"u{i}", ai) for i, ai in enumerate(a, 1))
+        points.append((images, math.prod((ai - aj for i, ai in enumerate(a) if i != j), start=one)))
+    return points
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
 def _charts(rank: int) -> tuple[FixedPointChart, ...]:
     table = bundle_ring(rank)
-    roots = root_generators(table)
-    total = [elementary_symmetric(i, roots) for i in range(rank + 1)]
-    charts = []
-    for j in range(1, rank + 1):
-        complement = tuple(roots[i] for i in range(rank) if i != j - 1)
-        mapping: dict[str, Polynomial] = {
-            "x": -roots[j - 1],
-            "y": roots[j - 1],
-        }
-        for i in range(1, rank):
-            mapping[f"q{i}"] = elementary_symmetric(i, complement)
-        for i in range(1, rank + 1):
-            mapping[f"c{i}"] = total[i]
-        for i in range(1, rank + 1):
-            mapping[f"u{i}"] = roots[i - 1]
-        factors = tuple((f"u{i}", f"u{j}") for i in range(1, rank + 1) if i != j)
-        charts.append(
-            FixedPointChart(
-                index=j,
-                restriction=MappingProxyType(mapping),
-                euler=_root_product(table, factors),
-            )
-        )
-    return tuple(charts)
+    return tuple(
+        FixedPointChart(index=j, restriction=MappingProxyType(images), euler=euler)
+        for j, (images, euler) in enumerate(_fixed_points(root_generators(table), table.one()), 1)
+    )
 
 
 def fixed_point_charts(rank: int) -> list[FixedPointChart]:
@@ -140,11 +135,10 @@ def _cofactors(rank: int) -> tuple[Polynomial, ...]:
     literal sum and the benchmark tracer, like ``_vandermonde``.
     """
     table = bundle_ring(rank)
-    factors = _vandermonde(rank)
     out = []
     for j in range(1, rank + 1):
-        root = f"u{j}"
-        cof = _root_product(table, [pair for pair in factors if root not in pair])
+        factors = (table.var(a) - table.var(b) for a, b in _vandermonde(rank) if f"u{j}" not in (a, b))
+        cof = math.prod(factors, start=table.one())
         out.append(-cof if (rank - j) % 2 else cof)
     return tuple(out)
 
@@ -222,10 +216,11 @@ _SAMPLE_BITS = 40  # sample coordinates lie in S = {1, ..., 2^40 - 1}
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
-def _sample_point(rank: int) -> tuple[int, ...]:
+def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[dict[int, int], int], ...]]:
     """``rank`` distinct integers a_1..a_r in S, the same at every call for one
     rank: the top 40 bits of successive splitmix64 outputs seeded with the
-    rank (Steele, Lea and Flood, OOPSLA 2014), skipping 0 and repeats."""
+    rank (Steele, Lea and Flood, OOPSLA 2014), skipping 0 and repeats.  With
+    them, ``_fixed_points`` at a, each chart's images keyed by generator index."""
     mask = (1 << 64) - 1
     state, point = rank, []
     while len(point) < rank:
@@ -235,7 +230,9 @@ def _sample_point(rank: int) -> tuple[int, ...]:
         a = (z ^ (z >> 31)) >> (64 - _SAMPLE_BITS)
         if a and a not in point:
             point.append(a)
-    return tuple(point)
+    index, point = bundle_ring(rank).index, tuple(point)
+    charts = (({index(n): v for n, v in images.items()}, euler) for images, euler in _fixed_points(point, 1))
+    return point, tuple(charts)
 
 
 def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple, object]:
@@ -260,9 +257,9 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     """Check ``chern_form`` against the fixed-point sum of ``phi`` at one point.
 
     Put u_i = a_i t, with a = ``_sample_point(rank)``.  At fixed point j each
-    generator restricts to an integer times t^degree: x -> -a_j, y -> a_j,
-    q_i -> e_i(a without a_j), c_i -> e_i(a), u_i -> a_i.  So phi restricts to
-    one number per degree D.  Divided by the Euler class
+    generator restricts to an integer times t^degree, as the charts do at the
+    roots, from ``_fixed_points`` at a: q_i -> e_i(a without a_j), c_i -> e_i(a).
+    So phi restricts to one number per degree D.  Divided by the Euler class
     prod_(i != j) (a_i - a_j) and summed over j, it is the degree D - (r - 1)
     part of the pushforward at c_i = e_i(a), exactly.  True when every such
     sum equals ``chern_form`` at c_i = e_i(a), and the degrees below r - 1
@@ -278,15 +275,13 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     uniformly from S^r that has probability at most d / |S|, |S| = 2^40 - 1
     (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).  The point is fixed
     per rank, so the bound holds over that seeded choice, not against an
-    input built to vanish there.
+    input built to vanish there.  ``phi`` and ``chern_form`` must live in
+    ``bundle_ring(rank)``; ``ArityError`` otherwise.
     """
-    table = bundle_ring(rank)
-    a = _sample_point(rank)
-    total = [1]  # e_0(a)..e_r(a), the coefficients of prod (1 + a_i z)
-    for ai in a:
-        total = [1] + [total[i] + ai * total[i - 1] for i in range(1, len(total))] + [ai * total[-1]]
-    shared = {table.index(f"c{i}"): total[i] for i in range(1, rank + 1)}
-    shared.update((table.index(f"u{i}"), ai) for i, ai in enumerate(a, 1))
+    _valid_through(phi, rank, None)
+    _valid_through(chern_form, rank, None)
+    a, charts = _sample_point(rank)
+    shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
 
     expected: dict[int, object] = {}
     for (degree, rest), value in _by_degree(chern_form, shared).items():
@@ -296,17 +291,12 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     restricted = _by_degree(phi, shared)
     vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
     sums: dict[int, object] = {}
-    for aj in a:
-        local = {table.index("x"): -aj, table.index("y"): aj}
-        q = 1  # e_i(a without a_j) = e_i(a) - a_j e_(i-1)(a without a_j)
-        for i in range(1, rank):
-            q = total[i] - aj * q
-            local[table.index(f"q{i}")] = q
-        cofactor = vandermonde // math.prod(ai - aj for ai in a if ai != aj)
+    for images, euler in charts:
+        cofactor = vandermonde // euler
         numerators: dict[int, object] = {}
         for (degree, rest), value in restricted.items():
             for i, e in rest:
-                value = value * local[i] ** e
+                value = value * images[i] ** e
             numerators[degree] = numerators.get(degree, 0) + value
         for degree, n in numerators.items():
             sums[degree] = sums.get(degree, 0) + n * cofactor

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
+import math
 import random
 import sys
 from pathlib import Path
@@ -12,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushkit import (
+    ArityError,
     ClassExpr,
     SymmetryError,
     UnsupportedVariableError,
     bundle_ring,
     complete_homogeneous,
+    elementary_symmetric,
     fixed_point_charts,
     is_symmetric,
     localize,
@@ -83,11 +87,79 @@ def test_charts_restriction_maps():
     assert charts[1].restriction["c3"] == u[0] * u[1] * u[2]
 
 
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_charts_match_the_combination_sums(rank):
+    # the charts come from recursions in _fixed_points; here each image is
+    # summed over combinations and each Euler class multiplied out instead
+    table = bundle_ring(rank)
+    roots = root_generators(table)
+    for j, chart in enumerate(fixed_point_charts(rank)):
+        complement = roots[:j] + roots[j + 1:]
+        assert chart.restriction["x"] == -roots[j] and chart.restriction["y"] == roots[j]
+        for i in range(1, rank):
+            assert chart.restriction[f"q{i}"] == elementary_symmetric(i, complement)
+        for i in range(1, rank + 1):
+            assert chart.restriction[f"c{i}"] == elementary_symmetric(i, roots)
+            assert chart.restriction[f"u{i}"] == roots[i - 1]
+        euler = table.one()
+        for u in complement:
+            euler = euler * (u - roots[j])
+        assert chart.euler == euler
+        assert len(chart.restriction) == len(table.names)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_sample_table_matches_the_combination_sums(rank):
+    # the integer table fixed_point_sample reads, against e_i summed over
+    # itertools.combinations of the sample point
+    def e(i, values):
+        return sum(math.prod(combo) for combo in itertools.combinations(values, i))
+
+    index = bundle_ring(rank).index
+    a, charts = localization._sample_point(rank)
+    assert len(charts) == rank
+    for j, (images, euler) in enumerate(charts):
+        complement = a[:j] + a[j + 1:]
+        assert images[index("x")] == -a[j] and images[index("y")] == a[j]
+        for i in range(1, rank):
+            assert images[index(f"q{i}")] == e(i, complement)
+        for i in range(1, rank + 1):
+            assert images[index(f"c{i}")] == e(i, a)
+            assert images[index(f"u{i}")] == a[i - 1]
+        assert euler == math.prod(ai - a[j] for ai in complement)
+        assert len(images) == len(bundle_ring(rank).names)
+
+
+def test_sample_point_is_distinct_in_range_and_repeatable():
+    # the Schwartz-Zippel bound of fixed_point_sample needs r distinct
+    # coordinates in S = {1, ..., 2^40 - 1}, the same point at every call
+    points = {rank: localization._sample_point(rank)[0] for rank in range(1, 33)}
+    localization._sample_point.cache_clear()
+    for rank, point in points.items():
+        assert len(point) == len(set(point)) == rank
+        assert all(type(a) is int and 1 <= a <= 2**40 - 1 for a in point)
+        assert localization._sample_point(rank)[0] == point
+
+
+def test_fixed_point_sample_refuses_another_ranks_ring():
+    # like localize and pushforward, the check raises for a class or an answer
+    # from another rank's working ring instead of answering for it
+    y3, y4 = bundle_ring(3).var("y"), bundle_ring(4).var("y")
+    answer3 = gysin.pushforward(ClassExpr(y3.pow(4)), 3).chern_form
+    answer4 = gysin.pushforward(ClassExpr(y4.pow(4)), 4).chern_form
+    assert localization.fixed_point_sample(y3.pow(4), 3, answer3)
+    for phi, rank, answer in [(y4.pow(4), 3, answer3), (y3.pow(4), 4, answer4),
+                              (y4.pow(4), 4, answer3), (y3.pow(4), 3, answer4)]:
+        with pytest.raises(ArityError):
+            localization.fixed_point_sample(phi, rank, answer)
+
+
 def test_chart_maps_are_read_only():
     # the charts are cached per rank: a caller's write must not reach them
     with pytest.raises(TypeError):
         fixed_point_charts(3)[0].restriction["y"] = bundle_ring(3).var("u2")
-    # localize reads no chart; the reference and the relation check do
+    # localize reads no chart; the reference and the relation check do, and
+    # fixed_point_sample reads the same builder's table at an integer point
     y = bundle_ring(3).var("y")
     assert localize_divided_differences(y * y, 3) == 1
     assert relation_check(3)
