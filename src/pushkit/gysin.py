@@ -131,6 +131,11 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
 
     This realizes the classical description of the pushforward: x^(r-1) maps
     to 1, lower powers to 0, extended linearly over Chern-class coefficients.
+    The division runs on packed keys (Monagan and Pearce, CASC 2007): each
+    monomial in c1..cr is one int, a field of deg(payload).bit_length() bits
+    per exponent, so multiplying by c_i adds one int.  The relation is
+    homogeneous, so no exponent exceeds that degree and no field carries.
+    Nothing is pushed below x^(r-1), and only that bucket is unpacked.
     """
     table = payload.table
     support = set(payload.variables())
@@ -140,16 +145,19 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
         raise UnsupportedVariableError(
             f"presentation oracle accepts only x and c1..c{rank}; got {sorted(extra)}"
         )
-    x_idx = table.index("x")
-    chern_mons = [Monomial(((table.index(f"c{i}"), 1),)) for i in range(1, rank + 1)]
-
-    buckets = _split(payload, x_idx)
+    first, width = table.index("c1"), payload.degree().bit_length()
+    steps = [1 << (width * i) for i in range(rank)]  # the keys of c1..cr
+    buckets = {k: {sum(e * steps[i - first] for i, e in mon): c for mon, c in terms.items()}
+               for k, terms in _split(payload, table.index("x")).items()}
     for k in range(max(buckets, default=0), rank - 1, -1):
         head = buckets.pop(k, {})
-        for i, c_mon in enumerate(chern_mons, 1):
+        for i, step in enumerate(steps[: k - rank + 1], 1):
             target = buckets.setdefault(k - i, {})
-            _accumulate(target, ((mon * c_mon, c) for mon, c in head.items()), sign=-1)
-    return Polynomial._raw(table, buckets.get(rank - 1, {}))
+            _accumulate(target, ((key + step, c) for key, c in head.items()), sign=-1)
+    mask, fields = (1 << width) - 1, [(first + i, width * i) for i in range(rank)]
+    terms = {Monomial._raw((i, e) for i, shift in fields if (e := (key >> shift) & mask)): c
+             for key, c in buckets.get(rank - 1, {}).items()}
+    return Polynomial._raw(table, terms)
 
 
 def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:

@@ -155,28 +155,42 @@ class LocalizationResult:
     valid_through: int | None
 
 
-def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
-    """The fixed-point sum in c1..cr by the closed form.
-
-    With x = -y and each q_i eliminated by the Whitney relation
-    q_i = sum_(m <= i) (-y)^m c_(i-m), the class is sum_k a_k y^k with each
-    a_k in c1..cr and any roots u_i, which are constants in y.  At the fixed
-    points, sum_j u_j^k / prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u)
-    (Lagrange interpolation), so f_*(y^k) = (-1)^k s_(k-r+1), s = 1/c(V) the
-    Segre series (Fulton, *Intersection Theory*, Prop. 3.1(a)).
-    """
-    table = payload.table
-    y = table.var("y")
-    chern = [table.one()] + [table.var(f"c{i}") for i in range(1, rank + 1)]
+@lru_cache(maxsize=_CACHED_RANKS)
+def _whitney(rank: int) -> Mapping[str, Polynomial]:
+    """x -> -y and q_i -> sum_(m <= i) (-y)^m c_(i-m), from the Whitney relation
+    (1 + y)(1 + q1 + ... + q(r-1)) = c(V); read-only, as it is cached."""
+    table = bundle_ring(rank)
+    y, chern = table.var("y"), [table.one()] + [table.var(f"c{i}") for i in range(1, rank)]
     images = {"x": -y}
     for i in range(1, rank):
         images[f"q{i}"] = sum(((-y).pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
-    buckets = _split(payload.substitute(images), table.index("y"))
+    return MappingProxyType(images)
 
-    segre = [table.one()]  # s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)
-    for m in range(1, max(buckets, default=0) - rank + 2):
-        lower = (chern[i] * segre[m - i] for i in range(1, min(m, rank) + 1))
+
+@lru_cache(maxsize=_CACHED_RANKS)
+def _segre(rank: int, top: int) -> tuple[Polynomial, ...]:
+    """The Segre series s_0..s_top of 1/c(V): s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)."""
+    table = bundle_ring(rank)
+    chern, segre = [table.var(f"c{i}") for i in range(1, rank + 1)], [table.one()]
+    for m in range(1, top + 1):
+        lower = (chern[i - 1] * segre[m - i] for i in range(1, min(m, rank) + 1))
         segre.append(-sum(lower, table.zero()))
+    return tuple(segre)
+
+
+def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
+    """The fixed-point sum in c1..cr by the closed form.
+
+    With x = -y and each q_i eliminated in one ``substitute`` call by the
+    cached ``_whitney`` map, the class is sum_k a_k y^k with each a_k in
+    c1..cr and any roots u_i, which are constants in y.  At the fixed
+    points, sum_j u_j^k / prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u)
+    (Lagrange interpolation), so f_*(y^k) = (-1)^k s_(k-r+1), s = 1/c(V) the
+    cached ``_segre`` series (Fulton, *Intersection Theory*, Prop. 3.1(a)).
+    """
+    table = payload.table
+    buckets = _split(payload.substitute(_whitney(rank)), table.index("y"))
+    segre = _segre(rank, max(max(buckets, default=0) - rank + 1, 0))
     value = table.zero()
     for k, terms in buckets.items():
         if k >= rank - 1:
@@ -276,7 +290,8 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979).  The point is fixed
     per rank, so the bound holds over that seeded choice, not against an
     input built to vanish there.  ``phi`` and ``chern_form`` must live in
-    ``bundle_ring(rank)``; ``ArityError`` otherwise.
+    ``bundle_ring(rank)``; ``ArityError`` otherwise.  Any generator of
+    ``chern_form`` but c1..cr, a root u_i included, makes it return False.
     """
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
@@ -284,7 +299,8 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
 
     expected: dict[int, object] = {}
-    for (degree, rest), value in _by_degree(chern_form, shared).items():
+    chern = {i: value for i, value in shared.items() if phi.table.names[i][0] == "c"}
+    for (degree, rest), value in _by_degree(chern_form, chern).items():
         if rest:
             return False  # a pushforward lives in c1..cr
         expected[degree + rank - 1] = value

@@ -212,10 +212,30 @@ def test_presentation_oracle_first_reduction():
 
 def test_presentation_oracle_rejects_other_variables():
     table = bundle_ring(3)
-    with pytest.raises(UnsupportedVariableError):
-        presentation_oracle(ClassExpr(table.var("y")), 3)
-    with pytest.raises(UnsupportedVariableError):
-        presentation_oracle(ClassExpr(table.var("q1")), 3)
+    for phi, got in ((table.var("y"), "['y']"), (table.var("q1") * table.var("u1"), "['q1', 'u1']")):
+        with pytest.raises(UnsupportedVariableError) as caught:
+            presentation_oracle(ClassExpr(phi), 3)
+        assert str(caught.value) == f"presentation oracle accepts only x and c1..c3; got {got}"
+
+
+def _segre_part(rank: int, degree: int) -> Polynomial:
+    """s_degree of 1/c(V) by series inversion alone; 0 below degree 0."""
+    if degree < 0:
+        return bundle_ring(rank).zero()
+    return segre_oracle(rank, degree).homogeneous_component(degree)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_presentation_oracle_at_packed_field_boundaries(rank):
+    # The oracle packs each c_i exponent into a field of deg(payload).bit_length()
+    # bits; exponents of 2^j - 1, 2^j and 2^j + 1 sit at the edges of a field.
+    table = bundle_ring(rank)
+    x, c1 = table.var("x"), table.var("c1")
+    for j in range(1, 6):
+        for k in (2**j - 1, 2**j, 2**j + 1):
+            assert presentation_oracle(ClassExpr(x.pow(k)), rank) == _segre_part(rank, k - rank + 1)
+        top = c1.pow(2**j)
+        assert presentation_oracle(ClassExpr(top * x.pow(rank - 1)), rank) == top
 
 
 # -- classical verification reports ---------------------------------------------------

@@ -20,13 +20,17 @@ from pushkit import (
     UnsupportedVariableError,
     bundle_ring,
     complete_homogeneous,
+    elaborate,
     elementary_symmetric,
     fixed_point_charts,
     is_symmetric,
     localize,
+    parse_expression,
+    pushforward,
     reduce_to_elementary,
     relation_check,
     root_generators,
+    segre_oracle,
     series_inverse,
 )
 from pushkit import gysin, localization, polyring
@@ -154,6 +158,20 @@ def test_fixed_point_sample_refuses_another_ranks_ring():
             localization.fixed_point_sample(phi, rank, answer)
 
 
+def test_fixed_point_sample_refuses_an_answer_in_the_roots():
+    # the answer is evaluated at the c_i values only: the right answer read in
+    # the roots, -h_2(u) for y^3 at rank 2, is refused, and so is c2 written
+    # as u1 u2 in one term, though both agree with c_i = e_i(u) at the point
+    table = bundle_ring(2)
+    y, c1, c2, u1, u2 = (table.var(n) for n in ("y", "c1", "c2", "u1", "u2"))
+    answer = c2 - c1 * c1
+    in_roots = localize(y.pow(3), 2).value
+    assert in_roots == -(u1 * u1 + u1 * u2 + u2 * u2)
+    assert localization.fixed_point_sample(y.pow(3), 2, answer)
+    assert not localization.fixed_point_sample(y.pow(3), 2, in_roots)
+    assert not localization.fixed_point_sample(y.pow(3), 2, answer - c2 + u1 * u2)
+
+
 def test_chart_maps_are_read_only():
     # the charts are cached per rank: a caller's write must not reach them
     with pytest.raises(TypeError):
@@ -170,7 +188,7 @@ def test_per_rank_caches_are_bounded():
     bound = localization._CACHED_RANKS
     assert bound >= 20
     for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES),
-                  localization._sample_point):
+                  localization._sample_point, localization._whitney, localization._segre):
         assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
@@ -178,6 +196,31 @@ def test_per_rank_caches_are_bounded():
     assert bundle_ring.cache_info().currsize == bound
     # rank 1 was evicted; the rebuilt table is a new object equal to the old
     assert bundle_ring(1) is not first and bundle_ring(1) == first
+
+
+def test_closed_form_caches_are_read_only_and_unchanged_by_use():
+    # _closed_form reads the cached Whitney map and Segre series: neither a
+    # caller's write nor an in-place sum into a cached value may reach them
+    rank, cutoff = 4, 15
+    with pytest.raises(TypeError):
+        localization._whitney(rank)["x"] = bundle_ring(rank).var("y")
+    whitney, segre = localization._whitney(rank), localization._segre(rank, cutoff - rank + 1)
+    for text in ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15"):
+        pushforward(elaborate(parse_expression(text, rank), rank, cutoff), rank)
+    assert localization._whitney(rank) is whitney
+    assert localization._segre(rank, cutoff - rank + 1) is segre
+    assert whitney == localization._whitney.__wrapped__(rank)
+    assert segre == localization._segre.__wrapped__(rank, cutoff - rank + 1)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_cached_segre_series_is_the_inverse_total_chern_class(rank):
+    # the recursion s_m = -sum c_i s_(m-i) against series inversion
+    top = 10
+    segre, inverse = localization._segre(rank, top), segre_oracle(rank, top)
+    assert len(segre) == top + 1
+    for m, s_m in enumerate(segre):
+        assert s_m == inverse.homogeneous_component(m)
 
 
 def test_rank_one_chart_is_trivial():
