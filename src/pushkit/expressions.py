@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Union
 
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError, UsageError
-from .gysin import ClassExpr, _rename_fiber_variable
+from .gysin import ClassExpr
 from .localization import bundle_ring
 from .polyring import Polynomial, series_inverse
 
@@ -325,6 +325,6 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
         raise TypeError(f"unknown node {node!r}")
 
     value = ev(ast)
-    if "y" in value.variables():
-        value = _rename_fiber_variable(value, "x", "y")
+    if {"x", "y"} <= set(value.variables()):
+        value = value.substitute({"x": -table.var("y")})
     return ClassExpr(payload=value, cutoff=cutoff)

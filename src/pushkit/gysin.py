@@ -8,8 +8,9 @@ point fixed per rank (``localization.fixed_point_sample``), checks it.
 Two classical facts serve as oracles: the inverse total Chern class is the
 pushforward of the geometric series in x (the Segre series), and the ring
 presentation with the single relation x^r + c1 x^(r-1) + ... + cr determines
-the pushforward of every power of x.  ``localization._valid_through`` holds
-the cutoff rule and the argument guards all of these evaluators share.
+the pushforward of every power of x, and of y = -x by y^k = (-1)^k x^k.
+``localization._valid_through`` holds the cutoff rule and the argument
+guards all of these evaluators share.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ class PushforwardResult:
         return expand_elementary(self.chern_form)
 
 
-def _rename_fiber_variable(payload: Polynomial, old: str, new: str) -> Polynomial:
-    """Substitute old -> -new, leaving every other generator fixed."""
-    if old not in payload.variables():
-        return payload
-    return payload.substitute({old: -payload.table.var(new)})
-
-
 def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     """Push a fiber class forward to the base, in Chern-class form.
 
@@ -108,8 +102,7 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     checks = {"fixed_point_sample": "pass" if sample else "fail"}
 
     if not {f"q{i}" for i in range(1, rank)} & set(expr.payload.variables()):
-        x_payload = _rename_fiber_variable(expr.payload, "y", "x")
-        oracle = presentation_oracle(ClassExpr(x_payload, expr.cutoff), rank)
+        oracle = presentation_oracle(expr, rank)
         checks["presentation_oracle"] = "pass" if oracle == chern_form else "fail"
 
     return PushforwardResult(chern_form=chern_form, valid_through=valid_through, checks=checks)
@@ -125,30 +118,36 @@ def segre_oracle(rank: int, cutoff: int) -> Polynomial:
     return series_inverse(total, cutoff)
 
 
-def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
-    """Reduce a polynomial in x and c1..cr modulo
-    x^r + c1 x^(r-1) + ... + cr, then return the coefficient of x^(r-1).
+def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
+    """Independent pushforward of a class in x or y and c1..cr via the ring
+    presentation: reduce modulo x^r + c1 x^(r-1) + ... + cr, then return the
+    coefficient of x^(r-1).  A class in y is read in x by y^k = (-1)^k x^k.
 
     This realizes the classical description of the pushforward: x^(r-1) maps
     to 1, lower powers to 0, extended linearly over Chern-class coefficients.
-    The division runs on packed keys (Monagan and Pearce, CASC 2007): each
-    monomial in c1..cr is one int, a field of deg(payload).bit_length() bits
-    per exponent, so multiplying by c_i adds one int.  The relation is
-    homogeneous, so no exponent exceeds that degree and no field carries.
-    Nothing is pushed below x^(r-1), and only that bucket is unpacked.
+    The arguments pass ``_valid_through`` as in ``pushforward``; the reduction
+    lowers degree by exactly r - 1, so the value stops at the ``valid_through``
+    bound when the class has a cutoff.  The division runs on packed keys
+    (Monagan and Pearce, CASC 2007): each monomial in c1..cr is one int, a
+    field of deg(payload).bit_length() bits per exponent, so multiplying by
+    c_i adds one int.  The relation is homogeneous, so no exponent exceeds
+    that degree and no field carries.  Nothing is pushed below x^(r-1), and
+    only that bucket is unpacked.
     """
-    table = payload.table
-    support = set(payload.variables())
-    allowed = {"x"} | {f"c{i}" for i in range(1, rank + 1)}
-    extra = support - allowed
+    payload = expr.payload
+    _valid_through(payload, rank, expr.cutoff)
+    table, support = payload.table, set(payload.variables())
+    fiber = "y" if "y" in support else "x"
+    extra = support - {fiber} - {f"c{i}" for i in range(1, rank + 1)}
     if extra:
         raise UnsupportedVariableError(
-            f"presentation oracle accepts only x and c1..c{rank}; got {sorted(extra)}"
+            f"presentation oracle accepts only x or y and c1..c{rank}; got {sorted(extra)}"
         )
-    first, width = table.index("c1"), payload.degree().bit_length()
+    first, width, flip = table.index("c1"), payload.degree().bit_length(), fiber == "y"
     steps = [1 << (width * i) for i in range(rank)]  # the keys of c1..cr
-    buckets = {k: {sum(e * steps[i - first] for i, e in mon): c for mon, c in terms.items()}
-               for k, terms in _split(payload, table.index("x")).items()}
+    buckets = {k: {sum(e * steps[i - first] for i, e in mon): -c if flip and k % 2 else c
+                   for mon, c in terms.items()}
+               for k, terms in _split(payload, table.index(fiber)).items()}
     for k in range(max(buckets, default=0), rank - 1, -1):
         head = buckets.pop(k, {})
         for i, step in enumerate(steps[: k - rank + 1], 1):
@@ -158,15 +157,6 @@ def _presentation_reduce(payload: Polynomial, rank: int) -> Polynomial:
     terms = {Monomial._raw((i, e) for i, shift in fields if (e := (key >> shift) & mask)): c
              for key, c in buckets.get(rank - 1, {}).items()}
     return Polynomial._raw(table, terms)
-
-
-def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
-    """Independent pushforward of a class in x and c1..cr via the ring
-    presentation.  The arguments pass ``_valid_through`` as in ``pushforward``;
-    the reduction lowers degree by exactly r - 1, so the value stops at the
-    ``valid_through`` bound when the class has a cutoff."""
-    _valid_through(expr.payload, rank, expr.cutoff)
-    return _presentation_reduce(expr.payload, rank)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-_CACHED_RANKS = 32  # ranks each per-rank cache keeps; the test suite uses 1..20
+_CACHED_RANKS = 32  # keys each cache keeps: ranks, (rank, top) pairs for _segre; tests use ranks 1..20
 
 
 @lru_cache(maxsize=_CACHED_RANKS)

@@ -108,7 +108,9 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
     # sample evaluates the class term by term and substitutes nothing.
     # A substitution that re-enters the public method would inflate the
     # count and make traces of different revisions incomparable.
-    cls = elaborate(parse_expression("(q1 q2 y^3) inv(1 + y)", 4), 4, 14)
+    # A class in y without q_i is read by the presentation oracle as it is.
+    inputs = [("(q1 q2 y^3) inv(1 + y)", 4, 14), ("inv(1 + c1 y)", 3, 8), ("y^5 - c2 y^3", 4, 7)]
+    classes = [(elaborate(parse_expression(text, rank), rank, cutoff), rank) for text, rank, cutoff in inputs]
     calls = []
     original = Polynomial.substitute
 
@@ -117,8 +119,10 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
         return original(self, images)
 
     monkeypatch.setattr(Polynomial, "substitute", counting)
-    pushforward(cls, 4)
-    assert len(calls) == 1
+    for cls, rank in classes:
+        calls.clear()
+        pushforward(cls, rank)
+        assert len(calls) == 1
 
 
 def test_pushforward_runs_no_symmetry_guard(monkeypatch):
@@ -212,10 +216,29 @@ def test_presentation_oracle_first_reduction():
 
 def test_presentation_oracle_rejects_other_variables():
     table = bundle_ring(3)
-    for phi, got in ((table.var("y"), "['y']"), (table.var("q1") * table.var("u1"), "['q1', 'u1']")):
+    x, y, q1 = table.var("x"), table.var("y"), table.var("q1")
+    for k in range(1, 5):  # a class in y is read as the same class in -x
+        assert presentation_oracle(ClassExpr(y.pow(k)), 3) == presentation_oracle(ClassExpr((-x).pow(k)), 3)
+    for phi, got in ((q1 * table.var("u1"), "['q1', 'u1']"), (q1 * y.pow(2), "['q1']")):
         with pytest.raises(UnsupportedVariableError) as caught:
             presentation_oracle(ClassExpr(phi), 3)
-        assert str(caught.value) == f"presentation oracle accepts only x and c1..c3; got {got}"
+        assert str(caught.value) == f"presentation oracle accepts only x or y and c1..c3; got {got}"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_presentation_oracle_reads_y_classes_as_minus_x(rank):
+    # Odd and even powers of y, with c_i coefficients, and a series in y: the
+    # oracle's sign fold y^k = (-1)^k x^k must match both the closed form and
+    # the oracle's own value on the class rewritten in x.
+    table = bundle_ring(rank)
+    x, y, c1, top = table.var("x"), table.var("y"), table.var("c1"), table.var(f"c{rank}")
+    classes = [ClassExpr(y.pow(k)) for k in range(rank - 1, rank + 4)]
+    classes.append(ClassExpr(top * y.pow(rank) - 3 * c1 * y.pow(rank + 1) + y.pow(rank - 1)))
+    classes.append(elaborate(parse_expression("inv(1 + c1 y)", rank), rank, rank + 4))
+    for expr in classes:
+        assert pushforward(expr, rank).checks["presentation_oracle"] == "pass"
+        in_x = ClassExpr(expr.payload.substitute({"y": -x}), expr.cutoff)
+        assert presentation_oracle(expr, rank) == presentation_oracle(in_x, rank)
 
 
 def _segre_part(rank: int, degree: int) -> Polynomial:
