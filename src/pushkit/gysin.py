@@ -21,7 +21,7 @@ from typing import Mapping
 from .errors import UnsupportedVariableError
 from .localization import _closed_form, _refuse_roots, _valid_through, bundle_ring
 from .localization import fixed_point_sample, localize, relation_check
-from .polyring import Monomial, Polynomial, _accumulate, _split, series_inverse
+from .polyring import Polynomial, _accumulate, _pack, _split, _unpack, series_inverse
 from .symfun import expand_elementary, root_generators
 
 __all__ = [
@@ -127,12 +127,11 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
     to 1, lower powers to 0, extended linearly over Chern-class coefficients.
     The arguments pass ``_valid_through`` as in ``pushforward``; the reduction
     lowers degree by exactly r - 1, so the value stops at the ``valid_through``
-    bound when the class has a cutoff.  The division runs on packed keys
-    (Monagan and Pearce, CASC 2007): each monomial in c1..cr is one int, a
-    field of deg(payload).bit_length() bits per exponent, so multiplying by
-    c_i adds one int.  The relation is homogeneous, so no exponent exceeds
-    that degree and no field carries.  Nothing is pushed below x^(r-1), and
-    only that bucket is unpacked.
+    bound when the class has a cutoff.  The long division shares only the
+    ``_pack`` keys with ``_closed_form``, which sums Segre products instead:
+    a field of deg(payload).bit_length() bits per c_i, so multiplying by c_i
+    adds one int, and the relation is homogeneous, so no field carries.
+    Nothing is pushed below x^(r-1), and only that bucket is unpacked.
     """
     payload = expr.payload
     _valid_through(payload, rank, expr.cutoff)
@@ -145,18 +144,14 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
         )
     first, width, flip = table.index("c1"), payload.degree().bit_length(), fiber == "y"
     steps = [1 << (width * i) for i in range(rank)]  # the keys of c1..cr
-    buckets = {k: {sum(e * steps[i - first] for i, e in mon): -c if flip and k % 2 else c
-                   for mon, c in terms.items()}
+    buckets = {k: _pack(terms, first, width, flip and k % 2)
                for k, terms in _split(payload, table.index(fiber)).items()}
     for k in range(max(buckets, default=0), rank - 1, -1):
         head = buckets.pop(k, {})
         for i, step in enumerate(steps[: k - rank + 1], 1):
             target = buckets.setdefault(k - i, {})
             _accumulate(target, ((key + step, c) for key, c in head.items()), sign=-1)
-    mask, fields = (1 << width) - 1, [(first + i, width * i) for i in range(rank)]
-    terms = {Monomial._raw((i, e) for i, shift in fields if (e := (key >> shift) & mask)): c
-             for key, c in buckets.get(rank - 1, {}).items()}
-    return Polynomial._raw(table, terms)
+    return _unpack(table, buckets.get(rank - 1, {}), first, width)
 
 
 @dataclass(frozen=True)

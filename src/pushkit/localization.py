@@ -23,12 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ArityError, SymmetryError, UnsupportedVariableError
-from .polyring import Polynomial, VariableTable, _split
+from .polyring import Polynomial, VariableTable, _as_coeff, _integral, _pack, _split, _unpack
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 
-_CACHED_RANKS = 32  # keys each cache keeps: ranks, (rank, top) pairs for _segre; tests use ranks 1..20
+_CACHED_RANKS = 32  # ranks each per-rank cache keeps; tests use ranks 1..20
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
@@ -167,36 +168,52 @@ def _whitney(rank: int) -> Mapping[str, Polynomial]:
     return MappingProxyType(images)
 
 
-@lru_cache(maxsize=_CACHED_RANKS)
-def _segre(rank: int, top: int) -> tuple[Polynomial, ...]:
-    """The Segre series s_0..s_top of 1/c(V): s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)."""
-    table = bundle_ring(rank)
-    chern, segre = [table.var(f"c{i}") for i in range(1, rank + 1)], [table.one()]
-    for m in range(1, top + 1):
-        lower = (chern[i - 1] * segre[m - i] for i in range(1, min(m, rank) + 1))
-        segre.append(-sum(lower, table.zero()))
-    return tuple(segre)
+def _packed_segre(rank: int, top: int, width: int) -> list[dict[int, int]]:
+    """The Segre series s_0..s_top of 1/c(V) on ``_pack`` keys from c1 on,
+    ``width`` bits a field: s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)."""
+    steps, segre = [1 << width * i for i in range(rank)], [{0: 1}]
+    for _ in range(top):
+        s: dict[int, int] = {}
+        for step, lower in zip(steps, reversed(segre[-rank:])):  # c_i s_(m-i), i = 1, 2, ...
+            for key, c in lower.items():
+                key += step
+                s[key] = s.get(key, 0) - c
+        segre.append(s)
+    return segre
 
 
 def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     """The fixed-point sum in c1..cr by the closed form.
 
-    With x = -y and each q_i eliminated in one ``substitute`` call by the
-    cached ``_whitney`` map, the class is sum_k a_k y^k with each a_k in
-    c1..cr and any roots u_i, which are constants in y.  At the fixed
-    points, sum_j u_j^k / prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u)
-    (Lagrange interpolation), so f_*(y^k) = (-1)^k s_(k-r+1), s = 1/c(V) the
-    cached ``_segre`` series (Fulton, *Intersection Theory*, Prop. 3.1(a)).
+    At the fixed points, sum_j u_j^k / prod_(i != j) (u_i - u_j) =
+    (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so f_*(y^k) =
+    (-1)^k s_(k-r+1) and f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
+    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  A class with some q_i,
+    or with both x and y, is first written in y by the cached ``_whitney``
+    map.  The class is then sum_k a_k z^k, z = x or y, with the a_k in
+    c1..cr and any roots.  The sum of the a_k s_(k-r+1) runs in integers on
+    ``_pack`` keys, times the class's common denominator, which is divided
+    out once; no exponent exceeds the class's degree, so no field carries.
     """
     table = payload.table
-    buckets = _split(payload.substitute(_whitney(rank)), table.index("y"))
-    segre = _segre(rank, max(max(buckets, default=0) - rank + 1, 0))
-    value = table.zero()
+    x, y, first = table.index("x"), table.index("y"), table.index("c1")
+    fiber = {i for mon in payload._terms for i, _ in mon if i < first}
+    if fiber - {x} and fiber - {y}:  # some q_i, or both x and y
+        payload, fiber = payload.substitute(_whitney(rank)), {y}
+    flip, width = y in fiber, payload.degree().bit_length()
+    integral, d = _integral(payload)
+    buckets = _split(integral, y if flip else x)
+    segre = _packed_segre(rank, max(max(buckets, default=0) - rank + 1, 0), width)
+    total: dict[int, int] = {}
     for k, terms in buckets.items():
         if k >= rank - 1:
-            part = Polynomial._raw(table, terms) * segre[k - rank + 1]
-            value = value - part if k % 2 else value + part
-    return value
+            series = segre[k - rank + 1].items()
+            for a, ca in _pack(terms, first, width, flip and k % 2).items():
+                for b, cb in series:
+                    total[a + b] = total.get(a + b, 0) + ca * cb
+    if d != 1:
+        total = {key: _as_coeff(Fraction(c, d)) for key, c in total.items()}
+    return _unpack(table, total, first, width)
 
 
 def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:
@@ -280,8 +297,8 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     sum to 0.  Both sides are scaled by the Vandermonde
     V = prod_(i < k) (a_i - a_k), so chart j contributes its numbers times the
     exact integer V / prod_(i != j) (a_i - a_j) and nothing is divided.
-    Nothing is shared with ``_closed_form``: no Whitney relation and no Segre
-    series.
+    It shares only the denominator clearing (``_integral``, one integer
+    factor per side) with ``_closed_form``: no Whitney map, no Segre series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
     d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
@@ -295,6 +312,7 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     """
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
+    (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
     a, charts = _sample_point(rank)
     shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
 
@@ -316,9 +334,8 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
             numerators[degree] = numerators.get(degree, 0) + value
         for degree, n in numerators.items():
             sums[degree] = sums.get(degree, 0) + n * cofactor
-    return all(
-        sums.get(d, 0) == vandermonde * expected.get(d, 0) for d in set(sums) | set(expected)
-    )
+    return all(chern_scale * sums.get(d, 0) == scale * vandermonde * expected.get(d, 0)
+               for d in set(sums) | set(expected))
 
 
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:

@@ -14,6 +14,7 @@ functions of their inputs, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping
@@ -578,6 +579,36 @@ def _split(p: Polynomial, idx: int) -> dict[int, dict[Monomial, _Coeff]]:
         else:
             buckets.setdefault(0, {})[mon] = coeff
     return buckets
+
+
+def _integral(p: Polynomial) -> tuple[Polynomial, int]:
+    """(D p, D), D the least common denominator of the coefficients of ``p``,
+    so D p has ``int`` coefficients; (p, 1) when ``p`` has them already."""
+    d = math.lcm(*(c.denominator for c in p._terms.values() if c.__class__ is not int))
+    if d == 1:
+        return p, 1
+    terms = {m: c.numerator * (d // c.denominator) for m, c in p._terms.items()}
+    return Polynomial._raw(p.table, terms), d
+
+
+def _pack(terms: Mapping, first: int, width: int, negate: bool = False) -> dict[int, _Coeff]:
+    """Each monomial in generators ``first``, ``first + 1``, ... as one int, a
+    field of ``width`` bits per exponent (Monagan and Pearce, CASC 2007), so
+    a product of monomials is a sum of keys; coefficients negated if
+    ``negate``.  A caller keeps every exponent below 2^width: no carries."""
+    return {sum(e << width * (i - first) for i, e in mon): -c if negate else c
+            for mon, c in terms.items()}
+
+
+def _unpack(table: VariableTable, packed: Mapping[int, _Coeff], first: int, width: int) -> Polynomial:
+    """The polynomial over ``table`` whose terms ``_pack`` wrote as ``packed``,
+    with the same ``first`` and ``width``; zero coefficients are dropped."""
+    mask, fields = (1 << width) - 1, [(i, width * (i - first), {}) for i in range(first, len(table))]
+    # each (index, exponent) pair is made once and shared by the terms that hold it
+    terms = {Monomial._raw([row.get(e) or row.setdefault(e, (i, e))
+                            for i, shift, row in fields if (e := key >> shift & mask)]): c
+             for key, c in packed.items() if c}
+    return Polynomial._raw(table, terms)
 
 
 def _render_terms(

@@ -21,10 +21,13 @@ from pushkit import (
     parse_expression,
     presentation_oracle,
     pushforward,
+    root_generators,
     segre_oracle,
     series_inverse,
     verify_classical,
 )
+
+from pushkit import localization
 
 from helpers import literal_sum, localize_divided_differences, random_chern_poly, random_class
 from helpers import random_coeff, random_x_class
@@ -104,13 +107,16 @@ def test_class_expr_invariants():
 
 def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
     # The benchmark's polyring.substitute_calls counts calls of the public
-    # method: one for the closed form's Whitney substitution; the fixed-point
-    # sample evaluates the class term by term and substitutes nothing.
-    # A substitution that re-enters the public method would inflate the
-    # count and make traces of different revisions incomparable.
-    # A class in y without q_i is read by the presentation oracle as it is.
-    inputs = [("(q1 q2 y^3) inv(1 + y)", 4, 14), ("inv(1 + c1 y)", 3, 8), ("y^5 - c2 y^3", 4, 7)]
-    classes = [(elaborate(parse_expression(text, rank), rank, cutoff), rank) for text, rank, cutoff in inputs]
+    # method: one for the closed form's Whitney substitution of a q-class,
+    # none for a class in x or in y alone, which the closed form and the
+    # presentation oracle read as it is; the fixed-point sample evaluates
+    # the class term by term and substitutes nothing.  A substitution that
+    # re-enters the public method would inflate the count and make traces
+    # of different revisions incomparable.
+    inputs = [("(q1 q2 y^3) inv(1 + y)", 4, 14, 1), ("inv(1 + c1 y)", 3, 8, 0),
+              ("y^5 - c2 y^3", 4, 7, 0), ("inv(1-x)", 4, 9, 0)]
+    classes = [(elaborate(parse_expression(text, rank), rank, cutoff), rank, n)
+               for text, rank, cutoff, n in inputs]
     calls = []
     original = Polynomial.substitute
 
@@ -119,10 +125,10 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
         return original(self, images)
 
     monkeypatch.setattr(Polynomial, "substitute", counting)
-    for cls, rank in classes:
+    for cls, rank, n in classes:
         calls.clear()
         pushforward(cls, rank)
-        assert len(calls) == 1
+        assert len(calls) == n
 
 
 def test_pushforward_runs_no_symmetry_guard(monkeypatch):
@@ -259,6 +265,26 @@ def test_presentation_oracle_at_packed_field_boundaries(rank):
             assert presentation_oracle(ClassExpr(x.pow(k)), rank) == _segre_part(rank, k - rank + 1)
         top = c1.pow(2**j)
         assert presentation_oracle(ClassExpr(top * x.pow(rank - 1)), rank) == top
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_closed_form_at_packed_field_boundaries(rank):
+    # The closed form packs each exponent of c1..cr and u1..ur into a field of
+    # deg(class).bit_length() bits; exponents of 2^j - 1, 2^j and 2^j + 1 sit
+    # at the edges of a field.  localize passes the roots into the fields.
+    table = bundle_ring(rank)
+    x, y, c1 = table.var("x"), table.var("y"), table.var("c1")
+    for j in range(1, 6):
+        for k in (2**j - 1, 2**j, 2**j + 1):
+            part = _segre_part(rank, k - rank + 1)
+            assert localization._closed_form(x.pow(k), rank) == part
+            assert localization._closed_form(y.pow(k), rank) == (-part if k % 2 else part)
+            if j < 5:  # reading s_(k-r+1) in the roots costs seconds at k = 33
+                assert localize(x.pow(k), rank).value == expand_elementary(part)
+        top = c1.pow(2**j)
+        power_sum = sum((u.pow(2**j) for u in root_generators(table)), table.zero())
+        assert localization._closed_form(top * x.pow(rank - 1), rank) == top
+        assert localize(power_sum * x.pow(rank - 1), rank).value == power_sum
 
 
 # -- classical verification reports ---------------------------------------------------

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from pushkit import (
     ArityError,
     ClassExpr,
+    Polynomial,
     SymmetryError,
     UnsupportedVariableError,
     bundle_ring,
@@ -188,7 +190,7 @@ def test_per_rank_caches_are_bounded():
     bound = localization._CACHED_RANKS
     assert bound >= 20
     for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES),
-                  localization._sample_point, localization._whitney, localization._segre):
+                  localization._sample_point, localization._whitney):
         assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
@@ -199,28 +201,84 @@ def test_per_rank_caches_are_bounded():
 
 
 def test_closed_form_caches_are_read_only_and_unchanged_by_use():
-    # _closed_form reads the cached Whitney map and Segre series: neither a
-    # caller's write nor an in-place sum into a cached value may reach them
+    # _closed_form reads the cached Whitney map: neither a caller's write nor
+    # an in-place sum into a cached value may reach it
     rank, cutoff = 4, 15
     with pytest.raises(TypeError):
         localization._whitney(rank)["x"] = bundle_ring(rank).var("y")
-    whitney, segre = localization._whitney(rank), localization._segre(rank, cutoff - rank + 1)
+    whitney = localization._whitney(rank)
     for text in ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15"):
         pushforward(elaborate(parse_expression(text, rank), rank, cutoff), rank)
     assert localization._whitney(rank) is whitney
-    assert localization._segre(rank, cutoff - rank + 1) is segre
     assert whitney == localization._whitney.__wrapped__(rank)
-    assert segre == localization._segre.__wrapped__(rank, cutoff - rank + 1)
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_cached_segre_series_is_the_inverse_total_chern_class(rank):
-    # the recursion s_m = -sum c_i s_(m-i) against series inversion
-    top = 10
-    segre, inverse = localization._segre(rank, top), segre_oracle(rank, top)
+    # the recursion s_m = -sum c_i s_(m-i) on packed keys against series inversion
+    top, table = 10, bundle_ring(rank)
+    width, first = top.bit_length(), table.index("c1")
+    segre, inverse = localization._packed_segre(rank, top, width), segre_oracle(rank, top)
     assert len(segre) == top + 1
     for m, s_m in enumerate(segre):
-        assert s_m == inverse.homogeneous_component(m)
+        assert polyring._unpack(table, s_m, first, width) == inverse.homogeneous_component(m)
+
+
+_DENOMINATOR_CLASSES = [  # coprime denominators; the q-class has 1/4 coefficients
+    ("(1/3) x^5 + (2/7) c1 x^4", 5, 5, 21),
+    ("inv(1 + 4/3 y)", 3, 26, 3**26),
+    ("(1/4) q1 q2 y^6 + (1/4) c1 q3 y^5 - (3/4) q4 y^4", 5, 12, 4),
+]
+
+
+@pytest.mark.parametrize("text,rank,cutoff,denominator", _DENOMINATOR_CLASSES,
+                         ids=[case[0] for case in _DENOMINATOR_CLASSES])
+def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
+    # the closed form runs on the class times its least common denominator D
+    # and divides by D once; the fixed-point sample, which clears D on each
+    # side, refuses the answer shifted by 1/D in one coefficient of any degree
+    phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
+    assert polyring._integral(phi)[1] == denominator
+    assert localize(phi, rank, cutoff).value == literal_sum(phi, rank, cutoff)
+    answer = pushforward(ClassExpr(phi, cutoff), rank).chern_form
+    assert localization.fixed_point_sample(phi, rank, answer)
+    table = bundle_ring(rank)
+    for _, part in answer.graded_parts():
+        shift = Polynomial(table, {next(iter(part._terms)): Fraction(1, denominator)})
+        assert not localization.fixed_point_sample(phi, rank, answer + shift)
+
+
+def test_localize_reads_a_class_in_both_x_and_y_by_the_whitney_map():
+    # ClassExpr forbids x and y together, but localize takes any polynomial
+    # of the working ring: the closed form writes x as -y first
+    table = bundle_ring(3)
+    x, y, c1, u2 = (table.var(n) for n in ("x", "y", "c1", "u2"))
+    phi = x.pow(3) * y + 2 * c1 * x * y.pow(2) - y.pow(4) + x.pow(2) * y.pow(3)
+    phi = phi + Fraction(1, 3) * symmetrize(u2 * u2) * x * y
+    assert localize(phi, 3).value == literal_sum(phi, 3)
+
+
+def test_closed_form_multiplies_no_polynomials_without_q(monkeypatch):
+    # a class in x or in y alone, roots included, runs on packed keys only;
+    # only the Whitney substitution of a q-class multiplies polynomials
+    table = bundle_ring(4)
+    x, y, c2, u1, q1 = (table.var(n) for n in ("x", "y", "c2", "u1", "q1"))
+    calls = []
+    original = Polynomial._mul
+
+    def counting(self, other, cutoff):
+        calls.append(cutoff)
+        return original(self, other, cutoff)
+
+    phis = [series_inverse(1 - x, 12), series_inverse(1 + Fraction(4, 3) * y, 12),
+            c2 * y.pow(5) - Fraction(1, 7) * symmetrize(u1 * u1) * y.pow(3),
+            symmetrize(u1) * x.pow(4), table.one()]
+    monkeypatch.setattr(Polynomial, "_mul", counting)
+    for phi in phis:
+        localization._closed_form(phi, 4)
+    assert calls == []
+    localization._closed_form(q1 * y.pow(4), 4)
+    assert calls
 
 
 def test_rank_one_chart_is_trivial():

@@ -28,6 +28,8 @@ from pushkit import (
     series_inverse,
 )
 
+from pushkit import polyring
+
 from helpers import random_coeff, random_homogeneous, random_poly, substitute_by_powers
 
 
@@ -535,6 +537,31 @@ def test_no_operation_yields_a_float_or_an_integral_fraction(a, b, s, k):
         results.append(series_inverse(1 + a, k))
     for p in results:
         _assert_exact(p)
+
+
+def _prime_factors(n: int) -> set[int]:
+    out, f = set(), 2
+    while f * f <= n:
+        while n % f == 0:
+            out.add(f)
+            n //= f
+        f += 1
+    return out | ({n} if n > 1 else set())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_strategy(_T, _NAMES), _poly_strategy(_T, _NAMES), st.fractions(max_denominator=60))
+def test_integral_clears_the_least_common_denominator(a, b, s):
+    # _integral(p) = (D p, D) with int coefficients and D minimal: for no
+    # prime r dividing D is (D / r) p integral; an integral p comes back as is
+    p = a * s + b
+    scaled, d = polyring._integral(p)
+    assert scaled == p * d
+    assert all(type(c) is int for c in scaled._terms.values())
+    for r in _prime_factors(d):
+        assert any((Fraction(c) * (d // r)).denominator != 1 for c in p._terms.values())
+    if d == 1:
+        assert scaled is p
 
 
 def test_integral_fraction_constant_is_the_int_constant():
