@@ -289,7 +289,7 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     """Evaluate a syntax tree in the rank-r ring, truncated at ``cutoff``.
 
     inv(...) becomes a truncated series inverse.  If both x and y occur, x is
-    rewritten as -y so the result satisfies the one-fiber-variable invariant.
+    rewritten as -y, only so that the echoed input names one fiber variable.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")

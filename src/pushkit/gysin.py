@@ -8,7 +8,8 @@ point fixed per rank (``localization.fixed_point_sample``), checks it.
 Two classical facts serve as oracles: the inverse total Chern class is the
 pushforward of the geometric series in x (the Segre series), and the ring
 presentation with the single relation x^r + c1 x^(r-1) + ... + cr determines
-the pushforward of every power of x, and of y = -x by y^k = (-1)^k x^k.
+the pushforward of every power of x.  It and the closed form read a class
+as sum_k a_k x^k, y = -x (``localization._read_in_x``), and
 ``localization._valid_through`` holds the cutoff rule and the argument
 guards all of these evaluators share.
 """
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import UnsupportedVariableError
-from .localization import _closed_form, _refuse_roots, _valid_through, bundle_ring
+from .localization import _closed_form, _read_in_x, _refuse_roots, _valid_through, bundle_ring
 from .localization import fixed_point_sample, localize, relation_check
-from .polyring import Polynomial, _accumulate, _pack, _split, _unpack, series_inverse
+from .polyring import Polynomial, _accumulate, _unpack, series_inverse
 from .symfun import expand_elementary, root_generators
 
 __all__ = [
@@ -40,9 +41,9 @@ __all__ = [
 class ClassExpr:
     """A cohomology class of the projectivized bundle, already expanded.
 
-    ``payload`` is a polynomial in the rank-r working ring; ``cutoff`` is the
-    degree through which a series expansion is exact, or None for an exact
-    polynomial.  x and y never co-occur (the front end normalizes one away).
+    ``payload`` is a polynomial in the rank-r working ring, x and y together
+    included, since every evaluator reads y as -x; ``cutoff`` is the degree
+    through which a series expansion is exact, or None for an exact polynomial.
     """
 
     payload: Polynomial
@@ -54,9 +55,6 @@ class ClassExpr:
                 raise ValueError("cutoff must be a non-negative integer or None")
             if self.payload.degree() > self.cutoff:
                 raise ValueError("payload has terms above the declared cutoff")
-        support = set(self.payload.variables())
-        if "x" in support and "y" in support:
-            raise ValueError("payload may use x or y but not both")
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class PushforwardResult:
 
     ``checks`` records which verifications ran and their outcomes ("pass" or
     "fail"): ``fixed_point_sample`` always, ``presentation_oracle`` for a
-    class in x (or y) and c1..cr.  ``u_form`` is the same answer in the
+    class in x, y and c1..cr.  ``u_form`` is the same answer in the
     roots, ``expand_elementary(chern_form)``, built each time it is read.
     """
 
@@ -90,7 +88,7 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     |S| = 2^40 - 1, in its lowest wrong degree d, over that seeded choice of
     point (not against an input built to vanish there).  The answer is also
     cross-checked against the presentation oracle when the input involves
-    only x (or y) and the Chern generators.  Each outcome is recorded in
+    only x, y and the Chern generators.  Each outcome is recorded in
     ``checks`` as "pass" or "fail".  The payload is truncated at
     ``expr.cutoff`` and every evaluator lowers degree by exactly r - 1, so
     the results stop at ``valid_through``.
@@ -119,33 +117,30 @@ def segre_oracle(rank: int, cutoff: int) -> Polynomial:
 
 
 def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
-    """Independent pushforward of a class in x or y and c1..cr via the ring
-    presentation: reduce modulo x^r + c1 x^(r-1) + ... + cr, then return the
-    coefficient of x^(r-1).  A class in y is read in x by y^k = (-1)^k x^k.
+    """Pushforward of a class in x, y and c1..cr via the ring presentation:
+    read it as sum_k a_k x^k, y = -x (``_read_in_x``), reduce modulo
+    x^r + c1 x^(r-1) + ... + cr and return the coefficient of x^(r-1); a q_i
+    or a root u_i raises ``UnsupportedVariableError``.
 
     This realizes the classical description of the pushforward: x^(r-1) maps
     to 1, lower powers to 0, extended linearly over Chern-class coefficients.
     The arguments pass ``_valid_through`` as in ``pushforward``; the reduction
     lowers degree by exactly r - 1, so the value stops at the ``valid_through``
-    bound when the class has a cutoff.  The long division shares only the
-    ``_pack`` keys with ``_closed_form``, which sums Segre products instead:
-    a field of deg(payload).bit_length() bits per c_i, so multiplying by c_i
-    adds one int, and the relation is homogeneous, so no field carries.
-    Nothing is pushed below x^(r-1), and only that bucket is unpacked.
+    bound when the class has a cutoff.  It shares only that reading with
+    ``_closed_form``, which sums Segre products instead.  On its keys a
+    product by c_i adds one int and, the relation being homogeneous, never
+    carries; nothing is pushed below x^(r-1), and only that bucket is unpacked.
     """
     payload = expr.payload
     _valid_through(payload, rank, expr.cutoff)
-    table, support = payload.table, set(payload.variables())
-    fiber = "y" if "y" in support else "x"
-    extra = support - {fiber} - {f"c{i}" for i in range(1, rank + 1)}
+    extra = {name for name in payload.variables() if name[0] in "qu"}
     if extra:
         raise UnsupportedVariableError(
-            f"presentation oracle accepts only x or y and c1..c{rank}; got {sorted(extra)}"
+            f"presentation oracle accepts only x, y and c1..c{rank}; got {sorted(extra)}"
         )
-    first, width, flip = table.index("c1"), payload.degree().bit_length(), fiber == "y"
-    steps = [1 << (width * i) for i in range(rank)]  # the keys of c1..cr
-    buckets = {k: _pack(terms, first, width, flip and k % 2)
-               for k, terms in _split(payload, table.index(fiber)).items()}
+    table, width = payload.table, payload.degree().bit_length()
+    first, steps = table.index("c1"), [1 << (width * i) for i in range(rank)]  # the keys of c1..cr
+    buckets = _read_in_x(payload, width)
     for k in range(max(buckets, default=0), rank - 1, -1):
         head = buckets.pop(k, {})
         for i, step in enumerate(steps[: k - rank + 1], 1):

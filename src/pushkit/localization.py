@@ -9,11 +9,12 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 ``_fixed_points`` builds that data at any root values, for the charts.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
-over the Segre series (``_closed_form``); ``localize`` reads it in the roots
-by sending each c_i to e_i(u).  ``fixed_point_sample`` checks the closed
-form against the sum itself, from ``_fixed_points`` at one integer point.
-``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
-by the fiber dimension r - 1) and the argument guards the evaluators share.
+over the Segre series (``_closed_form``) on the class read as sum_k a_k x^k,
+y = -x (``_read_in_x``); ``localize`` reads it in the roots by sending each
+c_i to e_i(u).  ``fixed_point_sample`` checks the closed form against the
+sum itself, from ``_fixed_points`` at one integer point.  ``_valid_through``
+holds the one cutoff rule (every evaluator lowers degree by the fiber
+dimension r - 1) and the argument guards the evaluators share.
 The test suite's symbolic references in the roots live with the tests;
 they build on the charts and on ``_vandermonde`` and ``_cofactors``.
 """
@@ -29,7 +30,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ArityError, SymmetryError, UnsupportedVariableError
-from .polyring import Polynomial, VariableTable, _as_coeff, _integral, _pack, _split, _unpack
+from .polyring import Polynomial, VariableTable, _accumulate, _as_coeff, _integral, _unpack
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -158,18 +159,35 @@ class LocalizationResult:
 
 @lru_cache(maxsize=_CACHED_RANKS)
 def _whitney(rank: int) -> Mapping[str, Polynomial]:
-    """x -> -y and q_i -> sum_(m <= i) (-y)^m c_(i-m), from the Whitney relation
-    (1 + y)(1 + q1 + ... + q(r-1)) = c(V); read-only, as it is cached."""
+    """q_i -> sum_(m <= i) x^m c_(i-m), from the Whitney relation
+    (1 + y)(1 + q1 + ... + q(r-1)) = c(V) with y = -x; read-only, as it is cached."""
     table = bundle_ring(rank)
-    y, chern = table.var("y"), [table.one()] + [table.var(f"c{i}") for i in range(1, rank)]
-    images = {"x": -y}
-    for i in range(1, rank):
-        images[f"q{i}"] = sum(((-y).pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
-    return MappingProxyType(images)
+    x, chern = table.var("x"), [table.one()] + [table.var(f"c{i}") for i in range(1, rank)]
+    return MappingProxyType({f"q{i}": sum((x.pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
+                             for i in range(1, rank)})
+
+
+def _read_in_x(payload: Polynomial, width: int) -> dict[int, dict[int, object]]:
+    """``payload``, free of q_i, as sum_k a_k x^k with y = -x, in one pass:
+    a term c x^a y^b m adds (-1)^b c to a_(a+b) at the int key of m, its
+    monomial in c1.. and the roots, ``width`` bits a field (Monagan and
+    Pearce, CASC 2007).  Callers keep every exponent below 2^width."""
+    y, first = payload.table.index("y"), payload.table.index("c1")
+    pairs: dict[int, list] = {}
+    for mon, c in payload._terms.items():
+        k = key = 0
+        for i, e in mon:
+            if i >= first:
+                key += e << width * (i - first)
+            else:  # x^e, or y^e read as (-x)^e
+                k += e
+                c = -c if i == y and e & 1 else c
+        pairs.setdefault(k, []).append((key, c))
+    return {k: _accumulate({}, terms) for k, terms in pairs.items()}
 
 
 def _packed_segre(rank: int, top: int, width: int) -> list[dict[int, int]]:
-    """The Segre series s_0..s_top of 1/c(V) on ``_pack`` keys from c1 on,
+    """The Segre series s_0..s_top of 1/c(V) on ``_read_in_x`` keys,
     ``width`` bits a field: s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)."""
     steps, segre = [1 << width * i for i in range(rank)], [{0: 1}]
     for _ in range(top):
@@ -186,34 +204,29 @@ def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     """The fixed-point sum in c1..cr by the closed form.
 
     At the fixed points, sum_j u_j^k / prod_(i != j) (u_i - u_j) =
-    (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so f_*(y^k) =
-    (-1)^k s_(k-r+1) and f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
-    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  A class with some q_i,
-    or with both x and y, is first written in y by the cached ``_whitney``
-    map.  The class is then sum_k a_k z^k, z = x or y, with the a_k in
-    c1..cr and any roots.  The sum of the a_k s_(k-r+1) runs in integers on
-    ``_pack`` keys, times the class's common denominator, which is divided
-    out once; no exponent exceeds the class's degree, so no field carries.
+    (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so f_*(x^k) = s_(k-r+1),
+    s = 1/c(V) the Segre series (Fulton, *Intersection Theory*, Prop. 3.1(a)).
+    A q_i is first written in x by the cached ``_whitney`` map, and
+    ``_read_in_x`` reads the class as sum_k a_k x^k.  The sum of the
+    a_k s_(k-r+1) runs in integers on its keys, times the class's common
+    denominator, which is divided out once; no field carries.
     """
-    table = payload.table
-    x, y, first = table.index("x"), table.index("y"), table.index("c1")
-    fiber = {i for mon in payload._terms for i, _ in mon if i < first}
-    if fiber - {x} and fiber - {y}:  # some q_i, or both x and y
-        payload, fiber = payload.substitute(_whitney(rank)), {y}
-    flip, width = y in fiber, payload.degree().bit_length()
+    if any(name[0] == "q" for name in payload.variables()):
+        payload = payload.substitute(_whitney(rank))
+    first, width = payload.table.index("c1"), payload.degree().bit_length()
     integral, d = _integral(payload)
-    buckets = _split(integral, y if flip else x)
+    buckets = _read_in_x(integral, width)
     segre = _packed_segre(rank, max(max(buckets, default=0) - rank + 1, 0), width)
     total: dict[int, int] = {}
     for k, terms in buckets.items():
         if k >= rank - 1:
             series = segre[k - rank + 1].items()
-            for a, ca in _pack(terms, first, width, flip and k % 2).items():
+            for a, ca in terms.items():
                 for b, cb in series:
                     total[a + b] = total.get(a + b, 0) + ca * cb
     if d != 1:
         total = {key: _as_coeff(Fraction(c, d)) for key, c in total.items()}
-    return _unpack(table, total, first, width)
+    return _unpack(payload.table, total, first, width)
 
 
 def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:

@@ -591,18 +591,10 @@ def _integral(p: Polynomial) -> tuple[Polynomial, int]:
     return Polynomial._raw(p.table, terms), d
 
 
-def _pack(terms: Mapping, first: int, width: int, negate: bool = False) -> dict[int, _Coeff]:
-    """Each monomial in generators ``first``, ``first + 1``, ... as one int, a
-    field of ``width`` bits per exponent (Monagan and Pearce, CASC 2007), so
-    a product of monomials is a sum of keys; coefficients negated if
-    ``negate``.  A caller keeps every exponent below 2^width: no carries."""
-    return {sum(e << width * (i - first) for i, e in mon): -c if negate else c
-            for mon, c in terms.items()}
-
-
 def _unpack(table: VariableTable, packed: Mapping[int, _Coeff], first: int, width: int) -> Polynomial:
-    """The polynomial over ``table`` whose terms ``_pack`` wrote as ``packed``,
-    with the same ``first`` and ``width``; zero coefficients are dropped."""
+    """The polynomial over ``table`` whose monomials ``packed`` keys as ints,
+    a field of ``width`` bits per exponent of generator ``first``,
+    ``first + 1``, ...; zero coefficients are dropped."""
     mask, fields = (1 << width) - 1, [(i, width * (i - first), {}) for i in range(first, len(table))]
     # each (index, exponent) pair is made once and shared by the terms that hold it
     terms = {Monomial._raw([row.get(e) or row.setdefault(e, (i, e))

@@ -78,7 +78,8 @@ def random_fiber_poly(rng: random.Random, rank: int, max_terms: int = 4) -> Poly
 def random_class(rng: random.Random, rank: int, fiber: str = "y") -> Polynomial:
     """Random class in one fiber variable (x or y), the q_i and the c_i: one
     to three terms, each a small q/c polynomial times a power of the fiber
-    variable up to rank + 3."""
+    variable up to rank + 3.  The evaluators also take x and y together;
+    ``test_gysin`` draws such classes by a hypothesis strategy."""
     table = bundle_ring(rank)
     names = [f"q{i}" for i in range(1, rank)] + [f"c{i}" for i in range(1, rank + 1)]
     p = table.zero()

@@ -374,6 +374,33 @@ def test_expression_with_leading_minus_follows_double_dash(capsys):
     assert "chern_form = c1" in capsys.readouterr().out
 
 
+_CHECKS_LINE = "checks: fixed_point_sample=pass presentation_oracle=pass\n"
+_MIXED_INPUT_OUTPUT = [
+    (["push", "--rank", "2", "x y"],
+     "input = -y^2\nchern_form = c1\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = u1 + u2\n"),
+    (["push", "--rank", "2", "--format", "json", "x y"],
+     '{\n  "rank": 2,\n  "cutoff": 5,\n  "valid_through": 4,\n  "terms": [\n    {\n'
+     '      "coeff": "1/1",\n      "exps": {\n        "c1": 1\n      }\n    }\n  ],\n'
+     '  "checks": {\n    "fixed_point_sample": "pass",\n    "presentation_oracle": "pass"\n  }\n}\n'),
+    (["push", "--rank", "2", "--format", "tex", "x y"], "c_{1}\n"),
+    (["push", "--rank", "2", "x + y"],
+     "input = 0\nchern_form = 0\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = 0\n"),
+    (["localize", "--rank", "2", "x + y"], "input = 0\nu_form = 0\nvalid_through = 4\n"),
+    (["push", "--rank", "3", "--", "q1 x^3 - y^2 c1"],
+     "input = -y^3 q1 - y^2 c1\nchern_form = -c2 - c1\nvalid_through = 4\n"
+     "checks: fixed_point_sample=pass\nu_form = -u1 u2 - u1 u3 - u2 u3 - u1 - u2 - u3\n"),
+]
+
+
+@pytest.mark.parametrize("args,stdout", _MIXED_INPUT_OUTPUT,
+                         ids=[" ".join(args) for args, _ in _MIXED_INPUT_OUTPUT])
+def test_input_in_both_x_and_y_prints_pinned_bytes(capsys, args, stdout):
+    # elaboration renames x to -y, so the echoed input names one fiber
+    # variable; the evaluators would read the class the same without it
+    assert run(args) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_max_degree_below_fiber_dimension_exits_two(capsys):
     for command in (["push", "x^2"], ["localize", "y^2"], ["verify"]):
         assert run([command[0], "--rank", "5", "--max-degree", "2", *command[1:]]) == 2

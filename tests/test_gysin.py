@@ -98,9 +98,11 @@ def test_pushforward_rank_mismatch(evaluate):
 
 
 def test_class_expr_invariants():
+    # a class in both x and y is accepted, since every evaluator reads y as -x
     table = bundle_ring(3)
-    with pytest.raises(ValueError):
-        ClassExpr(table.var("x") + table.var("y"))
+    result = pushforward(ClassExpr(table.var("x") + table.var("y")), 3)
+    assert result.chern_form == table.zero()
+    assert dict(result.checks) == {"fixed_point_sample": "pass", "presentation_oracle": "pass"}
     with pytest.raises(ValueError):
         ClassExpr(table.var("c3"), 2)  # degree above cutoff
 
@@ -225,10 +227,11 @@ def test_presentation_oracle_rejects_other_variables():
     x, y, q1 = table.var("x"), table.var("y"), table.var("q1")
     for k in range(1, 5):  # a class in y is read as the same class in -x
         assert presentation_oracle(ClassExpr(y.pow(k)), 3) == presentation_oracle(ClassExpr((-x).pow(k)), 3)
+    assert presentation_oracle(ClassExpr(x * y), 3) == presentation_oracle(ClassExpr(-x.pow(2)), 3)
     for phi, got in ((q1 * table.var("u1"), "['q1', 'u1']"), (q1 * y.pow(2), "['q1']")):
         with pytest.raises(UnsupportedVariableError) as caught:
             presentation_oracle(ClassExpr(phi), 3)
-        assert str(caught.value) == f"presentation oracle accepts only x or y and c1..c3; got {got}"
+        assert str(caught.value) == f"presentation oracle accepts only x, y and c1..c3; got {got}"
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
@@ -285,6 +288,76 @@ def test_closed_form_at_packed_field_boundaries(rank):
         power_sum = sum((u.pow(2**j) for u in root_generators(table)), table.zero())
         assert localization._closed_form(top * x.pow(rank - 1), rank) == top
         assert localize(power_sum * x.pow(rank - 1), rank).value == power_sum
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_classes_in_both_x_and_y_at_packed_field_boundaries(rank):
+    # x^a y^b pushes forward as (-1)^b x^(a+b); with a + b = 2^j - 1, 2^j,
+    # 2^j + 1 and a factor c1^(2^j), or the power sum u_1^(2^j) + ... + u_r^(2^j)
+    # through localize, the answer's exponents sit at the edges of a field
+    table = bundle_ring(rank)
+    x, y, c1 = table.var("x"), table.var("y"), table.var("c1")
+    for j in range(1, 6):
+        top = c1.pow(2**j)
+        power_sum = sum((u.pow(2**j) for u in root_generators(table)), table.zero())
+        for n in (2**j - 1, 2**j, 2**j + 1):
+            part = _segre_part(rank, n - rank + 1)
+            for b in sorted({1, n // 2, n}):
+                fiber, sign = x.pow(n - b) * y.pow(b), (-1) ** b
+                assert localization._closed_form(top * fiber, rank) == sign * top * part
+                if j < 5:  # reading s_(n-r+1) in the roots costs seconds at n = 33
+                    value = localize(power_sum * fiber, rank).value
+                    assert value == sign * power_sum * expand_elementary(part)
+
+
+@st.composite
+def _classes_in_x_and_y(draw):
+    """(rank, class): one to three terms x^a y^b times q_i and c_i with
+    Fraction coefficients, and at times a multiple of x + y, which is 0."""
+    rank = draw(st.integers(min_value=1, max_value=5))
+    table = bundle_ring(rank)
+    x, y = table.var("x"), table.var("y")
+    names = [f"q{i}" for i in range(1, rank)] + [f"c{i}" for i in range(1, rank + 1)]
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+    def term():
+        value = draw(coeffs) * x.pow(draw(st.integers(0, rank + 1))) * y.pow(draw(st.integers(0, rank + 1)))
+        for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+            value = value * table.var(name)
+        return value
+
+    phi = sum((term() for _ in range(draw(st.integers(1, 3)))), table.zero())
+    if draw(st.booleans()):
+        phi = phi + term() * (x + y)
+    return rank, phi
+
+
+@settings(max_examples=30)
+@given(_classes_in_x_and_y())
+def test_classes_in_both_x_and_y_match_the_literal_sum(drawn):
+    # the closed form and the oracle read y as -x; the literal sum restricts
+    # x and y at every chart, and the q_i too, and divides by the Euler classes
+    rank, phi = drawn
+    result = pushforward(ClassExpr(phi), rank)
+    assert expand_elementary(result.chern_form) == literal_sum(phi, rank)
+    if any(name[0] == "q" for name in phi.variables()):
+        assert dict(result.checks) == {"fixed_point_sample": "pass"}
+    else:
+        assert dict(result.checks) == {"fixed_point_sample": "pass", "presentation_oracle": "pass"}
+        assert presentation_oracle(ClassExpr(phi), rank) == localization._closed_form(phi, rank)
+
+
+@settings(max_examples=20)
+@given(_classes_in_x_and_y(), st.integers(min_value=1, max_value=3))
+def test_localize_reads_classes_in_both_x_and_y_with_a_root_term(drawn, e):
+    # a power sum of the roots times x^a y^b: the closed form packs the roots
+    # into fields of the same keys as the c_i
+    rank, phi = drawn
+    table = bundle_ring(rank)
+    x, y = table.var("x"), table.var("y")
+    power_sum = sum((u.pow(e) for u in root_generators(table)), table.zero())
+    phi = phi + power_sum * x.pow(rank - 1) * y.pow(e)
+    assert localize(phi, rank).value == literal_sum(phi, rank)
 
 
 # -- classical verification reports ---------------------------------------------------

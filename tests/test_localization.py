@@ -205,7 +205,7 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
     # an in-place sum into a cached value may reach it
     rank, cutoff = 4, 15
     with pytest.raises(TypeError):
-        localization._whitney(rank)["x"] = bundle_ring(rank).var("y")
+        localization._whitney(rank)["q1"] = bundle_ring(rank).var("y")
     whitney = localization._whitney(rank)
     for text in ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15"):
         pushforward(elaborate(parse_expression(text, rank), rank, cutoff), rank)
@@ -248,9 +248,9 @@ def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
         assert not localization.fixed_point_sample(phi, rank, answer + shift)
 
 
-def test_localize_reads_a_class_in_both_x_and_y_by_the_whitney_map():
-    # ClassExpr forbids x and y together, but localize takes any polynomial
-    # of the working ring: the closed form writes x as -y first
+def test_localize_reads_a_class_in_both_x_and_y_with_y_as_minus_x():
+    # localize takes any polynomial of the working ring: the closed form
+    # reads each term x^a y^b as (-1)^b x^(a+b), with no Whitney map
     table = bundle_ring(3)
     x, y, c1, u2 = (table.var(n) for n in ("x", "y", "c1", "u2"))
     phi = x.pow(3) * y + 2 * c1 * x * y.pow(2) - y.pow(4) + x.pow(2) * y.pow(3)
