@@ -13,7 +13,9 @@ Grammar:
 Multiplication may be written by juxtaposition.  Division is not an
 operator: rational literals are written nat/nat, and series inversion is the
 explicit inv(...) form, which makes the truncation point visible.  Every
-parse failure carries the byte offset at which it occurred.
+parse failure carries the byte offset at which it occurred.  Elaboration
+writes a class in both x and y in y alone, x^a y^b as (-1)^a y^(a+b), in
+one pass over its terms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Union
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError, UsageError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import Polynomial, series_inverse
+from .polyring import Monomial, Polynomial, _accumulate, series_inverse
 
 __all__ = [
     "ExprAst",
@@ -289,7 +291,8 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     """Evaluate a syntax tree in the rank-r ring, truncated at ``cutoff``.
 
     inv(...) becomes a truncated series inverse.  If both x and y occur, x is
-    rewritten as -y, only so that the echoed input names one fiber variable.
+    rewritten as -y in one pass (``_x_as_minus_y``), only so that the echoed
+    input names one fiber variable.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
@@ -326,5 +329,26 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
 
     value = ev(ast)
     if {"x", "y"} <= set(value.variables()):
-        value = value.substitute({"x": -table.var("y")})
+        value = _x_as_minus_y(value)
     return ClassExpr(payload=value, cutoff=cutoff)
+
+
+def _x_as_minus_y(p: Polynomial) -> Polynomial:
+    """``p`` with each x^a y^b m written as (-1)^a y^(a+b) m, in one pass over
+    its terms; terms that meet are summed by ``_accumulate``, so they may
+    cancel.  x and y are the first two generators of ``bundle_ring``."""
+    x, y = p.table.index("x"), p.table.index("y")
+
+    def renamed():
+        for mon, c in p._terms.items():
+            n, rest = 0, []
+            for i, e in mon:
+                if i == x:
+                    n, c = n + e, -c if e & 1 else c
+                elif i == y:
+                    n += e
+                else:
+                    rest.append((i, e))
+            yield Monomial._raw([(y, n), *rest] if n else rest), c
+
+    return Polynomial._raw(p.table, _accumulate({}, renamed()))

@@ -146,7 +146,7 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
         for i, step in enumerate(steps[: k - rank + 1], 1):
             target = buckets.setdefault(k - i, {})
             _accumulate(target, ((key + step, c) for key, c in head.items()), sign=-1)
-    return _unpack(table, buckets.get(rank - 1, {}), first, width)
+    return _unpack(table, buckets.get(rank - 1, {}), range(first, len(table)), width)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_closed_form``) on the class read as sum_k a_k x^k,
-y = -x (``_read_in_x``); ``localize`` reads it in the roots by sending each
+y = -x and each q_i written in x by the Whitney relation (``_read_in_x``,
+on packed int keys); ``localize`` reads it in the roots by sending each
 c_i to e_i(u).  ``fixed_point_sample`` checks the closed form against the
 sum itself, from ``_fixed_points`` at one integer point.  ``_valid_through``
 holds the one cutoff rule (every evaluator lowers degree by the fiber
@@ -30,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ArityError, SymmetryError, UnsupportedVariableError
-from .polyring import Polynomial, VariableTable, _accumulate, _as_coeff, _integral, _unpack
+from .polyring import Polynomial, VariableTable, _as_coeff, _integral, _unpack
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -157,33 +158,64 @@ class LocalizationResult:
     valid_through: int | None
 
 
-@lru_cache(maxsize=_CACHED_RANKS)
-def _whitney(rank: int) -> Mapping[str, Polynomial]:
-    """q_i -> sum_(m <= i) x^m c_(i-m), from the Whitney relation
-    (1 + y)(1 + q1 + ... + q(r-1)) = c(V) with y = -x; read-only, as it is cached."""
-    table = bundle_ring(rank)
-    x, chern = table.var("x"), [table.one()] + [table.var(f"c{i}") for i in range(1, rank)]
-    return MappingProxyType({f"q{i}": sum((x.pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
-                             for i in range(1, rank)})
-
-
 def _read_in_x(payload: Polynomial, width: int) -> dict[int, dict[int, object]]:
-    """``payload``, free of q_i, as sum_k a_k x^k with y = -x, in one pass:
-    a term c x^a y^b m adds (-1)^b c to a_(a+b) at the int key of m, its
-    monomial in c1.. and the roots, ``width`` bits a field (Monagan and
-    Pearce, CASC 2007).  Callers keep every exponent below 2^width."""
-    y, first = payload.table.index("y"), payload.table.index("c1")
-    pairs: dict[int, list] = {}
+    """``payload`` as sum_k a_k x^k with y = -x, in one pass: a term
+    c x^a y^b q^beta m adds (-1)^b c times q^beta, written in x by the
+    Whitney relation (1 + y)(1 + q1 + ... + q(r-1)) = c(V), to the a_k with
+    k >= a + b.  Each a_k is keyed by ints, ``width`` bits a field for each
+    exponent of c1.. and the roots (Monagan and Pearce, CASC 2007).  With
+    y = -x, q_i = sum_(m <= i) x^m c_(i-m), c_0 = 1; each distinct q^beta is
+    expanded once per call, on keys whose top field, above every c_i and
+    u_i, holds the power of x.  The map keeps degree, so callers keep every
+    exponent below 2^width by taking ``width`` from the degree of ``payload``.
+    """
+    table = payload.table
+    y, first = table.index("y"), table.index("c1")
+    top = width * (len(table) - first)  # the field of x in the expansions
+    images: dict[tuple, dict[int, int]] = {(): {0: 1}}
+
+    def expand(beta: tuple) -> dict[int, int]:
+        """q^beta, each prefix of it times one more q_i, every prefix kept."""
+        image, prefix = images[()], ()
+        for i, e in beta:
+            for n in range(1, e + 1):
+                key = prefix + ((i, n),)
+                if key not in images:  # times q_j = x^j + sum_(m < j) x^m c_(j-m), j = i - y
+                    j = i - y
+                    q = [j << top] + [(m << top) + (1 << width * (j - m - 1)) for m in range(j)]
+                    out: dict[int, int] = {}
+                    for a, c in image.items():
+                        for b in q:
+                            out[a + b] = out.get(a + b, 0) + c
+                    images[key] = out
+                image = images[key]
+            prefix = key
+        return image
+
+    total: dict[int, object] = {}
     for mon, c in payload._terms.items():
         k = key = 0
+        beta = []
         for i, e in mon:
             if i >= first:
                 key += e << width * (i - first)
+            elif i > y:
+                beta.append((i, e))
             else:  # x^e, or y^e read as (-x)^e
                 k += e
                 c = -c if i == y and e & 1 else c
-        pairs.setdefault(k, []).append((key, c))
-    return {k: _accumulate({}, terms) for k, terms in pairs.items()}
+        key += k << top
+        if beta:
+            for b, cb in expand(tuple(beta)).items():
+                total[key + b] = total.get(key + b, 0) + c * cb
+        else:
+            total[key] = total.get(key, 0) + c
+    buckets: dict[int, dict[int, object]] = {}
+    mask = (1 << top) - 1
+    for key, c in total.items():
+        if c:
+            buckets.setdefault(key >> top, {})[key & mask] = c if c.__class__ is int else _as_coeff(c)
+    return buckets
 
 
 def _packed_segre(rank: int, top: int, width: int) -> list[dict[int, int]]:
@@ -206,14 +238,13 @@ def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     At the fixed points, sum_j u_j^k / prod_(i != j) (u_i - u_j) =
     (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so f_*(x^k) = s_(k-r+1),
     s = 1/c(V) the Segre series (Fulton, *Intersection Theory*, Prop. 3.1(a)).
-    A q_i is first written in x by the cached ``_whitney`` map, and
-    ``_read_in_x`` reads the class as sum_k a_k x^k.  The sum of the
-    a_k s_(k-r+1) runs in integers on its keys, times the class's common
-    denominator, which is divided out once; no field carries.
+    ``_read_in_x`` reads the class, each q_i by the Whitney relation, as
+    sum_k a_k x^k.  The sum of the a_k s_(k-r+1) runs in integers on its
+    keys, times the class's common denominator, which is divided out once;
+    no field carries, and no ``Polynomial.substitute`` runs.
     """
-    if any(name[0] == "q" for name in payload.variables()):
-        payload = payload.substitute(_whitney(rank))
-    first, width = payload.table.index("c1"), payload.degree().bit_length()
+    table = payload.table
+    first, width = table.index("c1"), payload.degree().bit_length()
     integral, d = _integral(payload)
     buckets = _read_in_x(integral, width)
     segre = _packed_segre(rank, max(max(buckets, default=0) - rank + 1, 0), width)
@@ -226,7 +257,7 @@ def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
                     total[a + b] = total.get(a + b, 0) + ca * cb
     if d != 1:
         total = {key: _as_coeff(Fraction(c, d)) for key, c in total.items()}
-    return _unpack(payload.table, total, first, width)
+    return _unpack(table, total, range(first, len(table)), width)
 
 
 def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:

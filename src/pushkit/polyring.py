@@ -8,6 +8,12 @@ equality is structural equality.  A coefficient is an ``int`` when it is
 integral and a :class:`fractions.Fraction` otherwise, never a float:
 arithmetic is exact and floats are rejected everywhere.
 
+Two kernels run on packed monomials instead, ints with a fixed-width field
+per exponent (Monagan and Pearce, CASC 2007): ``series_inverse``, and the
+closed form and presentation oracle, which pack through
+``localization._read_in_x``; ``_unpack`` turns such keys back into a
+polynomial.
+
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
 """
@@ -591,11 +597,12 @@ def _integral(p: Polynomial) -> tuple[Polynomial, int]:
     return Polynomial._raw(p.table, terms), d
 
 
-def _unpack(table: VariableTable, packed: Mapping[int, _Coeff], first: int, width: int) -> Polynomial:
+def _unpack(table: VariableTable, packed: Mapping[int, _Coeff], gens: Iterable[int], width: int) -> Polynomial:
     """The polynomial over ``table`` whose monomials ``packed`` keys as ints,
-    a field of ``width`` bits per exponent of generator ``first``,
-    ``first + 1``, ...; zero coefficients are dropped."""
-    mask, fields = (1 << width) - 1, [(i, width * (i - first), {}) for i in range(first, len(table))]
+    a field of ``width`` bits per exponent of each generator index in
+    ``gens``, in increasing order from the lowest field; zero coefficients
+    are dropped."""
+    mask, fields = (1 << width) - 1, [(i, width * n, {}) for n, i in enumerate(gens)]
     # each (index, exponent) pair is made once and shared by the terms that hold it
     terms = {Monomial._raw([row.get(e) or row.setdefault(e, (i, e))
                             for i, shift, row in fields if (e := key >> shift & mask)]): c
@@ -685,19 +692,46 @@ def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
 
     The constant term must be a nonzero rational.  The result ``s`` satisfies
     ``(p * s).truncate(cutoff) == 1``.
+
+    With p = c0 (1 - g), the degree-d part of 1/(1 - g) is
+    s_d = sum_(1 <= i <= d) g_i s_(d-i), s_0 = 1, each product one pass over
+    packed int keys: a field of ``cutoff.bit_length()`` bits per generator
+    that occurs in ``p`` (Monagan and Pearce, CASC 2007).  The recursion runs
+    in integers on t_d = M^d s_d, M = L c0 with L the least common
+    denominator of ``p``, so t_d = sum_i M^(i-1) (M g_i) t_(d-i) with
+    M g_i = -L p_i; each t_d is divided by M^d c0 once, when unpacked.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
     c0 = p.constant_term()
     if not c0:
         raise NotInvertibleError("cannot invert a series with zero constant term")
-    # p / c0 = 1 - g with g of positive minimal degree; invert geometrically.
-    g = p.table.one() - p.truncate(cutoff) / c0
-    acc = p.table.one()
-    pw = p.table.one()
-    for _ in range(cutoff):
-        pw = pw._mul(g, cutoff)
-        if pw.is_zero():
-            break
-        acc = acc + pw
-    return acc / c0
+    table, width = p.table, cutoff.bit_length()
+    p, scale = _integral(p.truncate(cutoff))
+    gens = sorted({i for mon in p._terms for i, _ in mon})
+    shifts = {i: width * n for n, i in enumerate(gens)}
+    m = p.constant_term()  # M = L c0, the constant term of L p
+    parts: dict[int, list[tuple[int, int]]] = {}  # i -> the terms of M^(i-1) (M g_i)
+    for mon, c in p._terms.items():
+        if mon:
+            i = mon.degree(table)
+            parts.setdefault(i, []).append((sum(e << shifts[j] for j, e in mon), -c * m ** (i - 1)))
+    series: list[dict[int, int]] = [{0: 1}]  # t_0, t_1, ...
+    for d in range(1, cutoff + 1):
+        t: dict[int, int] = {}
+        for i, part in parts.items():
+            if i <= d:
+                lower = series[d - i]
+                for kg, cg in part:
+                    for ks, cs in lower.items():
+                        t[kg + ks] = t.get(kg + ks, 0) + cg * cs
+        series.append({key: c for key, c in t.items() if c})
+    packed: dict[int, _Coeff] = {}
+    den = 1
+    for t in series:  # t_d / (M^d c0) = L t_d / M^(d+1), as c0 = M / L
+        den *= m
+        if den == 1 and scale == 1:
+            packed.update(t)
+        else:
+            packed.update((key, _as_coeff(Fraction(scale * c, den))) for key, c in t.items())
+    return _unpack(table, packed, gens, width)

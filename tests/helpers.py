@@ -91,6 +91,16 @@ def random_class(rng: random.Random, rank: int, fiber: str = "y") -> Polynomial:
     return p
 
 
+def whitney_map(rank: int) -> dict[str, Polynomial]:
+    """Reference Whitney map for ``Polynomial.substitute``: q_i ->
+    sum_(m <= i) x^m c_(i-m), from (1 + y)(1 + q1 + ... + q(r-1)) = c(V)
+    with y = -x."""
+    table = bundle_ring(rank)
+    x, chern = table.var("x"), [table.one()] + [table.var(f"c{i}") for i in range(1, rank)]
+    return {f"q{i}": sum((x.pow(m) * chern[i - m] for m in range(i + 1)), table.zero())
+            for i in range(1, rank)}
+
+
 def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polynomial:
     """Reference fixed-point sum, the localization formula verbatim: the sum
     over charts j of phi|_j times the j-th cofactor (the Vandermonde divided
@@ -189,3 +199,18 @@ def substitute_by_powers(p: Polynomial, images: dict[str, Polynomial]) -> Polyno
             prod = prod * power(names[i], e)
         out = out + prod
     return out
+
+
+def series_inverse_by_powers(p: Polynomial, cutoff: int) -> Polynomial:
+    """Reference series inverse, the geometric sum: with p = c0 (1 - g),
+    1/p = (1 + g + g^2 + ... + g^cutoff) / c0, each power truncated at
+    ``cutoff``."""
+    c0 = p.constant_term()
+    g = p.table.one() - p.truncate(cutoff) / c0
+    acc = power = p.table.one()
+    for _ in range(cutoff):
+        power = power.mul_trunc(g, cutoff)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc / c0

@@ -389,6 +389,23 @@ _MIXED_INPUT_OUTPUT = [
     (["push", "--rank", "3", "--", "q1 x^3 - y^2 c1"],
      "input = -y^3 q1 - y^2 c1\nchern_form = -c2 - c1\nvalid_through = 4\n"
      "checks: fixed_point_sample=pass\nu_form = -u1 u2 - u1 u3 - u2 u3 - u1 - u2 - u3\n"),
+    (["push", "--rank", "2", "x^2 + x y"],
+     "input = 0\nchern_form = 0\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = 0\n"),
+    (["push", "--rank", "4", "--", "x^3 y"],
+     "input = -y^4\nchern_form = c1\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = u1 + u2 + u3 + u4\n"),
+    (["push", "--rank", "3", "--max-degree", "6", "--", "inv(1 + c1 x + c2 x^2 - y q1) + 2/3 x y c1"],
+     "input = y^3 q1^3 + 3 y^3 q1^2 c1 + 3 y^3 q1 c1^2 - 2 y^3 q1 c2 + y^3 c1^3 - 2 y^3 c1 c2 + y^2 q1^2"
+     " + 2 y^2 q1 c1 + y^2 c1^2 - y^2 c2 - 2/3 y^2 c1 + y q1 + y c1 + 1\n"
+     "chern_form = c1^4 + c1^2 c2 + 4 c1 c3 - 3 c2^2 + c1^2 - 2 c2 - 2/3 c1 - 1\nvalid_through = 4\n"
+     "checks: fixed_point_sample=pass\nu_form = u1^4 + 5 u1^3 u2 + 5 u1^3 u3 + 5 u1^2 u2^2 + 15 u1^2 u2 u3"
+     " + 5 u1^2 u3^2 + 5 u1 u2^3 + 15 u1 u2^2 u3 + 15 u1 u2 u3^2 + 5 u1 u3^3 + u2^4 + 5 u2^3 u3 + 5 u2^2 u3^2"
+     " + 5 u2 u3^3 + u3^4 + u1^2 + u2^2 + u3^2 - 2/3 u1 - 2/3 u2 - 2/3 u3 - 1\n"),
+    (["push", "--rank", "3", "--max-degree", "6", "--format", "json", "--", "x^2 y c2 - 1/2 x y^3"],
+     '{\n  "rank": 3,\n  "cutoff": 6,\n  "valid_through": 4,\n  "terms": [\n    {\n'
+     '      "coeff": "1/1",\n      "exps": {\n        "c1": 1,\n        "c2": 1\n      }\n    },\n'
+     '    {\n      "coeff": "1/2",\n      "exps": {\n        "c1": 2\n      }\n    },\n'
+     '    {\n      "coeff": "-1/2",\n      "exps": {\n        "c2": 1\n      }\n    }\n  ],\n'
+     '  "checks": {\n    "fixed_point_sample": "pass",\n    "presentation_oracle": "pass"\n  }\n}\n'),
 ]
 
 

@@ -19,6 +19,7 @@ from pushkit import (
     elaborate,
     parse_expression,
 )
+from pushkit import expressions
 from pushkit.cli import run
 from pushkit.expressions import _MAX_DEPTH, Inv, Neg, Num, Pow, Product, Sum, Var
 
@@ -248,6 +249,23 @@ def test_elaborate_normalizes_mixed_fiber_variables():
     assert cls.payload.is_zero()
     cls = elaborate(parse_expression("x - y", 3), 3, 4)
     assert cls.payload == -2 * bundle_ring(3).var("y")
+    assert elaborate(parse_expression("x^2 + x y", 3), 3, 4).payload.is_zero()
+    assert elaborate(parse_expression("x^3 y", 3), 3, 4).payload == -bundle_ring(3).var("y").pow(4)
+
+
+def test_x_as_minus_y_matches_the_horner_substitution():
+    # the one-pass rename against substitute({"x": -y}), on classes in x, y,
+    # q_i, c_i and a root, where terms meet and may cancel
+    table = bundle_ring(4)
+    x, y = table.var("x"), table.var("y")
+    names = ["x", "y", "q1", "q3", "c1", "c2", "u2"]
+    rng = random.Random(20261019)
+    for _ in range(200):
+        p = random_poly(rng, table, names, max_terms=6) * x * y
+        p = p + random_poly(rng, table, names, max_terms=3)
+        expected = p.substitute({"x": -y})
+        assert expressions._x_as_minus_y(p) == expected
+        assert expressions._x_as_minus_y(p)._terms == expected._terms  # no zero kept
 
 
 def test_elaborate_truncates_by_degree():

@@ -30,7 +30,7 @@ from pushkit import (
 from pushkit import localization
 
 from helpers import literal_sum, localize_divided_differences, random_chern_poly, random_class
-from helpers import random_coeff, random_x_class
+from helpers import random_coeff, random_x_class, whitney_map
 
 
 def _geometric_class(rank: int, cutoff: int) -> ClassExpr:
@@ -107,18 +107,15 @@ def test_class_expr_invariants():
         ClassExpr(table.var("c3"), 2)  # degree above cutoff
 
 
-def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
+def test_elaborate_and_pushforward_make_no_public_substitute_call(monkeypatch):
     # The benchmark's polyring.substitute_calls counts calls of the public
-    # method: one for the closed form's Whitney substitution of a q-class,
-    # none for a class in x or in y alone, which the closed form and the
-    # presentation oracle read as it is; the fixed-point sample evaluates
-    # the class term by term and substitutes nothing.  A substitution that
-    # re-enters the public method would inflate the count and make traces
-    # of different revisions incomparable.
-    inputs = [("(q1 q2 y^3) inv(1 + y)", 4, 14, 1), ("inv(1 + c1 y)", 3, 8, 0),
-              ("y^5 - c2 y^3", 4, 7, 0), ("inv(1-x)", 4, 9, 0)]
-    classes = [(elaborate(parse_expression(text, rank), rank, cutoff), rank, n)
-               for text, rank, cutoff, n in inputs]
+    # method, a Horner pass.  Neither elaborate nor pushforward makes one:
+    # elaborate renames x -> -y in one pass over the terms, the closed form
+    # reads each q_i by the Whitney relation on packed keys, the presentation
+    # oracle reads a class in x and y as it is, and the fixed-point sample
+    # evaluates the class term by term.
+    inputs = [("(q1 q2 y^3) inv(1 + y)", 4, 14), ("inv(1 + c1 y)", 3, 8),
+              ("y^5 - c2 y^3", 4, 7), ("inv(1-x)", 4, 9), ("inv(1 + c1 x + c2 x^2 - y q1)", 3, 20)]
     calls = []
     original = Polynomial.substitute
 
@@ -127,10 +124,9 @@ def test_pushforward_makes_one_public_substitute_call_per_caller(monkeypatch):
         return original(self, images)
 
     monkeypatch.setattr(Polynomial, "substitute", counting)
-    for cls, rank, n in classes:
-        calls.clear()
-        pushforward(cls, rank)
-        assert len(calls) == n
+    for text, rank, cutoff in inputs:
+        pushforward(elaborate(parse_expression(text, rank), rank, cutoff), rank)
+        assert calls == [], text
 
 
 def test_pushforward_runs_no_symmetry_guard(monkeypatch):
@@ -308,6 +304,42 @@ def test_classes_in_both_x_and_y_at_packed_field_boundaries(rank):
                 if j < 5:  # reading s_(n-r+1) in the roots costs seconds at n = 33
                     value = localize(power_sum * fiber, rank).value
                     assert value == sign * power_sum * expand_elementary(part)
+
+
+def _q_classes_of_degree(rank: int, n: int) -> list[Polynomial]:
+    """Classes of degree ``n`` built on q_i powers and q_i q_j products: each
+    q_i^e times y^(n - i e), q1^a q(r-1)^b times x^(n - a - (r-1) b), and a
+    Fraction multiple of c1^(n - r) q1 x^(r-1)."""
+    table = bundle_ring(rank)
+    x, y, c1 = table.var("x"), table.var("y"), table.var("c1")
+    q = [None] + [table.var(f"q{i}") for i in range(1, rank)]
+    out = [q[i].pow(n // i) * y.pow(n % i) for i in range(1, rank)]
+    if rank > 2:
+        b = max(n // (2 * (rank - 1)), 1)
+        a = (n - (rank - 1) * b) // 2
+        if a >= 0 and (rank - 1) * b <= n:
+            out.append(q[1].pow(a) * q[rank - 1].pow(b) * x.pow(n - a - (rank - 1) * b))
+    if n >= rank:
+        out.append(Fraction(-3, 2) * c1.pow(n - rank) * q[1] * x.pow(rank - 1))
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_packed_whitney_read_at_field_boundaries(rank):
+    # _read_in_x writes each q_i in x on packed keys; a class of degree
+    # n = 2^j - 1, 2^j, 2^j + 1 sits at the edge of a field of
+    # n.bit_length() bits.  Two references: the Whitney map substituted by
+    # Horner's scheme and then the presentation oracle, and the literal
+    # fixed-point sum in the roots (for n <= 17; it costs seconds at n = 33).
+    images = whitney_map(rank)
+    for j in range(1, 6):
+        for n in (2**j - 1, 2**j, 2**j + 1):
+            for phi in _q_classes_of_degree(rank, n):
+                got = localization._closed_form(phi, rank)
+                assert got == presentation_oracle(ClassExpr(phi.substitute(images)), rank), (n, phi)
+                if n <= 17:
+                    assert expand_elementary(got) == literal_sum(phi, rank), (n, phi)
+                assert pushforward(ClassExpr(phi), rank).checks["fixed_point_sample"] == "pass"
 
 
 @st.composite

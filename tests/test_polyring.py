@@ -22,15 +22,18 @@ from pushkit import (
     VariableTable,
     bundle_ring,
     divide_exact_linear,
+    elaborate,
     elementary_symmetric,
     fixed_point_charts,
     localize,
+    parse_expression,
     series_inverse,
 )
 
 from pushkit import polyring
 
-from helpers import random_coeff, random_homogeneous, random_poly, substitute_by_powers
+from helpers import random_coeff, random_homogeneous, random_poly, series_inverse_by_powers
+from helpers import substitute_by_powers
 
 
 @pytest.fixture
@@ -469,14 +472,45 @@ def test_divide_round_trip(p, pair):
         divide_exact_linear(p * factor + 1, factor)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_poly_strategy(_T, _NAMES), st.integers(min_value=0, max_value=6))
-def test_series_inverse_law(p, cutoff):
-    q = 1 + p  # guarantee a nonzero constant term
-    if not q.constant_term():
-        q = q + 1
+# the rank-6 working ring on generators of degree 1, 1, 3 and 6, so a series
+# through degree 33 stays a few thousand terms
+_RANK6, _RANK6_NAMES = bundle_ring(6), ["x", "u4", "c3", "c6"]
+_BOUNDARY_CUTOFFS = [2**j + d for j in range(1, 6) for d in (-1, 0, 1)]  # field edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(_T, _NAMES), (_RANK6, _RANK6_NAMES)]),
+    st.integers(min_value=0, max_value=10**9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    st.one_of(st.integers(min_value=0, max_value=6), st.sampled_from(_BOUNDARY_CUTOFFS)),
+)
+def test_series_inverse_law(ring, draw, c0, cutoff):
+    # p . inv(p) = 1 through the cutoff, with a Fraction constant term and
+    # Fraction coefficients; each packed field holds exponents up to the
+    # cutoff, so cutoffs 2^j - 1, 2^j, 2^j + 1 sit at a field's edges
+    table, names = ring
+    p = random_poly(random.Random(draw), table, names, max_terms=3, max_exp=2, max_vars_per_term=2)
+    q = p - p.constant_term() + c0
     inv = series_inverse(q, cutoff)
-    assert q.mul_trunc(inv, cutoff) == _T.one()
+    assert q.mul_trunc(inv, cutoff) == table.one()
+    assert inv.degree() <= cutoff
+
+
+_INVERSE_CASES = [  # (rank, series, cutoff)
+    (3, "1 - x", 33), (4, "2/3 + c1 - 5/4 c2 x", 17), (5, "-3 + c2 - x u1 + 1/7 c5", 16),
+    (6, "1 - c1 - c2 - c3 - x", 24), (6, "4/9 - 2 c3 + 3/5 c6 x^2 - u4 c3 + 2 u4 x", 33),
+    (8, "1 - c1 - c2 - c3 - c4 - x", 16), (3, "5", 8), (2, "1/2 + 1/3 y q1", 0),
+]
+
+
+@pytest.mark.parametrize("rank,text,cutoff", _INVERSE_CASES)
+def test_series_inverse_matches_the_geometric_sum(rank, text, cutoff):
+    p = elaborate(parse_expression(text, rank, allow_u=True), rank, cutoff).payload
+    got = series_inverse(p, cutoff)
+    expected = series_inverse_by_powers(p, cutoff)
+    assert got == expected
+    assert [type(c) for _, c in got.sorted_terms()] == [type(c) for _, c in expected.sorted_terms()]
 
 
 def test_render_canonical_order(chern3):
