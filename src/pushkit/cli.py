@@ -170,7 +170,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
         rank=rank,
         cutoff=degree,
         valid_through=result.valid_through,
-        input_echo=cls.payload.render(),
+        input_echo=cls.payload.render() if args.format == "text" else "",  # only text echoes it
         polynomial=result.chern_form,
         checks=tuple(result.checks.items()),
     )

@@ -9,10 +9,10 @@ integral and a :class:`fractions.Fraction` otherwise, never a float:
 arithmetic is exact and floats are rejected everywhere.
 
 Two kernels run on packed monomials instead, ints with a fixed-width field
-per exponent (Monagan and Pearce, CASC 2007): ``series_inverse``, and the
-closed form and presentation oracle, which pack through
-``localization._read_in_x``; ``_unpack`` turns such keys back into a
-polynomial.
+per exponent (Monagan and Pearce, CASC 2007): ``_series_power``, the truncated
+power p^n (n >= -1) behind ``series_inverse`` and ``pow`` with a cutoff; and
+the closed form and presentation oracle, which pack through
+``localization._read_in_x``.  ``_unpack`` turns such keys back into a polynomial.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
@@ -403,23 +403,15 @@ class Polynomial:
     def pow(self, exponent: int, cutoff: int | None = None) -> Polynomial:
         """``self ** exponent``, optionally truncating at ``cutoff`` throughout.
 
-        With a cutoff and a constant term c0 != 0, the base is c0 + g and the
-        power is the binomial sum of C(N, i) c0^(N-i) g^i over i <= j, where
-        j = min(N, cutoff // lowest degree of g): g^i vanishes past it, so a
-        huge N costs j products, not log2 N squarings."""
+        By ``_series_power``'s degree recursion with a cutoff and a nonzero
+        constant term, so a huge exponent costs what a small one does;
+        otherwise by repeated squaring."""
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
         base = self if cutoff is None else self.truncate(cutoff)
-        result, n, c0 = self.table.one(), exponent, base.constant_term()
-        if cutoff is not None and c0:
-            g = base - c0
-            j = min(n, cutoff // g._span()[0]) if g else 0
-            total, binom = self.table.zero(), 1
-            for i in range(j + 1):  # result = g^i
-                total = total + result * (binom * c0 ** (n - i))
-                binom = binom * (n - i) // (i + 1)
-                result = result._mul(g, cutoff)
-            return total
+        if cutoff is not None and base.constant_term():
+            return _series_power(base, exponent, cutoff)
+        result, n = self.table.one(), exponent
         while n:
             if n & 1:
                 result = result._mul(base, cutoff)
@@ -691,27 +683,34 @@ def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
     """Multiplicative inverse of ``p`` as a series, truncated at ``cutoff``.
 
     The constant term must be a nonzero rational.  The result ``s`` satisfies
-    ``(p * s).truncate(cutoff) == 1``.
-
-    With p = c0 (1 - g), the degree-d part of 1/(1 - g) is
-    s_d = sum_(1 <= i <= d) g_i s_(d-i), s_0 = 1, each product one pass over
-    packed int keys: a field of ``cutoff.bit_length()`` bits per generator
-    that occurs in ``p`` (Monagan and Pearce, CASC 2007).  The recursion runs
-    in integers on t_d = M^d s_d, M = L c0 with L the least common
-    denominator of ``p``, so t_d = sum_i M^(i-1) (M g_i) t_(d-i) with
-    M g_i = -L p_i; each t_d is divided by M^d c0 once, when unpacked.
+    ``(p * s).truncate(cutoff) == 1``; it is ``_series_power`` at n = -1.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
-    c0 = p.constant_term()
-    if not c0:
+    if not p.constant_term():
         raise NotInvertibleError("cannot invert a series with zero constant term")
-    table, width = p.table, cutoff.bit_length()
-    p, scale = _integral(p.truncate(cutoff))
+    return _series_power(p, -1, cutoff)
+
+
+def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
+    """``p^n`` truncated at ``cutoff >= 0`` for an integer n >= -1 and a
+    constant term c0 != 0, by J. C. P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, sec. 4.7): d c0 P_d = sum_(1 <= i <= d) ((n + 1) i - d) p_i P_(d-i).
+
+    It runs in integers on t_d = M^d P_d / c0^n, t_0 = 1, M = L c0 with L the
+    least common denominator of ``p``: d t_d = sum_i (d - (n + 1) i)
+    (-L p_i M^(i-1)) t_(d-i), divided by d exactly; at n = -1 the weight d
+    cancels and nothing is divided.  Each product is one pass over packed int
+    keys, ``cutoff.bit_length()`` bits per generator in ``p``, and each t_d is
+    scaled by c0^n / M^d once, when unpacked.
+    """
+    table, width, c0 = p.table, cutoff.bit_length(), p.constant_term()
+    num, den = (c0.numerator ** n, c0.denominator ** n) if n >= 0 else (c0.denominator, c0.numerator)
+    p, _ = _integral(p.truncate(cutoff))
     gens = sorted({i for mon in p._terms for i, _ in mon})
-    shifts = {i: width * n for n, i in enumerate(gens)}
+    shifts = {i: width * k for k, i in enumerate(gens)}
     m = p.constant_term()  # M = L c0, the constant term of L p
-    parts: dict[int, list[tuple[int, int]]] = {}  # i -> the terms of M^(i-1) (M g_i)
+    parts: dict[int, list[tuple[int, int]]] = {}  # i -> the terms of -L p_i M^(i-1)
     for mon, c in p._terms.items():
         if mon:
             i = mon.degree(table)
@@ -721,17 +720,18 @@ def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
         t: dict[int, int] = {}
         for i, part in parts.items():
             if i <= d:
+                if n != -1:
+                    part = [(kg, (d - (n + 1) * i) * cg) for kg, cg in part]
                 lower = series[d - i]
                 for kg, cg in part:
                     for ks, cs in lower.items():
                         t[kg + ks] = t.get(kg + ks, 0) + cg * cs
-        series.append({key: c for key, c in t.items() if c})
+        series.append({key: c if n == -1 else c // d for key, c in t.items() if c})
     packed: dict[int, _Coeff] = {}
-    den = 1
-    for t in series:  # t_d / (M^d c0) = L t_d / M^(d+1), as c0 = M / L
-        den *= m
-        if den == 1 and scale == 1:
+    for t in series:  # P_d = c0^n t_d / M^d
+        if den == num == 1:
             packed.update(t)
         else:
-            packed.update((key, _as_coeff(Fraction(scale * c, den))) for key, c in t.items())
+            packed.update((key, _as_coeff(Fraction(num * c, den))) for key, c in t.items())
+        den *= m
     return _unpack(table, packed, gens, width)

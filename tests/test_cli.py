@@ -80,6 +80,23 @@ def test_push_tex_output(capsys):
     assert out == "-c_{1}"
 
 
+def test_push_renders_the_input_echo_only_in_text(capsys, monkeypatch):
+    # JSON and TeX print no "input =" line, so they render no polynomial
+    calls, render = [], Polynomial.render
+    monkeypatch.setattr(Polynomial, "render", lambda self: calls.append(self) or render(self))
+    argv = ["push", "--rank", "2", "--max-degree", "3", "--", "(2 - y)^3 inv(1 + x)"]
+    for fmt in ("json", "tex"):
+        assert run([*argv[:-2], "--format", fmt, *argv[-2:]]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert run(argv) == 0
+    assert capsys.readouterr() == (
+        "input = y^3 + 2 y^2 - 4 y + 8\nchern_form = -c1^2 + c2 - 2 c1 + 4\nvalid_through = 2\n"
+        "checks: fixed_point_sample=pass presentation_oracle=pass\n"
+        "u_form = -u1^2 - u1 u2 - u2^2 - 2 u1 - 2 u2 + 4\n", "")
+    assert len(calls) == 3
+
+
 def test_push_default_cutoff_is_rank_plus_three(capsys):
     assert run(["push", "--rank", "2", "x"]) == 0
     payload = capsys.readouterr().out

@@ -232,6 +232,25 @@ def test_elaborate_geometric_series():
     assert cls.cutoff == 3
 
 
+def test_only_written_inversions_call_the_public_series_inverse(monkeypatch):
+    # a power runs the private degree recursion, so a tracer that wraps
+    # polyring.series_inverse times only the inv(...) written in the input
+    from pushkit import polyring
+
+    calls, inverse = [], polyring.series_inverse
+
+    def counted(p, cutoff):
+        calls.append(p)
+        return inverse(p, cutoff)
+
+    monkeypatch.setattr(polyring, "series_inverse", counted)
+    monkeypatch.setattr(expressions, "series_inverse", counted)
+    elaborate(parse_expression("(1 + x + c1)^7", 3), 3, 8)
+    assert calls == []
+    elaborate(parse_expression("(2 - y)^3 inv(1 + x)", 3), 3, 8)
+    assert len(calls) == 1
+
+
 def test_elaborate_monomial():
     table = bundle_ring(3)
     cls = elaborate(parse_expression("c1*x", 3), 3, 5)

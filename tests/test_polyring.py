@@ -388,6 +388,7 @@ def _poly_strategy(table: VariableTable, names: list[str]):
 
 _T = VariableTable([("u1", 1), ("u2", 1), ("u3", 1), ("c2", 2)])
 _NAMES = ["u1", "u2", "u3", "c2"]
+_BOUNDARY_CUTOFFS = [2**j + d for j in range(1, 6) for d in (-1, 0, 1)]  # field edges
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,10 +425,12 @@ def test_truncate_laws(a, b, cutoff):
     _poly_strategy(_T, _NAMES),
     st.sampled_from([0, 1, -1, 3, Fraction(-2, 3)]),
     st.integers(min_value=0, max_value=7),
-    st.integers(min_value=0, max_value=6),
+    st.one_of(st.integers(min_value=0, max_value=6), st.sampled_from(_BOUNDARY_CUTOFFS)),
 )
 def test_truncated_power_is_repeated_multiplication(a, shift, exponent, cutoff):
-    # a shifted constant term switches between the binomial sum and squaring
+    # a shifted constant term switches between the degree recursion and
+    # squaring; the recursion packs a field of cutoff.bit_length() bits per
+    # generator, so cutoffs 2^j - 1, 2^j, 2^j + 1 sit at a field's edges
     base, expected = a + shift, _T.one()
     for _ in range(exponent):
         expected = expected.mul_trunc(base, cutoff)
@@ -441,6 +444,11 @@ def test_truncated_power_of_a_huge_exponent_is_its_binomial_expansion():
     # c0 = -1 and N even: the terms of (2x^2)^i alternate from + at i = 0
     expected = sum((-1) ** i * math.comb(n, i) * (2 * x * x).pow(i) for i in range(3))
     assert (2 * x * x - 1).pow(n, 5) == expected
+    # a denominator of 3: each degree is scaled by c0^N / 3^d, never by 3^N
+    expected = sum(math.comb(n, k) * Fraction(1, 3**k) * x.pow(k) for k in range(5))
+    assert (1 + x / 3).pow(n, 4) == expected
+    expected = sum((-1) ** k * math.comb(n, k) * (2 * x).pow(k) for k in range(5))
+    assert (-1 + 2 * x).pow(n, 4) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,7 +483,6 @@ def test_divide_round_trip(p, pair):
 # the rank-6 working ring on generators of degree 1, 1, 3 and 6, so a series
 # through degree 33 stays a few thousand terms
 _RANK6, _RANK6_NAMES = bundle_ring(6), ["x", "u4", "c3", "c6"]
-_BOUNDARY_CUTOFFS = [2**j + d for j in range(1, 6) for d in (-1, 0, 1)]  # field edges
 
 
 @settings(max_examples=80, deadline=None)
