@@ -403,9 +403,8 @@ class Polynomial:
     def pow(self, exponent: int, cutoff: int | None = None) -> Polynomial:
         """``self ** exponent``, optionally truncating at ``cutoff`` throughout.
 
-        By ``_series_power``'s degree recursion with a cutoff and a nonzero
-        constant term, so a huge exponent costs what a small one does;
-        otherwise by repeated squaring."""
+        With a cutoff and a nonzero constant term by ``_series_power``, so a
+        huge exponent costs what a small one does; otherwise by squaring."""
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
         base = self if cutoff is None else self.truncate(cutoff)
