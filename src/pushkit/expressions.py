@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Union
 
-from .errors import ArityError, ExponentError, NotInvertibleError, ParseError, UsageError
+from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import Monomial, Polynomial, _accumulate, series_inverse
+from .polyring import Monomial, Polynomial, _accumulate, _refuse_unprintable, series_inverse
 
 __all__ = [
     "ExprAst",
@@ -263,28 +262,24 @@ def parse_expression(text: str, rank: int, *, allow_u: bool = False) -> ExprAst:
 
 def refuse_unprintable(*polys: Polynomial, exponent: int = 1, cutoff: int = 0) -> None:
     """Raise UsageError if a coefficient of ``polys`` has more digits than
-    Python prints (``sys.get_int_max_str_digits()``).  With an ``exponent`` N, the
+    Python prints (``polyring._refuse_unprintable``).  With an ``exponent`` N, the
     one poly is a power's base c0 + rest, checked before it is computed by the largest
     C(N, i) c0^(N-i) min(R^cutoff, M^i), i <= N and i * (lowest degree in rest) <= cutoff,
     where M is the largest size in rest and R its largest size^(1/degree)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    size = lambda c: max(abs(c.numerator), c.denominator)
     if exponent == 1:
-        too_long = max((size(c) for p in polys for c in p._terms.values()), default=0) >= 10**limit
-    else:  # in log10, N - i clamped to a float: 10^300 log10(2) is past any limit
-        c0 = polys[0].constant_term()
-        rest = polys[0] - c0
-        logs = {m: math.log10(size(c)) for m, c in rest._terms.items()}
-        log_r = cutoff * max((v / m.degree(rest.table) for m, v in logs.items()), default=0.0)
-        log_m, log_c0 = max(logs.values(), default=0.0), math.log10(size(c0))
-        j = min(exponent, cutoff // rest._span()[0]) if rest else 0
-        steps = (math.log10(exponent - k) - math.log10(k + 1) for k in range(j))  # to log C(N, j)
-        terms = (b + min(exponent - i, 10**300) * log_c0 + min(log_r, i * log_m)
-                 for i, b in enumerate(accumulate(steps, initial=0.0)) if c0 != 0 or i == exponent)
-        too_long = max(terms, default=0.0) >= limit  # c0 = 0: only rest^N can survive the cutoff
-    if limit and too_long:
-        digits = f"more than {limit:,} digits, Python's limit for printing an integer"
-        raise UsageError(f"a coefficient would have {digits}")
+        return _refuse_unprintable(c for p in polys for c in p._terms.values())
+    # in log10, N - i clamped to a float: 10^300 log10(2) is past any limit
+    size = lambda c: max(abs(c.numerator), c.denominator)
+    c0 = polys[0].constant_term()
+    rest = polys[0] - c0
+    logs = {m: math.log10(size(c)) for m, c in rest._terms.items()}
+    log_r = cutoff * max((v / m.degree(rest.table) for m, v in logs.items()), default=0.0)
+    log_m, log_c0 = max(logs.values(), default=0.0), math.log10(size(c0))
+    j = min(exponent, cutoff // rest._span()[0]) if rest else 0
+    steps = (math.log10(exponent - k) - math.log10(k + 1) for k in range(j))  # to log C(N, j)
+    terms = (b + min(exponent - i, 10**300) * log_c0 + min(log_r, i * log_m)
+             for i, b in enumerate(accumulate(steps, initial=0.0)) if c0 != 0 or i == exponent)
+    _refuse_unprintable(log10=max(terms, default=0.0))  # c0 = 0: only rest^N can survive the cutoff
 
 
 def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:

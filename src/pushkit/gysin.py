@@ -8,10 +8,10 @@ point fixed per rank (``localization.fixed_point_sample``), checks it.
 Two classical facts serve as oracles: the inverse total Chern class is the
 pushforward of the geometric series in x (the Segre series), and the ring
 presentation with the single relation x^r + c1 x^(r-1) + ... + cr determines
-the pushforward of every power of x.  It and the closed form read a class
-as sum_k a_k x^k, y = -x (``localization._read_in_x``), and
-``localization._valid_through`` holds the cutoff rule and the argument
-guards all of these evaluators share.
+the pushforward of every power of x.  Both evaluators, the closed form and
+that presentation's long division, live in ``localization`` and run on one
+read of the class, which ``pushforward`` makes once; ``localization``'s
+``_valid_through`` holds the cutoff rule and the guards they share.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import UnsupportedVariableError
-from .localization import _closed_form, _read_in_x, _refuse_roots, _valid_through, bundle_ring
+from .localization import _fold, _read_in_x, _segre_sum, _unpack_sum, _valid_through, bundle_ring
 from .localization import fixed_point_sample, localize, relation_check
-from .polyring import Polynomial, _accumulate, _unpack, series_inverse
+from .polyring import Polynomial, series_inverse
 from .symfun import expand_elementary, root_generators
 
 __all__ = [
@@ -62,9 +62,9 @@ class PushforwardResult:
     """The pushforward in Chern-class form, with its checks.
 
     ``checks`` records which verifications ran and their outcomes ("pass" or
-    "fail"): ``fixed_point_sample`` always, ``presentation_oracle`` for a
-    class in x, y and c1..cr.  ``u_form`` is the same answer in the
-    roots, ``expand_elementary(chern_form)``, built each time it is read.
+    "fail"): ``fixed_point_sample`` always, ``presentation_oracle`` (the fold
+    on the same read) for a class without q_i.  ``u_form`` is the same answer
+    in the roots, ``expand_elementary(chern_form)``, built each time it is read.
     """
 
     chern_form: Polynomial
@@ -80,29 +80,30 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     """Push a fiber class forward to the base, in Chern-class form.
 
     ``_valid_through`` checks the ring and the cutoff and gives
-    ``valid_through``; roots u_i are refused.  ``chern_form`` is the closed
-    form of the fixed-point sum (the Segre series, see ``_closed_form``).
-    ``fixed_point_sample`` checks it against the sum itself, restricted at
-    every fixed point and divided by the Euler classes, at one integer point
-    fixed per rank: a wrong answer passes with probability at most d / |S|,
-    |S| = 2^40 - 1, in its lowest wrong degree d, over that seeded choice of
-    point (not against an input built to vanish there).  The answer is also
-    cross-checked against the presentation oracle when the input involves
-    only x, y and the Chern generators.  Each outcome is recorded in
-    ``checks`` as "pass" or "fail".  The payload is truncated at
-    ``expr.cutoff`` and every evaluator lowers degree by exactly r - 1, so
-    the results stop at ``valid_through``.
+    ``valid_through``; one scan of the generators refuses roots u_i.  The
+    class is read once (``_read_in_x``), and ``chern_form`` is the closed
+    form on that read (``_segre_sum``).  ``fixed_point_sample`` checks it
+    against the sum itself, restricted at every fixed point and divided by
+    the Euler classes, at one integer point fixed per rank: a wrong answer
+    passes with probability at most d / |S|, |S| = 2^40 - 1, in its lowest
+    wrong degree d, over that seeded choice of point (not against an input
+    built to vanish there).  Without a q_i, the presentation oracle
+    (``_fold``) runs on the same read and must give the same packed sum.
+    Each outcome is recorded in ``checks`` as "pass" or "fail".  Every
+    evaluator lowers degree by exactly r - 1, so a payload truncated at
+    ``expr.cutoff`` gives results that stop at ``valid_through``.
     """
     valid_through = _valid_through(expr.payload, rank, expr.cutoff)
-    _refuse_roots(expr.payload, rank)
-    chern_form = _closed_form(expr.payload, rank)
+    kinds = {name[0] for name in expr.payload.variables()}
+    if "u" in kinds:
+        raise UnsupportedVariableError("root variables u_i cannot be pushed forward; use localize for those")
+    buckets, d, width = _read_in_x(expr.payload)
+    packed = _segre_sum(buckets, rank, width)
+    chern_form = _unpack_sum(expr.payload.table, packed, d, width)
     sample = fixed_point_sample(expr.payload, rank, chern_form)
     checks = {"fixed_point_sample": "pass" if sample else "fail"}
-
-    if not {f"q{i}" for i in range(1, rank)} & set(expr.payload.variables()):
-        oracle = presentation_oracle(expr, rank)
-        checks["presentation_oracle"] = "pass" if oracle == chern_form else "fail"
-
+    if "q" not in kinds:
+        checks["presentation_oracle"] = "pass" if _fold(buckets, rank, width) == packed else "fail"
     return PushforwardResult(chern_form=chern_form, valid_through=valid_through, checks=checks)
 
 
@@ -118,18 +119,14 @@ def segre_oracle(rank: int, cutoff: int) -> Polynomial:
 
 def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
     """Pushforward of a class in x, y and c1..cr via the ring presentation:
-    read it as sum_k a_k x^k, y = -x (``_read_in_x``), reduce modulo
-    x^r + c1 x^(r-1) + ... + cr and return the coefficient of x^(r-1); a q_i
-    or a root u_i raises ``UnsupportedVariableError``.
+    the class read as sum_k a_k x^k, y = -x (``_read_in_x``), reduced modulo
+    x^r + c1 x^(r-1) + ... + cr (``_fold``); a q_i or a root u_i raises
+    ``UnsupportedVariableError``.
 
-    This realizes the classical description of the pushforward: x^(r-1) maps
-    to 1, lower powers to 0, extended linearly over Chern-class coefficients.
     The arguments pass ``_valid_through`` as in ``pushforward``; the reduction
     lowers degree by exactly r - 1, so the value stops at the ``valid_through``
-    bound when the class has a cutoff.  It shares only that reading with
-    ``_closed_form``, which sums Segre products instead.  On its keys a
-    product by c_i adds one int and, the relation being homogeneous, never
-    carries; nothing is pushed below x^(r-1), and only that bucket is unpacked.
+    bound when the class has a cutoff.  It shares only the read with the
+    closed form, which sums Segre products instead.
     """
     payload = expr.payload
     _valid_through(payload, rank, expr.cutoff)
@@ -138,15 +135,8 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
         raise UnsupportedVariableError(
             f"presentation oracle accepts only x, y and c1..c{rank}; got {sorted(extra)}"
         )
-    table, width = payload.table, payload.degree().bit_length()
-    first, steps = table.index("c1"), [1 << (width * i) for i in range(rank)]  # the keys of c1..cr
-    buckets = _read_in_x(payload, width)
-    for k in range(max(buckets, default=0), rank - 1, -1):
-        head = buckets.pop(k, {})
-        for i, step in enumerate(steps[: k - rank + 1], 1):
-            target = buckets.setdefault(k - i, {})
-            _accumulate(target, ((key + step, c) for key, c in head.items()), sign=-1)
-    return _unpack(table, buckets.get(rank - 1, {}), range(first, len(table)), width)
+    buckets, d, width = _read_in_x(payload)
+    return _unpack_sum(payload.table, _fold(buckets, rank, width), d, width)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 ``_fixed_points`` builds that data at any root values, for the charts.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
-over the Segre series (``_closed_form``) on the class read as sum_k a_k x^k,
-y = -x and each q_i written in x by the Whitney relation (``_read_in_x``,
-on packed int keys); ``localize`` reads it in the roots by sending each
-c_i to e_i(u).  ``fixed_point_sample`` checks the closed form against the
-sum itself, from ``_fixed_points`` at one integer point.  ``_valid_through``
-holds the one cutoff rule (every evaluator lowers degree by the fiber
-dimension r - 1) and the argument guards the evaluators share.
+over the Segre series (``_segre_sum``), and ``_fold`` gets it from the ring
+presentation, both on one read of the class as sum_k a_k x^k, y = -x, each
+q_i in x by the Whitney relation, on packed int keys (``_read_in_x``).
+``localize`` reads ``_closed_form`` in the roots by sending each c_i to
+e_i(u).  ``fixed_point_sample`` checks an answer against the sum itself, at
+one integer point.  ``_valid_through`` holds the one cutoff rule (every
+evaluator lowers degree by the fiber dimension r - 1) and the shared guards.
 The test suite's symbolic references in the roots live with the tests;
 they build on the charts and on ``_vandermonde`` and ``_cofactors``.
 """
@@ -30,7 +30,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ArityError, SymmetryError, UnsupportedVariableError
+from .errors import ArityError, SymmetryError
 from .polyring import Polynomial, VariableTable, _as_coeff, _integral, _unpack
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
@@ -158,18 +158,20 @@ class LocalizationResult:
     valid_through: int | None
 
 
-def _read_in_x(payload: Polynomial, width: int) -> dict[int, dict[int, object]]:
+def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int]:
     """``payload`` as sum_k a_k x^k with y = -x, in one pass: a term
     c x^a y^b q^beta m adds (-1)^b c times q^beta, written in x by the
     Whitney relation (1 + y)(1 + q1 + ... + q(r-1)) = c(V), to the a_k with
-    k >= a + b.  Each a_k is keyed by ints, ``width`` bits a field for each
-    exponent of c1.. and the roots (Monagan and Pearce, CASC 2007).  With
-    y = -x, q_i = sum_(m <= i) x^m c_(i-m), c_0 = 1; each distinct q^beta is
-    expanded once per call, on keys whose top field, above every c_i and
-    u_i, holds the power of x.  The map keeps degree, so callers keep every
-    exponent below 2^width by taking ``width`` from the degree of ``payload``.
+    k >= a + b.  Returns (buckets, D, width): bucket k is D a_k, D the least
+    common denominator of ``payload``, in ints keyed by ints with ``width``
+    bits a field for each exponent of c1.. and the roots (Monagan and Pearce,
+    CASC 2007), ``width`` from the degree of ``payload``, which the map keeps,
+    so no field carries.  With y = -x, q_i = sum_(m <= i) x^m c_(i-m),
+    c_0 = 1; each distinct q^beta is expanded once per call, on keys whose
+    top field, above every c_i and u_i, holds the power of x.
     """
-    table = payload.table
+    table, width = payload.table, payload.degree().bit_length()
+    payload, d = _integral(payload)
     y, first = table.index("y"), table.index("c1")
     top = width * (len(table) - first)  # the field of x in the expansions
     images: dict[tuple, dict[int, int]] = {(): {0: 1}}
@@ -192,7 +194,7 @@ def _read_in_x(payload: Polynomial, width: int) -> dict[int, dict[int, object]]:
             prefix = key
         return image
 
-    total: dict[int, object] = {}
+    total: dict[int, int] = {}
     for mon, c in payload._terms.items():
         k = key = 0
         beta = []
@@ -210,12 +212,12 @@ def _read_in_x(payload: Polynomial, width: int) -> dict[int, dict[int, object]]:
                 total[key + b] = total.get(key + b, 0) + c * cb
         else:
             total[key] = total.get(key, 0) + c
-    buckets: dict[int, dict[int, object]] = {}
+    buckets: dict[int, dict[int, int]] = {}
     mask = (1 << top) - 1
     for key, c in total.items():
         if c:
-            buckets.setdefault(key >> top, {})[key & mask] = c if c.__class__ is int else _as_coeff(c)
-    return buckets
+            buckets.setdefault(key >> top, {})[key & mask] = c
+    return buckets, d, width
 
 
 def _packed_segre(rank: int, top: int, width: int) -> list[dict[int, int]]:
@@ -232,21 +234,12 @@ def _packed_segre(rank: int, top: int, width: int) -> list[dict[int, int]]:
     return segre
 
 
-def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
-    """The fixed-point sum in c1..cr by the closed form.
-
-    At the fixed points, sum_j u_j^k / prod_(i != j) (u_i - u_j) =
-    (-1)^(r-1) h_(k-r+1)(u) (Lagrange interpolation), so f_*(x^k) = s_(k-r+1),
-    s = 1/c(V) the Segre series (Fulton, *Intersection Theory*, Prop. 3.1(a)).
-    ``_read_in_x`` reads the class, each q_i by the Whitney relation, as
-    sum_k a_k x^k.  The sum of the a_k s_(k-r+1) runs in integers on its
-    keys, times the class's common denominator, which is divided out once;
-    no field carries, and no ``Polynomial.substitute`` runs.
-    """
-    table = payload.table
-    first, width = table.index("c1"), payload.degree().bit_length()
-    integral, d = _integral(payload)
-    buckets = _read_in_x(integral, width)
+def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int, int]:
+    """The closed form on a ``_read_in_x`` read, sum_k a_k s_(k-r+1) in
+    integers on its keys, zeros dropped: at the fixed points, sum_j u_j^k /
+    prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange
+    interpolation), so f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
+    (Fulton, *Intersection Theory*, Prop. 3.1(a))."""
     segre = _packed_segre(rank, max(max(buckets, default=0) - rank + 1, 0), width)
     total: dict[int, int] = {}
     for k, terms in buckets.items():
@@ -255,9 +248,39 @@ def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
             for a, ca in terms.items():
                 for b, cb in series:
                     total[a + b] = total.get(a + b, 0) + ca * cb
+    return {key: c for key, c in total.items() if c}
+
+
+def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int, int]:
+    """The ring presentation on a ``_read_in_x`` read (Fulton, *Intersection
+    Theory*, sec. 3.2): x^(r-1) maps to 1 and lower powers to 0, so f_* is
+    the coefficient of x^(r-1) in sum_k a_k x^k modulo x^r + c1 x^(r-1) +
+    ... + cr.  Long division from the top power down gives it as t_(r-1),
+    t_k = a_k - sum_(1 <= i <= r) c_i t_(k+i), t_k = 0 above the top; on the
+    read's keys a product by c_i adds one int and never carries, the relation
+    being homogeneous.  Zeros are dropped, and the read is left as it is."""
+    steps, upper = [1 << width * i for i in range(rank)], [{}]  # t_(k+1), t_(k+2), ...
+    for k in range(max(buckets, default=0), rank - 2, -1):
+        t = dict(buckets.get(k, ()))
+        for step, above in zip(steps, upper):
+            for key, c in above.items():
+                key += step
+                t[key] = t.get(key, 0) - c
+        upper = [t, *upper[: rank - 1]]
+    return {key: c for key, c in upper[0].items() if c}
+
+
+def _unpack_sum(table: VariableTable, packed: dict[int, int], d: int, width: int) -> Polynomial:
+    """A sum on ``_read_in_x`` keys over the denominator ``d``, divided by ``d`` and unpacked."""
     if d != 1:
-        total = {key: _as_coeff(Fraction(c, d)) for key, c in total.items()}
-    return _unpack(table, total, range(first, len(table)), width)
+        packed = {key: _as_coeff(Fraction(c, d)) for key, c in packed.items()}
+    return _unpack(table, packed, range(table.index("c1"), len(table)), width)
+
+
+def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
+    """The fixed-point sum in c1..cr (and the roots) by ``_segre_sum`` on one read."""
+    buckets, d, width = _read_in_x(payload)
+    return _unpack_sum(payload.table, _segre_sum(buckets, rank, width), d, width)
 
 
 def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:
@@ -277,14 +300,6 @@ def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None
     if phi.degree() > cutoff:
         raise ValueError("series input must be pre-truncated at the cutoff")
     return cutoff - (rank - 1)
-
-
-def _refuse_roots(phi: Polynomial, rank: int) -> None:
-    """The pushforward's Chern-class form has no roots; ``localize`` takes them."""
-    if set(phi.variables()) & {f"u{i}" for i in range(1, rank + 1)}:
-        raise UnsupportedVariableError(
-            "root variables u_i cannot be pushed forward; use localize for those"
-        )
 
 
 _SAMPLE_BITS = 40  # sample coordinates lie in S = {1, ..., 2^40 - 1}
@@ -401,15 +416,9 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
 def relation_check(rank: int) -> bool:
     """True when the defining relation of the fiber ring restricts to a true
     identity at every fixed point: (1 + u_j) * (1 + sum of complementary
-    elementary symmetric polynomials) equals prod_i (1 + u_i), exactly."""
+    elementary symmetric polynomials) equals prod_i (1 + u_i), exactly.
+    Restriction is a ring map: the left side is a product of images."""
     table = bundle_ring(rank)
-    roots = root_generators(table)
-    rhs = table.one()
-    for u in roots:
-        rhs = rhs * (1 + u)
-    lhs_class = table.one() + table.var("y")
-    q_total = table.one()
-    for i in range(1, rank):
-        q_total = q_total + table.var(f"q{i}")
-    lhs_class = lhs_class * q_total
-    return all(chart.restrict(lhs_class) == rhs for chart in _charts(rank))
+    rhs = math.prod((1 + u for u in root_generators(table)), start=table.one())
+    return all((1 + images["y"]) * sum((images[f"q{i}"] for i in range(1, rank)), table.one()) == rhs
+               for images in (chart.restriction for chart in _charts(rank)))

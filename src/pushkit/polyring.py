@@ -11,8 +11,8 @@ arithmetic is exact and floats are rejected everywhere.
 Two kernels run on packed monomials instead, ints with a fixed-width field
 per exponent (Monagan and Pearce, CASC 2007): ``_series_power``, the truncated
 power p^n (n >= -1) behind ``series_inverse`` and ``pow`` with a cutoff; and
-the closed form and presentation oracle, which pack through
-``localization._read_in_x``.  ``_unpack`` turns such keys back into a polynomial.
+the two evaluators of f_* in ``localization``, on the keys of its reader
+``_read_in_x``.  ``_unpack`` turns such keys back into a polynomial.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
@@ -32,6 +32,7 @@ from .errors import (
     NotInvertibleError,
     TableMismatchError,
     UnboundVariableError,
+    UsageError,
 )
 
 __all__ = [
@@ -52,6 +53,22 @@ def _as_coeff(value) -> _Coeff:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _refuse_unprintable(coeffs: Iterable[_Coeff] = (), log10: float = 0.0) -> None:
+    """Raise UsageError if a coefficient in ``coeffs``, or one estimated at
+    ``log10`` digits, has more digits than Python prints
+    (``sys.get_int_max_str_digits()``); never where there is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    bits = 3.32 * limit  # 10^limit has more bits, so a shorter int prints
+    for c in coeffs if limit else ():
+        if (c.numerator.bit_length() > bits or c.denominator.bit_length() > bits) and (
+                max(abs(c.numerator), c.denominator) >= 10**limit):
+            log10 = limit
+            break
+    if limit and log10 >= limit:
+        raise UsageError(f"a coefficient would have more than {limit:,} digits, "
+                         "Python's limit for printing an integer")
 
 
 class VariableTable:
@@ -701,7 +718,9 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
     (-L p_i M^(i-1)) t_(d-i), divided by d exactly; at n = -1 the weight d
     cancels and nothing is divided.  Each product is one pass over packed int
     keys, ``cutoff.bit_length()`` bits per generator in ``p``, and each t_d is
-    scaled by c0^n / M^d once, when unpacked.
+    scaled by c0^n / M^d once, as soon as it is built.  An inverse (n = -1)
+    raises UsageError at its first degree with a coefficient Python cannot
+    print (``_refuse_unprintable``); a power is estimated before it is built.
     """
     table, width, c0 = p.table, cutoff.bit_length(), p.constant_term()
     num, den = (c0.numerator ** n, c0.denominator ** n) if n >= 0 else (c0.denominator, c0.numerator)
@@ -714,9 +733,10 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
         if mon:
             i = mon.degree(table)
             parts.setdefault(i, []).append((sum(e << shifts[j] for j, e in mon), -c * m ** (i - 1)))
-    series: list[dict[int, int]] = [{0: 1}]  # t_0, t_1, ...
-    for d in range(1, cutoff + 1):
-        t: dict[int, int] = {}
+    series: list[dict[int, int]] = []  # t_0, t_1, ...
+    packed: dict[int, _Coeff] = {}
+    for d in range(cutoff + 1):
+        t: dict[int, int] = {} if d else {0: 1}
         for i, part in parts.items():
             if i <= d:
                 if n != -1:
@@ -725,12 +745,12 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
                 for kg, cg in part:
                     for ks, cs in lower.items():
                         t[kg + ks] = t.get(kg + ks, 0) + cg * cs
-        series.append({key: c if n == -1 else c // d for key, c in t.items() if c})
-    packed: dict[int, _Coeff] = {}
-    for t in series:  # P_d = c0^n t_d / M^d
-        if den == num == 1:
-            packed.update(t)
-        else:
-            packed.update((key, _as_coeff(Fraction(num * c, den))) for key, c in t.items())
+        t = {key: c if n == -1 or not d else c // d for key, c in t.items() if c}
+        series.append(t)
+        if den != 1 or num != 1:  # P_d = c0^n t_d / M^d
+            t = {key: _as_coeff(Fraction(num * c, den)) for key, c in t.items()}
+        if n == -1:  # an inverse is refused at its first unprintable degree
+            _refuse_unprintable(t.values())
+        packed.update(t)
         den *= m
     return _unpack(table, packed, gens, width)

@@ -11,6 +11,7 @@ from typing import Sequence
 from pushkit import (
     Monomial,
     Polynomial,
+    UnsupportedVariableError,
     VariableTable,
     bundle_ring,
     divide_exact_linear,
@@ -156,7 +157,8 @@ def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
     1689).  It needs phi|_j to be phi|_1 with u_1 and u_j swapped, true for
     every class in x, y, q_i, c_i, so a class with a root is refused."""
     localization._valid_through(phi, rank, None)
-    localization._refuse_roots(phi, rank)
+    if any(name[0] == "u" for name in phi.variables()):
+        raise UnsupportedVariableError("root variables u_i cannot be pushed forward; use localize for those")
     table = bundle_ring(rank)
     value = fixed_point_charts(rank)[0].restrict(phi)
     for i in range(1, rank):

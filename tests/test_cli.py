@@ -214,6 +214,21 @@ def test_power_with_an_unprintable_constant_term_is_refused_before_computing(cap
         assert answer in capsys.readouterr().out
 
 
+def test_inverse_is_refused_at_its_first_unprintable_degree(capsys):
+    # the degree-5 coefficient of inv(1 - 10^1000 x) is 10^5000: the inverse
+    # stops there instead of building the degrees above it
+    for degree in ("5", "3000"):
+        assert run(["push", "--rank", "1", "--max-degree", degree, "--format", "json",
+                    "--", "inv(1 - 10^1000 x)"]) == 2
+        assert capsys.readouterr() == ("", _TOO_LONG)
+    # an inverse is refused on its own coefficients, even where a product
+    # would truncate them away; through degree 4 they all print
+    assert run(["push", "--rank", "1", "--max-degree", "5", "--", "x inv(1 - 10^1000 x)"]) == 2
+    assert capsys.readouterr() == ("", _TOO_LONG)
+    assert run(["push", "--rank", "1", "--max-degree", "4", "--", "inv(1 - 10^1000 x)"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_power_with_growing_coefficients_is_refused_before_computing(capsys, monkeypatch):
     # C(N, k) for k <= D has about k log10 N digits, and c0^N about N log10 c0,
     # past the limit here however small the other coefficients are
@@ -254,12 +269,14 @@ def test_power_with_printable_coefficients_answers_as_its_expansion(capsys):
 def test_wrong_presentation_oracle_fails_every_command(capsys, monkeypatch):
     import pushkit.gysin
 
-    oracle = pushkit.gysin.presentation_oracle
+    fold = pushkit.gysin._fold
 
-    def wrong(expr, rank):
-        return oracle(expr, rank) + 1
+    def wrong(buckets, rank, width):  # the oracle's packed sum plus 1 on its constant term
+        out = fold(buckets, rank, width)
+        out[0] = out.get(0, 0) + 1
+        return out
 
-    monkeypatch.setattr(pushkit.gysin, "presentation_oracle", wrong)
+    monkeypatch.setattr(pushkit.gysin, "_fold", wrong)
     assert run(["push", "--rank", "3", "x^2"]) == 1
     assert "presentation_oracle=fail" in capsys.readouterr().out
     assert run(["table", "--rank", "3", "--from", "0", "--to", "2"]) == 1
@@ -283,14 +300,14 @@ def _shift_top_coefficient(monkeypatch):
     """Make ``pushforward`` answer its closed form plus 1 on its top-degree term."""
     import pushkit.gysin
 
-    closed_form = pushkit.gysin._closed_form
+    unpack_sum = pushkit.gysin._unpack_sum
 
-    def shifted(payload, rank):
-        value = closed_form(payload, rank)
+    def shifted(table, packed, d, width):
+        value = unpack_sum(table, packed, d, width)
         mon, _ = value.sorted_terms()[0]
         return value + Polynomial._raw(value.table, {mon: 1})
 
-    monkeypatch.setattr(pushkit.gysin, "_closed_form", shifted)
+    monkeypatch.setattr(pushkit.gysin, "_unpack_sum", shifted)
 
 
 def test_failed_check_is_a_verification_failure(capsys, monkeypatch):

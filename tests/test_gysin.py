@@ -110,23 +110,31 @@ def test_class_expr_invariants():
 def test_elaborate_and_pushforward_make_no_public_substitute_call(monkeypatch):
     # The benchmark's polyring.substitute_calls counts calls of the public
     # method, a Horner pass.  Neither elaborate nor pushforward makes one:
-    # elaborate renames x -> -y in one pass over the terms, the closed form
-    # reads each q_i by the Whitney relation on packed keys, the presentation
-    # oracle reads a class in x and y as it is, and the fixed-point sample
-    # evaluates the class term by term.
+    # elaborate renames x -> -y in one pass over the terms, the read writes
+    # each q_i by the Whitney relation on packed keys, and the fixed-point
+    # sample evaluates the class term by term.  pushforward also reads the
+    # class once for both evaluators and scans its generators once.
+    from pushkit import gysin
+
     inputs = [("(q1 q2 y^3) inv(1 + y)", 4, 14), ("inv(1 + c1 y)", 3, 8),
               ("y^5 - c2 y^3", 4, 7), ("inv(1-x)", 4, 9), ("inv(1 + c1 x + c2 x^2 - y q1)", 3, 20)]
-    calls = []
-    original = Polynomial.substitute
+    calls = {"substitute": 0, "_read_in_x": 0, "variables": 0}
 
-    def counting(self, images):
-        calls.append(images)
-        return original(self, images)
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
 
-    monkeypatch.setattr(Polynomial, "substitute", counting)
+    for owner, name in ((Polynomial, "substitute"), (Polynomial, "variables"), (localization, "_read_in_x")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    monkeypatch.setattr(gysin, "_read_in_x", localization._read_in_x)
     for text, rank, cutoff in inputs:
-        pushforward(elaborate(parse_expression(text, rank), rank, cutoff), rank)
-        assert calls == [], text
+        expr = elaborate(parse_expression(text, rank), rank, cutoff)
+        assert calls["substitute"] == 0, text
+        calls.update(_read_in_x=0, variables=0)
+        pushforward(expr, rank)
+        assert calls["substitute"] == 0 and calls["_read_in_x"] == 1 and calls["variables"] <= 1, text
 
 
 def test_pushforward_runs_no_symmetry_guard(monkeypatch):

@@ -229,6 +229,7 @@ _DENOMINATOR_CLASSES = [  # coprime denominators; the q-class has 1/4 coefficien
     ("(1/3) x^5 + (2/7) c1 x^4", 5, 5, 21),
     ("inv(1 + 4/3 y)", 3, 26, 3**26),
     ("(1/4) q1 q2 y^6 + (1/4) c1 q3 y^5 - (3/4) q4 y^4", 5, 12, 4),
+    ("inv(1 + 2/3 x - c1 x^2)", 3, 30, 3**30),  # an x-class, so the fold runs too
 ]
 
 
@@ -241,12 +242,30 @@ def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
     phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
     assert polyring._integral(phi)[1] == denominator
     assert localize(phi, rank, cutoff).value == literal_sum(phi, rank, cutoff)
-    answer = pushforward(ClassExpr(phi, cutoff), rank).chern_form
+    result = pushforward(ClassExpr(phi, cutoff), rank)
+    assert set(result.checks.values()) == {"pass"}
+    answer = result.chern_form
     assert localization.fixed_point_sample(phi, rank, answer)
     table = bundle_ring(rank)
     for _, part in answer.graded_parts():
         shift = Polynomial(table, {next(iter(part._terms)): Fraction(1, denominator)})
         assert not localization.fixed_point_sample(phi, rank, answer + shift)
+
+
+@pytest.mark.parametrize("text,rank,cutoff",
+                         [("inv(1 + 2/3 x - c1 x^2)", 3, 14), ("inv(1 - c1 y + c3 x^3)", 4, 12)])
+def test_both_evaluators_leave_the_shared_read_as_it_is(text, rank, cutoff):
+    # pushforward hands one read to the closed form and then to the fold; the
+    # fold runs last, so only this test sees a fold that writes into the read
+    phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
+    buckets, d, width = localization._read_in_x(phi)
+    assert d == polyring._integral(phi)[1] and width == cutoff.bit_length()
+    assert all(c.__class__ is int for terms in buckets.values() for c in terms.values())
+    before = {k: dict(terms) for k, terms in buckets.items()}
+    folded = localization._fold(buckets, rank, width)
+    assert buckets == before and 0 not in folded.values()
+    assert localization._segre_sum(buckets, rank, width) == folded
+    assert buckets == before
 
 
 def test_localize_reads_a_class_in_both_x_and_y_with_y_as_minus_x():
