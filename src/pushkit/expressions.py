@@ -20,11 +20,9 @@ one pass over its terms.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Union
 
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
@@ -260,34 +258,17 @@ def parse_expression(text: str, rank: int, *, allow_u: bool = False) -> ExprAst:
     return _Parser(_tokenize(text), rank, allow_u).parse()
 
 
-def refuse_unprintable(*polys: Polynomial, exponent: int = 1, cutoff: int = 0) -> None:
-    """Raise UsageError if a coefficient of ``polys`` has more digits than
-    Python prints (``polyring._refuse_unprintable``).  With an ``exponent`` N, the
-    one poly is a power's base c0 + rest, checked before it is computed by the largest
-    C(N, i) c0^(N-i) min(R^cutoff, M^i), i <= N and i * (lowest degree in rest) <= cutoff,
-    where M is the largest size in rest and R its largest size^(1/degree)."""
-    if exponent == 1:
-        return _refuse_unprintable(c for p in polys for c in p._terms.values())
-    # in log10, N - i clamped to a float: 10^300 log10(2) is past any limit
-    size = lambda c: max(abs(c.numerator), c.denominator)
-    c0 = polys[0].constant_term()
-    rest = polys[0] - c0
-    logs = {m: math.log10(size(c)) for m, c in rest._terms.items()}
-    log_r = cutoff * max((v / m.degree(rest.table) for m, v in logs.items()), default=0.0)
-    log_m, log_c0 = max(logs.values(), default=0.0), math.log10(size(c0))
-    j = min(exponent, cutoff // rest._span()[0]) if rest else 0
-    steps = (math.log10(exponent - k) - math.log10(k + 1) for k in range(j))  # to log C(N, j)
-    terms = (b + min(exponent - i, 10**300) * log_c0 + min(log_r, i * log_m)
-             for i, b in enumerate(accumulate(steps, initial=0.0)) if c0 != 0 or i == exponent)
-    _refuse_unprintable(log10=max(terms, default=0.0))  # c0 = 0: only rest^N can survive the cutoff
+def refuse_unprintable(*polys: Polynomial) -> None:
+    """The print-time check: ``polyring._refuse_unprintable`` on every coefficient."""
+    _refuse_unprintable(c for p in polys for c in p._terms.values())
 
 
 def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     """Evaluate a syntax tree in the rank-r ring, truncated at ``cutoff``.
 
-    inv(...) becomes a truncated series inverse.  If both x and y occur, x is
-    rewritten as -y in one pass (``_x_as_minus_y``), only so that the echoed
-    input names one fiber variable.
+    inv(...) becomes a truncated series inverse; it and X^N refuse their first
+    unprintable coefficient.  If both x and y occur, x is rewritten as -y in
+    one pass (``_x_as_minus_y``), only so that the echoed input names one fiber variable.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
@@ -311,9 +292,7 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
                 value = value.mul_trunc(ev(factor), cutoff)
             return value
         if isinstance(node, Pow):
-            base = ev(node.base)
-            refuse_unprintable(base, exponent=node.exponent, cutoff=cutoff)  # before computing it
-            return base.pow(node.exponent, cutoff)
+            return ev(node.base).pow(node.exponent, cutoff)
         if isinstance(node, Inv):
             inner = ev(node.operand)
             try:

@@ -12,7 +12,8 @@ Two kernels run on packed monomials instead, ints with a fixed-width field
 per exponent (Monagan and Pearce, CASC 2007): ``_series_power``, the truncated
 power p^n (n >= -1) behind ``series_inverse`` and ``pow`` with a cutoff; and
 the two evaluators of f_* in ``localization``, on the keys of its reader
-``_read_in_x``.  ``_unpack`` turns such keys back into a polynomial.
+``_read_in_x``.  ``_unpack`` turns such keys back into a polynomial.  Powers
+and inverses are the one place that refuses a coefficient Python cannot print.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
@@ -56,8 +57,8 @@ def _as_coeff(value) -> _Coeff:
 
 
 def _refuse_unprintable(coeffs: Iterable[_Coeff] = (), log10: float = 0.0) -> None:
-    """Raise UsageError if a coefficient in ``coeffs``, or one estimated at
-    ``log10`` digits, has more digits than Python prints
+    """Raise UsageError if a coefficient in ``coeffs``, or a number of size
+    10^``log10``, has more digits than Python prints
     (``sys.get_int_max_str_digits()``); never where there is no limit."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
     bits = 3.32 * limit  # 10^limit has more bits, so a shorter int prints
@@ -421,19 +422,24 @@ class Polynomial:
         """``self ** exponent``, optionally truncating at ``cutoff`` throughout.
 
         With a cutoff and a nonzero constant term by ``_series_power``, so a
-        huge exponent costs what a small one does; otherwise by squaring."""
+        huge exponent costs what a small one does; otherwise by squaring, or 0
+        at once above the cutoff.  Each refuses its first unprintable product."""
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
         base = self if cutoff is None else self.truncate(cutoff)
         if cutoff is not None and base.constant_term():
             return _series_power(base, exponent, cutoff)
+        if cutoff is not None and exponent * base._span()[0] > cutoff:
+            return self.table.zero()
         result, n = self.table.one(), exponent
         while n:
             if n & 1:
                 result = result._mul(base, cutoff)
+                _refuse_unprintable(result._terms.values())
             n >>= 1
             if n:
                 base = base._mul(base, cutoff)
+                _refuse_unprintable(base._terms.values())
         return result
 
     def __pow__(self, exponent: int) -> Polynomial:
@@ -718,11 +724,12 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
     (-L p_i M^(i-1)) t_(d-i), divided by d exactly; at n = -1 the weight d
     cancels and nothing is divided.  Each product is one pass over packed int
     keys, ``cutoff.bit_length()`` bits per generator in ``p``, and each t_d is
-    scaled by c0^n / M^d once, as soon as it is built.  An inverse (n = -1)
-    raises UsageError at its first degree with a coefficient Python cannot
-    print (``_refuse_unprintable``); a power is estimated before it is built.
+    scaled by c0^n / M^d once, as soon as it is built.  UsageError is raised at
+    c0^n by its size (n clamped to 10^300) and at the first degree Python cannot
+    print (``_refuse_unprintable``); a constant p stops at degree 0.
     """
     table, width, c0 = p.table, cutoff.bit_length(), p.constant_term()
+    _refuse_unprintable(log10=min(n, 10**300) * math.log10(max(abs(c0.numerator), c0.denominator)))
     num, den = (c0.numerator ** n, c0.denominator ** n) if n >= 0 else (c0.denominator, c0.numerator)
     p, _ = _integral(p.truncate(cutoff))
     gens = sorted({i for mon in p._terms for i, _ in mon})
@@ -735,7 +742,7 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
             parts.setdefault(i, []).append((sum(e << shifts[j] for j, e in mon), -c * m ** (i - 1)))
     series: list[dict[int, int]] = []  # t_0, t_1, ...
     packed: dict[int, _Coeff] = {}
-    for d in range(cutoff + 1):
+    for d in range(cutoff + 1 if parts else 1):
         t: dict[int, int] = {} if d else {0: 1}
         for i, part in parts.items():
             if i <= d:
@@ -749,8 +756,7 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
         series.append(t)
         if den != 1 or num != 1:  # P_d = c0^n t_d / M^d
             t = {key: _as_coeff(Fraction(num * c, den)) for key, c in t.items()}
-        if n == -1:  # an inverse is refused at its first unprintable degree
-            _refuse_unprintable(t.values())
+        _refuse_unprintable(t.values())
         packed.update(t)
         den *= m
     return _unpack(table, packed, gens, width)

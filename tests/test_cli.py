@@ -15,6 +15,7 @@ import pytest
 from pushkit import bundle_ring, elaborate, expand_elementary, parse_expression, segre_oracle
 from pushkit import ClassExpr, Polynomial, series_inverse
 from pushkit.cli import run
+from pushkit.errors import UsageError
 
 from helpers import literal_sum
 
@@ -229,29 +230,31 @@ def test_inverse_is_refused_at_its_first_unprintable_degree(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_power_with_growing_coefficients_is_refused_before_computing(capsys, monkeypatch):
+def test_power_with_growing_coefficients_is_refused_by_its_kernel(capsys):
     # C(N, k) for k <= D has about k log10 N digits, and c0^N about N log10 c0,
-    # past the limit here however small the other coefficients are
-    from pushkit.polyring import Polynomial
-
-    def forbidden(self, exponent, cutoff=None):
-        raise AssertionError("the power was computed before it was refused")
-
-    monkeypatch.setattr(Polynomial, "pow", forbidden)
+    # past the limit here however small the other coefficients are; elaborate
+    # itself refuses, at the first unprintable degree (degree 5 of
+    # (1 + 10^1000 x)^5), or while squaring 10^1000 x, before anything prints
     cases = [("2", str(degree), f"(1+x)^1{'0' * zeros}") for zeros, degree in ((1000, 10), (2000, 10), (400, 12))]
     cases += [("2", "5", f"(1{'0' * 1000} + x)^5"), ("1", "100", f"(1{'0' * 4000} + x)^100")]
+    cases += [("1", "5", "(1 + 10^1000 x)^5"), ("1", "100000", "(10^1000 x)^50000")]
     for rank, degree, text in cases:
+        with pytest.raises(UsageError):
+            elaborate(parse_expression(text, int(rank)), int(rank), int(degree))
         assert run(["push", "--rank", rank, "--max-degree", degree, "--", text]) == 2
         assert capsys.readouterr() == ("", _TOO_LONG)
 
 
 def test_power_with_printable_coefficients_answers_as_its_expansion(capsys):
     # C(10^400, 4) has about 1,600 digits; 2^3000 x^5 is used at most once through
-    # degree 5, and 10^1000 x at most twice through any degree when squared; a power
-    # of x past the cutoff is 0, however large C(N, 10) is
+    # degree 5, 10^1000 x at most four times through degree 4, and at most twice
+    # through any degree when squared; a power lying wholly above the cutoff is 0,
+    # however large its coefficients or C(N, 10) are
     n = 10**400
     cases = [
         (4, f"(1+x)^{n}", " + ".join(f"{math.comb(n, k)} x^{k}" for k in range(5))),
+        (4, "(1 + 10^1000 x)^5", " + ".join(f"{math.comb(5, k) * 10**(1000 * k)} x^{k}" for k in range(5))),
+        (2, "(10^2200 x + x^2)^3", "0"),
         (5, "(1 + x + 2^3000 x^5)^1000", f"{1000 * 2**3000} x^5 + (1+x)^1000"),
         (5, "(10^1000 x)^2", "10^2000 x^2"),
         (5, "(10^1000 x)^0", "1"),

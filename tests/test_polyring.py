@@ -451,6 +451,17 @@ def test_truncated_power_of_a_huge_exponent_is_its_binomial_expansion():
     assert (-1 + 2 * x).pow(n, 4) == expected
 
 
+def test_truncated_power_of_a_constant_builds_degree_zero_alone(monkeypatch):
+    # a base with no term above degree 0 has nothing to build above it: the
+    # kernel checks c0^N by size, then degree 0, and not each degree up to the cutoff
+    import pushkit.polyring as polyring
+
+    calls, check = [], polyring._refuse_unprintable
+    monkeypatch.setattr(polyring, "_refuse_unprintable", lambda *a, **k: calls.append(1) or check(*a, **k))
+    assert bundle_ring(1).const(10).pow(1000, 100000) == 10**1000
+    assert len(calls) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(_poly_strategy(_T, _NAMES), _poly_strategy(_T, _NAMES), st.integers(0, 10**9))
 def test_substitute_is_ring_homomorphism(a, b, seed):
