@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,24 +36,21 @@ from .errors import (
 from .expressions import elaborate, parse_expression, refuse_unprintable
 from .gysin import ClassExpr, pushforward, verify_classical
 from .localization import bundle_ring, localize
-from .polyring import Polynomial, _render_terms
+from .polyring import Polynomial, _Value, _render_terms
 
 __all__ = ["OutputRecord", "run", "main"]
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(_Value):
     """Printable record of one computation: the result polynomial plus the
     bookkeeping that makes the output reproducible (echo of the normalized
     input, validity bound, check outcomes)."""
 
-    rank: int
-    cutoff: int
-    valid_through: int | None
-    input_echo: str
-    polynomial: Polynomial
-    checks: tuple[tuple[str, str], ...] = ()
-    label: str = "chern_form"
+    __slots__ = ("rank", "cutoff", "valid_through", "input_echo", "polynomial", "checks", "label")
+
+    def __init__(self, rank: int, cutoff: int, valid_through: int | None, input_echo: str, polynomial: Polynomial,
+                 checks: tuple[tuple[str, str], ...] = (), label: str = "chern_form") -> None:
+        _Value.__init__(self, rank, cutoff, valid_through, input_echo, polynomial, checks, label)
 
     def term_triples(self) -> list[tuple[int, int, dict[str, int]]]:
         names = self.polynomial.table.names

@@ -21,14 +21,13 @@ one pass over its terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import Monomial, Polynomial, _accumulate, _refuse_unprintable, series_inverse
+from .polyring import Monomial, Polynomial, _Value, _accumulate, _refuse_unprintable, series_inverse
 
 __all__ = [
     "ExprAst",
@@ -43,66 +42,54 @@ __all__ = [
     "elaborate",
 ]
 
-# Nesting levels ("(", "inv(" or unary "-") the parser accepts.  The tree's
-# dataclass ==, hash and repr recurse, and the costliest level,
-# inv(1 + 2 X^2), nests Inv, Sum, Product and Pow: about 15 frames of the
-# default recursion limit of 1000, so 50 levels leave room for the caller.
+# Nesting levels ("(", "inv(" or unary "-") the parser accepts.  ==, hash and
+# repr recurse down the tree, == the deepest: about 15 frames of the default
+# recursion limit of 1000 per level of inv(1 + 2 X^2), so 50 leave the caller room.
 _MAX_DEPTH = 50
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(_Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    offset: int
+class Var(_Value):
+    __slots__ = ("name", "offset")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAst"
+class Neg(_Value):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Value):
     """A chain t1 ± t2 ± ... of two or more terms, as ``(sign, node)`` pairs
     with sign +1 or -1 (the first sign is +1).  A flat chain is one node, so
     its length is not bounded by recursion."""
 
-    terms: tuple[tuple[int, "ExprAst"], ...]
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(_Value):
     """A chain of two or more factors, written with ``*`` or juxtaposed."""
 
-    factors: tuple["ExprAst", ...]
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
+class Pow(_Value):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Inv:
-    operand: "ExprAst"
-    offset: int
+class Inv(_Value):
+    __slots__ = ("operand", "offset")
 
 
 ExprAst = Union[Num, Var, Neg, Sum, Product, Pow, Inv]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAT VAR INV EOF, or the operator character itself
-    text: str
-    pos: int
-    value: object = None
+class _Token:  # the parser's own, never compared or hashed: plain slots
+    __slots__ = ("kind", "text", "pos", "value")  # kind: NAT VAR INV EOF, or the operator character
+
+    def __init__(self, kind: str, text: str, pos: int, value: object = None) -> None:
+        self.kind, self.text, self.pos, self.value = kind, text, pos, value
 
 
 # A natural, a word (letters then digits), blanks, or one other character;

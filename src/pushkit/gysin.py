@@ -22,7 +22,7 @@ from typing import Mapping
 from .errors import UnsupportedVariableError
 from .localization import _fold, _read_in_x, _segre_sum, _unpack_sum, _valid_through, bundle_ring
 from .localization import fixed_point_sample, localize, relation_check
-from .polyring import Polynomial, series_inverse
+from .polyring import Polynomial, _Value, series_inverse
 from .symfun import expand_elementary, root_generators
 
 __all__ = [
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassExpr:
+class ClassExpr(_Value):
     """A cohomology class of the projectivized bundle, already expanded.
 
     ``payload`` is a polynomial in the rank-r working ring, x and y together
@@ -46,15 +45,14 @@ class ClassExpr:
     through which a series expansion is exact, or None for an exact polynomial.
     """
 
-    payload: Polynomial
-    cutoff: int | None = None
+    __slots__ = ("payload", "cutoff")
 
-    def __post_init__(self) -> None:
-        if self.cutoff is not None:
-            if not isinstance(self.cutoff, int) or isinstance(self.cutoff, bool) or self.cutoff < 0:
-                raise ValueError("cutoff must be a non-negative integer or None")
-            if self.payload.degree() > self.cutoff:
-                raise ValueError("payload has terms above the declared cutoff")
+    def __init__(self, payload: Polynomial, cutoff: int | None = None) -> None:
+        if cutoff is not None and (not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0):
+            raise ValueError("cutoff must be a non-negative integer or None")
+        if cutoff is not None and payload.degree() > cutoff:
+            raise ValueError("payload has terms above the declared cutoff")
+        _Value.__init__(self, payload, cutoff)
 
 
 @dataclass(frozen=True)
@@ -139,20 +137,17 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
     return _unpack_sum(payload.table, _fold(buckets, rank, width), d, width)
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class VerificationCheck(_Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        _Value.__init__(self, name, passed, detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of the classical cross-checks at one rank and cutoff."""
 
-    rank: int
-    cutoff: int
-    checks: tuple[VerificationCheck, ...]
+    __slots__ = ("rank", "cutoff", "checks")
 
     @property
     def ok(self) -> bool:
@@ -232,4 +227,4 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
             )
         )
 
-    return VerificationReport(rank=rank, cutoff=cutoff, checks=tuple(checks))
+    return VerificationReport(rank, cutoff, tuple(checks))

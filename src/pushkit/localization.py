@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import ArityError, SymmetryError
-from .polyring import Polynomial, VariableTable, _as_coeff, _integral, _unpack
+from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _unpack
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -65,8 +63,7 @@ def bundle_ring(rank: int) -> VariableTable:
     return VariableTable(entries)
 
 
-@dataclass(frozen=True)
-class FixedPointChart:
+class FixedPointChart(_Value):
     """Per-fixed-point substitution data.
 
     ``restriction`` maps every generator to its value at the fixed point
@@ -74,9 +71,7 @@ class FixedPointChart:
     is the equivariant Euler class of the normal bundle.
     """
 
-    index: int
-    restriction: Mapping[str, Polynomial]
-    euler: Polynomial
+    __slots__ = ("index", "restriction", "euler")
 
     def restrict(self, p: Polynomial) -> Polynomial:
         return p.substitute(self.restriction)
@@ -108,7 +103,7 @@ def _fixed_points(a: tuple, one) -> list[tuple[dict, object]]:
 def _charts(rank: int) -> tuple[FixedPointChart, ...]:
     table = bundle_ring(rank)
     return tuple(
-        FixedPointChart(index=j, restriction=MappingProxyType(images), euler=euler)
+        FixedPointChart(j, MappingProxyType(images), euler)
         for j, (images, euler) in enumerate(_fixed_points(root_generators(table), table.one()), 1)
     )
 
@@ -146,16 +141,14 @@ def _cofactors(rank: int) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(_Value):
     """The fixed-point sum, with the degree bound through which it is exact.
 
     ``valid_through`` is None when the input was an exact polynomial rather
     than a truncated series.
     """
 
-    value: Polynomial
-    valid_through: int | None
+    __slots__ = ("value", "valid_through")
 
 
 def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int]:
@@ -410,7 +403,7 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
     value = _chern_to_roots(_closed_form(phi, rank))
     if not is_symmetric(value):
         raise SymmetryError("localization result is not invariant under permuting the roots")
-    return LocalizationResult(value=value, valid_through=valid_through)
+    return LocalizationResult(value, valid_through)
 
 
 def relation_check(rank: int) -> bool:

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _Coeff = int | Fraction
+_setattr = object.__setattr__
 
 
 def _as_coeff(value) -> _Coeff:
@@ -70,6 +71,41 @@ def _refuse_unprintable(coeffs: Iterable[_Coeff] = (), log10: float = 0.0) -> No
     if limit and log10 >= limit:
         raise UsageError(f"a coefficient would have more than {limit:,} digits, "
                          "Python's limit for printing an integer")
+
+
+class _Value:
+    """Base of pushkit's immutable records, written out so that importing
+    pushkit generates no methods: the fields, named in ``__slots__``, are set
+    once, in order; ``==`` needs the same type, and hash, repr, copy and
+    pickle go by the fields, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(name + '=%r' for name in self.__slots__)})" % self._values()
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 class VariableTable:
@@ -726,7 +762,8 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
     keys, ``cutoff.bit_length()`` bits per generator in ``p``, and each t_d is
     scaled by c0^n / M^d once, as soon as it is built.  UsageError is raised at
     c0^n by its size (n clamped to 10^300) and at the first degree Python cannot
-    print (``_refuse_unprintable``); a constant p stops at degree 0.
+    print (``_refuse_unprintable``); it stops at degree n deg p for n >= 0, at 0
+    for a constant p.
     """
     table, width, c0 = p.table, cutoff.bit_length(), p.constant_term()
     _refuse_unprintable(log10=min(n, 10**300) * math.log10(max(abs(c0.numerator), c0.denominator)))
@@ -742,7 +779,8 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
             parts.setdefault(i, []).append((sum(e << shifts[j] for j, e in mon), -c * m ** (i - 1)))
     series: list[dict[int, int]] = []  # t_0, t_1, ...
     packed: dict[int, _Coeff] = {}
-    for d in range(cutoff + 1 if parts else 1):
+    last = cutoff if n == -1 and parts else min(cutoff, n * max(parts, default=0))  # deg p^n <= n deg p
+    for d in range(last + 1):
         t: dict[int, int] = {} if d else {0: 1}
         for i, part in parts.items():
             if i <= d:

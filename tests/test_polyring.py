@@ -462,6 +462,19 @@ def test_truncated_power_of_a_constant_builds_degree_zero_alone(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("rank, text, n", [(1, "1 + x", 2), (2, "2 + x - 1/3 c2", 3), (3, "-1 + c1 x + c3", 5)])
+def test_truncated_power_stops_at_the_top_degree_of_the_answer(monkeypatch, rank, text, n):
+    # p^n has no term above n deg p: the kernel checks c0^n by size, then
+    # degrees 0..n deg p, and not each degree up to the cutoff
+    import pushkit.polyring as polyring
+
+    p = elaborate(parse_expression(text, rank), rank, 10).payload
+    expected, calls, check = p.pow(n), [], polyring._refuse_unprintable
+    monkeypatch.setattr(polyring, "_refuse_unprintable", lambda *a, **k: calls.append(1) or check(*a, **k))
+    assert p.pow(n, 100000) == expected
+    assert len(calls) == 2 + n * p.degree()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_poly_strategy(_T, _NAMES), _poly_strategy(_T, _NAMES), st.integers(0, 10**9))
 def test_substitute_is_ring_homomorphism(a, b, seed):
