@@ -9,15 +9,15 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 ``_fixed_points`` builds that data at any root values, for the charts.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
-over the Segre series (``_segre_sum``), and ``_fold`` gets it from the ring
-presentation, both on one read of the class as sum_k a_k x^k, y = -x, each
-q_i in x by the Whitney relation, on packed int keys (``_read_in_x``).
-``localize`` reads ``_closed_form`` in the roots by sending each c_i to
-e_i(u).  ``fixed_point_sample`` checks an answer against the sum itself, at
-one integer point.  ``_valid_through`` holds the one cutoff rule (every
-evaluator lowers degree by the fiber dimension r - 1) and the shared guards.
-The test suite's symbolic references in the roots live with the tests;
-they build on the charts and on ``_vandermonde`` and ``_cofactors``.
+over the Segre series, each term built as it is used and r of them kept
+(``_segre_sum``); ``_fold`` gets it from the ring presentation.  Both run on
+one read of the class as sum_k a_k x^k, y = -x, each q_i in x by the Whitney
+relation, on packed int keys (``_read_in_x``).  ``localize`` reads
+``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample`` checks
+an answer against the sum itself at one integer point.  ``_valid_through``
+holds the one cutoff rule (every evaluator lowers degree by the fiber
+dimension r - 1) and the shared guards.  The test suite's symbolic references
+in the roots build on the charts, ``_vandermonde`` and ``_cofactors``.
 """
 
 from __future__ import annotations
@@ -213,34 +213,25 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
     return buckets, d, width
 
 
-def _packed_segre(rank: int, top: int, width: int) -> list[dict[int, int]]:
-    """The Segre series s_0..s_top of 1/c(V) on ``_read_in_x`` keys,
-    ``width`` bits a field: s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i)."""
-    steps, segre = [1 << width * i for i in range(rank)], [{0: 1}]
-    for _ in range(top):
-        s: dict[int, int] = {}
-        for step, lower in zip(steps, reversed(segre[-rank:])):  # c_i s_(m-i), i = 1, 2, ...
-            for key, c in lower.items():
-                key += step
-                s[key] = s.get(key, 0) - c
-        segre.append(s)
-    return segre
-
-
 def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int, int]:
     """The closed form on a ``_read_in_x`` read, sum_k a_k s_(k-r+1) in
     integers on its keys, zeros dropped: at the fixed points, sum_j u_j^k /
     prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange
     interpolation), so f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
-    (Fulton, *Intersection Theory*, Prop. 3.1(a))."""
-    segre = _packed_segre(rank, max(max(buckets, default=0) - rank + 1, 0), width)
-    total: dict[int, int] = {}
-    for k, terms in buckets.items():
-        if k >= rank - 1:
-            series = segre[k - rank + 1].items()
-            for a, ca in terms.items():
-                for b, cb in series:
-                    total[a + b] = total.get(a + b, 0) + ca * cb
+    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  Each s_m is built as it
+    is used, s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i), and only the
+    newest r are kept."""
+    steps, lower, total = [1 << width * i for i in range(rank)], [], {}  # s_(m-1), s_(m-2), ...
+    for k in range(rank - 1, max(buckets, default=0) + 1):
+        s = {} if lower else {0: 1}
+        for step, below in zip(steps, lower):  # c_i s_(m-i), i = 1, 2, ...
+            for key, c in below.items():
+                key += step
+                s[key] = s.get(key, 0) - c
+        for a, ca in buckets.get(k, {}).items():
+            for b, cb in s.items():
+                total[a + b] = total.get(a + b, 0) + ca * cb
+        lower = [s, *lower[: rank - 1]]
     return {key: c for key, c in total.items() if c}
 
 

@@ -24,6 +24,7 @@ from pushkit import (
     complete_homogeneous,
     elaborate,
     elementary_symmetric,
+    expand_elementary,
     fixed_point_charts,
     is_symmetric,
     localize,
@@ -216,13 +217,36 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_cached_segre_series_is_the_inverse_total_chern_class(rank):
-    # the recursion s_m = -sum c_i s_(m-i) on packed keys against series inversion
+    # the closed form builds s_m = -sum c_i s_(m-i) on packed keys as it
+    # goes, keeping r terms; on x^(r-1+m) it is s_m, here against series
+    # inversion
     top, table = 10, bundle_ring(rank)
-    width, first = top.bit_length(), table.index("c1")
-    segre, inverse = localization._packed_segre(rank, top, width), segre_oracle(rank, top)
-    assert len(segre) == top + 1
-    for m, s_m in enumerate(segre):
-        assert polyring._unpack(table, s_m, range(first, len(table)), width) == inverse.homogeneous_component(m)
+    inverse = segre_oracle(rank, top)
+    for m in range(top + 1):
+        buckets, d, width = localization._read_in_x(table.var("x").pow(rank - 1 + m))
+        packed = localization._segre_sum(buckets, rank, width)
+        assert localization._unpack_sum(table, packed, d, width) == inverse.homogeneous_component(m)
+
+
+_WINDOW_CLASSES = [
+    ("inv(1 + 2 x - c1 x^2)", 1, 12),  # a window of one term
+    ("x + c1 x^2 - 3 y^3", 5, 4),  # top power below r - 1: the sum is 0
+    ("x^3 + x^13", 4, 13),  # the window runs across ten empty buckets
+    ("q1 q2 y^3 inv(1+y)", 4, 14),  # a q-class, whose push runs no fold
+]
+
+
+@pytest.mark.parametrize("text,rank,cutoff", _WINDOW_CLASSES, ids=[case[0] for case in _WINDOW_CLASSES])
+def test_segre_window_edges_agree_with_the_fold(text, rank, cutoff):
+    # the closed form keeps only the newest r Segre terms; at the window's
+    # edges it must still give the fold's packed sum on the same read
+    phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
+    buckets, d, width = localization._read_in_x(phi)
+    packed = localization._segre_sum(buckets, rank, width)
+    assert packed == localization._fold(buckets, rank, width)
+    answer = localization._unpack_sum(phi.table, packed, d, width)
+    assert expand_elementary(answer) == literal_sum(phi, rank, cutoff)
+    assert (packed == {}) == (max(buckets) < rank - 1)
 
 
 _DENOMINATOR_CLASSES = [  # coprime denominators; the q-class has 1/4 coefficients
