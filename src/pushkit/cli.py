@@ -43,8 +43,8 @@ __all__ = ["OutputRecord", "run", "main"]
 
 class OutputRecord(_Value):
     """Printable record of one computation: the result polynomial plus the
-    bookkeeping that makes the output reproducible (echo of the normalized
-    input, validity bound, check outcomes)."""
+    bookkeeping that makes the output reproducible (echo of the input class
+    as built, validity bound, check outcomes)."""
 
     __slots__ = ("rank", "cutoff", "valid_through", "input_echo", "polynomial", "checks", "label")
 

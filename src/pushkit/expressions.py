@@ -13,9 +13,7 @@ Grammar:
 Multiplication may be written by juxtaposition.  Division is not an
 operator: rational literals are written nat/nat, and series inversion is the
 explicit inv(...) form, which makes the truncation point visible.  Every
-parse failure carries the byte offset at which it occurred.  Elaboration
-writes a class in both x and y in y alone, x^a y^b as (-1)^a y^(a+b), in
-one pass over its terms.
+parse failure carries the byte offset at which it occurred.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Union
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import Monomial, Polynomial, _Value, _accumulate, _refuse_unprintable, series_inverse
+from .polyring import Polynomial, _Value, _refuse_unprintable, series_inverse
 
 __all__ = [
     "ExprAst",
@@ -254,8 +252,8 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
     """Evaluate a syntax tree in the rank-r ring, truncated at ``cutoff``.
 
     inv(...) becomes a truncated series inverse; it and X^N refuse their first
-    unprintable coefficient.  If both x and y occur, x is rewritten as -y in
-    one pass (``_x_as_minus_y``), only so that the echoed input names one fiber variable.
+    unprintable coefficient.  The class is returned as evaluated: x and y stay
+    apart, and the evaluators read y as -x.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
@@ -288,28 +286,4 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
                 raise NotInvertibleError(str(exc), offset=node.offset) from None
         raise TypeError(f"unknown node {node!r}")
 
-    value = ev(ast)
-    if {"x", "y"} <= set(value.variables()):
-        value = _x_as_minus_y(value)
-    return ClassExpr(payload=value, cutoff=cutoff)
-
-
-def _x_as_minus_y(p: Polynomial) -> Polynomial:
-    """``p`` with each x^a y^b m written as (-1)^a y^(a+b) m, in one pass over
-    its terms; terms that meet are summed by ``_accumulate``, so they may
-    cancel.  x and y are the first two generators of ``bundle_ring``."""
-    x, y = p.table.index("x"), p.table.index("y")
-
-    def renamed():
-        for mon, c in p._terms.items():
-            n, rest = 0, []
-            for i, e in mon:
-                if i == x:
-                    n, c = n + e, -c if e & 1 else c
-                elif i == y:
-                    n += e
-                else:
-                    rest.append((i, e))
-            yield Monomial._raw([(y, n), *rest] if n else rest), c
-
-    return Polynomial._raw(p.table, _accumulate({}, renamed()))
+    return ClassExpr(ev(ast), cutoff)

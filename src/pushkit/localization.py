@@ -73,6 +73,15 @@ class FixedPointChart(_Value):
 
     __slots__ = ("index", "restriction", "euler")
 
+    def __init__(self, index: int, restriction: dict, euler: Polynomial) -> None:
+        _Value.__init__(self, index, MappingProxyType(dict(restriction)), euler)
+
+    def __hash__(self) -> int:
+        return hash((self.index, frozenset(self.restriction.items()), self.euler))
+
+    def __reduce__(self) -> tuple:  # a mappingproxy neither pickles nor copies
+        return type(self), (self.index, dict(self.restriction), self.euler)
+
     def restrict(self, p: Polynomial) -> Polynomial:
         return p.substitute(self.restriction)
 
@@ -103,7 +112,7 @@ def _fixed_points(a: tuple, one) -> list[tuple[dict, object]]:
 def _charts(rank: int) -> tuple[FixedPointChart, ...]:
     table = bundle_ring(rank)
     return tuple(
-        FixedPointChart(j, MappingProxyType(images), euler)
+        FixedPointChart(j, images, euler)
         for j, (images, euler) in enumerate(_fixed_points(root_generators(table), table.one()), 1)
     )
 

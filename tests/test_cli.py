@@ -92,7 +92,8 @@ def test_push_renders_the_input_echo_only_in_text(capsys, monkeypatch):
     assert calls == []
     assert run(argv) == 0
     assert capsys.readouterr() == (
-        "input = y^3 + 2 y^2 - 4 y + 8\nchern_form = -c1^2 + c2 - 2 c1 + 4\nvalid_through = 2\n"
+        "input = -8 x^3 - 12 x^2 y - 6 x y^2 - y^3 + 8 x^2 + 12 x y + 6 y^2 - 8 x - 12 y + 8\n"
+        "chern_form = -c1^2 + c2 - 2 c1 + 4\nvalid_through = 2\n"
         "checks: fixed_point_sample=pass presentation_oracle=pass\n"
         "u_form = -u1^2 - u1 u2 - u2^2 - 2 u1 - 2 u2 + 4\n", "")
     assert len(calls) == 3
@@ -414,25 +415,25 @@ def test_expression_with_leading_minus_follows_double_dash(capsys):
 _CHECKS_LINE = "checks: fixed_point_sample=pass presentation_oracle=pass\n"
 _MIXED_INPUT_OUTPUT = [
     (["push", "--rank", "2", "x y"],
-     "input = -y^2\nchern_form = c1\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = u1 + u2\n"),
+     "input = x y\nchern_form = c1\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = u1 + u2\n"),
     (["push", "--rank", "2", "--format", "json", "x y"],
      '{\n  "rank": 2,\n  "cutoff": 5,\n  "valid_through": 4,\n  "terms": [\n    {\n'
      '      "coeff": "1/1",\n      "exps": {\n        "c1": 1\n      }\n    }\n  ],\n'
      '  "checks": {\n    "fixed_point_sample": "pass",\n    "presentation_oracle": "pass"\n  }\n}\n'),
     (["push", "--rank", "2", "--format", "tex", "x y"], "c_{1}\n"),
     (["push", "--rank", "2", "x + y"],
-     "input = 0\nchern_form = 0\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = 0\n"),
-    (["localize", "--rank", "2", "x + y"], "input = 0\nu_form = 0\nvalid_through = 4\n"),
+     "input = x + y\nchern_form = 0\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = 0\n"),
+    (["localize", "--rank", "2", "x + y"], "input = x + y\nu_form = 0\nvalid_through = 4\n"),
     (["push", "--rank", "3", "--", "q1 x^3 - y^2 c1"],
-     "input = -y^3 q1 - y^2 c1\nchern_form = -c2 - c1\nvalid_through = 4\n"
+     "input = x^3 q1 - y^2 c1\nchern_form = -c2 - c1\nvalid_through = 4\n"
      "checks: fixed_point_sample=pass\nu_form = -u1 u2 - u1 u3 - u2 u3 - u1 - u2 - u3\n"),
     (["push", "--rank", "2", "x^2 + x y"],
-     "input = 0\nchern_form = 0\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = 0\n"),
+     "input = x^2 + x y\nchern_form = 0\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = 0\n"),
     (["push", "--rank", "4", "--", "x^3 y"],
-     "input = -y^4\nchern_form = c1\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = u1 + u2 + u3 + u4\n"),
+     "input = x^3 y\nchern_form = c1\nvalid_through = 4\n" + _CHECKS_LINE + "u_form = u1 + u2 + u3 + u4\n"),
     (["push", "--rank", "3", "--max-degree", "6", "--", "inv(1 + c1 x + c2 x^2 - y q1) + 2/3 x y c1"],
-     "input = y^3 q1^3 + 3 y^3 q1^2 c1 + 3 y^3 q1 c1^2 - 2 y^3 q1 c2 + y^3 c1^3 - 2 y^3 c1 c2 + y^2 q1^2"
-     " + 2 y^2 q1 c1 + y^2 c1^2 - y^2 c2 - 2/3 y^2 c1 + y q1 + y c1 + 1\n"
+     "input = -x^3 c1^3 + 2 x^3 c1 c2 + 3 x^2 y q1 c1^2 - 2 x^2 y q1 c2 - 3 x y^2 q1^2 c1 + y^3 q1^3"
+     " + x^2 c1^2 - x^2 c2 - 2 x y q1 c1 + y^2 q1^2 + 2/3 x y c1 - x c1 + y q1 + 1\n"
      "chern_form = c1^4 + c1^2 c2 + 4 c1 c3 - 3 c2^2 + c1^2 - 2 c2 - 2/3 c1 - 1\nvalid_through = 4\n"
      "checks: fixed_point_sample=pass\nu_form = u1^4 + 5 u1^3 u2 + 5 u1^3 u3 + 5 u1^2 u2^2 + 15 u1^2 u2 u3"
      " + 5 u1^2 u3^2 + 5 u1 u2^3 + 15 u1 u2^2 u3 + 15 u1 u2 u3^2 + 5 u1 u3^3 + u2^4 + 5 u2^3 u3 + 5 u2^2 u3^2"
@@ -449,8 +450,7 @@ _MIXED_INPUT_OUTPUT = [
 @pytest.mark.parametrize("args,stdout", _MIXED_INPUT_OUTPUT,
                          ids=[" ".join(args) for args, _ in _MIXED_INPUT_OUTPUT])
 def test_input_in_both_x_and_y_prints_pinned_bytes(capsys, args, stdout):
-    # elaboration renames x to -y, so the echoed input names one fiber
-    # variable; the evaluators would read the class the same without it
+    # the echo shows the class as built; the evaluators read y as -x
     assert run(args) == 0
     assert capsys.readouterr() == (stdout, "")
 

@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 
 from pushkit import (
     ArityError,
+    ClassExpr,
     ExponentError,
     NotInvertibleError,
     ParseError,
     PushkitError,
     bundle_ring,
     elaborate,
+    localize,
     parse_expression,
+    pushforward,
+    series_inverse,
 )
 from pushkit import expressions
 from pushkit.cli import run
@@ -263,28 +267,41 @@ def test_elaborate_zero_constant_inverse():
     assert info.value.offset == 0
 
 
-def test_elaborate_normalizes_mixed_fiber_variables():
-    cls = elaborate(parse_expression("x + y", 3), 3, 4)
-    assert cls.payload.is_zero()
-    cls = elaborate(parse_expression("x - y", 3), 3, 4)
-    assert cls.payload == -2 * bundle_ring(3).var("y")
-    assert elaborate(parse_expression("x^2 + x y", 3), 3, 4).payload.is_zero()
-    assert elaborate(parse_expression("x^3 y", 3), 3, 4).payload == -bundle_ring(3).var("y").pow(4)
+def _mixed_classes(rank: int, cutoff: int):
+    """(text, the class built by Polynomial arithmetic) pairs in x and y: the
+    fixed ones at rank 3, and drawn ones, half of them times an inverse."""
+    table = bundle_ring(rank)
+    x, y, one = table.var("x"), table.var("y"), table.one()
+    if rank == 3:
+        q1, c1, c2 = (table.var(name) for name in ("q1", "c1", "c2"))
+        yield "x + y", x + y
+        yield "x^3 y", x.pow(3) * y
+        yield "(2 - y)^3 inv(1 + x)", (2 - y).pow(3, cutoff).mul_trunc(series_inverse(one + x, cutoff), cutoff)
+        yield "inv(1 + c1 x + c2 x^2 - y q1)", series_inverse(one + c1 * x + c2 * x.pow(2) - y * q1, cutoff)
+        yield "inv(1 - x - y)", series_inverse(one - x - y, cutoff)
+    names = ["x", "y", *(f"q{i}" for i in range(1, rank)), *(f"c{i}" for i in range(1, rank + 1))]
+    rng = random.Random(20261019 + rank)
+    for draw in range(4):
+        p = ((random_poly(rng, table, names) + x) * x * y + random_poly(rng, table, names)).truncate(cutoff)
+        if draw % 2:
+            yield p.render(), p
+        else:
+            g = one + x + random_poly(rng, table, names, max_terms=3) * y
+            yield f"({p.render()}) inv({g.render()})", p.mul_trunc(series_inverse(g, cutoff), cutoff)
 
 
-def test_x_as_minus_y_matches_the_horner_substitution():
-    # the one-pass rename against substitute({"x": -y}), on classes in x, y,
-    # q_i, c_i and a root, where terms meet and may cancel
-    table = bundle_ring(4)
-    x, y = table.var("x"), table.var("y")
-    names = ["x", "y", "q1", "q3", "c1", "c2", "u2"]
-    rng = random.Random(20261019)
-    for _ in range(200):
-        p = random_poly(rng, table, names, max_terms=6) * x * y
-        p = p + random_poly(rng, table, names, max_terms=3)
-        expected = p.substitute({"x": -y})
-        assert expressions._x_as_minus_y(p) == expected
-        assert expressions._x_as_minus_y(p)._terms == expected._terms  # no zero kept
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_elaborate_returns_the_class_as_built(rank):
+    # no renaming: x and y stay apart, and every evaluator reads y as -x, so
+    # the class in y alone pushes forward and localizes the same
+    cutoff = rank + 3
+    y = bundle_ring(rank).var("y")
+    for text, built in _mixed_classes(rank, cutoff):
+        payload = elaborate(parse_expression(text, rank), rank, cutoff).payload
+        assert payload == built, text
+        in_y = payload.substitute({"x": -y})
+        assert pushforward(ClassExpr(payload, cutoff), rank) == pushforward(ClassExpr(in_y, cutoff), rank)
+        assert localize(payload, rank, cutoff) == localize(in_y, rank, cutoff)
 
 
 def test_elaborate_truncates_by_degree():

@@ -13,7 +13,8 @@ address-space cap of 3,000,000 KiB, and restores the file.  One run at a
 time: the suite itself starts subprocesses.
 
 Each mutant is reported as one of:
-- killed: tier-1 failed, with the first failing test and the seconds taken;
+- killed: tier-1 failed, with the whole id of the first failing test and the
+  seconds taken;
 - survived: tier-1 passed with the mutant in place;
 - timed out: tier-1 ran past the timeout and was stopped;
 - stale: the old text is not in the file exactly once, so nothing ran.
@@ -43,7 +44,9 @@ COPIED = ("src", "tests", "demos", "perfbench", "tools", "pyproject.toml")
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
 TIMEOUT_S = 600.0
 MEMORY_BYTES = 3_000_000 * 1024  # as `ulimit -v 3000000`
-_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
+# "FAILED <id> - <message>": a parametrized id runs to the first "]" before " - ",
+# since the id itself may hold " - "
+_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+?\[.*?\]|\S+)(?: - |$)", re.MULTILINE)
 
 
 def _cap_memory() -> None:
