@@ -23,7 +23,7 @@ from pushkit import (
     pushforward,
     series_inverse,
 )
-from pushkit import expressions
+from pushkit import expressions, localization
 from pushkit.cli import run
 from pushkit.expressions import _MAX_DEPTH, Inv, Neg, Num, Pow, Product, Sum, Var
 
@@ -265,6 +265,32 @@ def test_elaborate_zero_constant_inverse():
     with pytest.raises(NotInvertibleError) as info:
         elaborate(parse_expression("inv(x)", 3), 3, 5)
     assert info.value.offset == 0
+
+
+def test_elaborate_normalizes_mixed_fiber_variables():
+    # elaborate keeps x and y apart; the normal form in y alone is reached by
+    # the evaluators, which read y as -x, so each class pushes forward and
+    # localizes as its normal form
+    y = bundle_ring(3).var("y")
+    for text, normal in (("x + y", 0 * y), ("x - y", -2 * y), ("x^2 + x y", 0 * y), ("x^3 y", -y.pow(4))):
+        payload = elaborate(parse_expression(text, 3), 3, 4).payload
+        assert not payload.is_zero(), text
+        assert pushforward(ClassExpr(payload, 4), 3) == pushforward(ClassExpr(normal, 4), 3), text
+        assert localize(payload, 3, 4) == localize(normal, 3, 4), text
+
+
+def test_x_as_minus_y_matches_the_horner_substitution():
+    # the one-pass reader, which takes y as -x, against substitute({"x": -y}),
+    # on classes in x, y, q_i, c_i and a root, where terms meet and may cancel
+    table = bundle_ring(4)
+    x, y = table.var("x"), table.var("y")
+    names = ["x", "y", "q1", "q3", "c1", "c2", "u2"]
+    rng = random.Random(20261019)
+    for _ in range(200):
+        p = random_poly(rng, table, names, max_terms=6) * x * y
+        p = p + random_poly(rng, table, names, max_terms=3)
+        expected = p.substitute({"x": -y})
+        assert localization._closed_form(p, 4) == localization._closed_form(expected, 4), p.render()
 
 
 def _mixed_classes(rank: int, cutoff: int):
