@@ -487,6 +487,33 @@ def test_whitney_consistency(rank):
     assert left.chern_form == right.chern_form
 
 
+@pytest.mark.parametrize("rank", range(1, 21))
+def test_gauss_bonnet_the_fiber_euler_class_pushes_forward_to_r(rank):
+    # the relative tangent bundle of P(V) is Q (x) L, whose top Chern class
+    # sum_(i=0..r-1) q_i x^(r-1-i), q_0 = 1, restricts at each fixed point to
+    # the Euler class the sum divides by: f_* of it is chi(P^(r-1)) = r
+    table = bundle_ring(rank)
+    x = table.var("x")
+    euler = x.pow(rank - 1) + sum((table.var(f"q{i}") * x.pow(rank - 1 - i) for i in range(1, rank)), table.zero())
+    result = pushforward(ClassExpr(euler), rank)
+    assert result.chern_form == rank
+    assert set(result.checks.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("rank, text", [(4, "q1 q2 y^3"), (8, "q3 q5 y^8 + c2 x^9"), (20, "q3 q5 y^8 x^12")])
+def test_projection_formula_through_the_whitney_relation(rank, text):
+    # (1 + y)(1 + q1 + ... + q(r-1)) = c(V) in the fiber ring, so
+    # f_*((1 + y)(1 + sum q_i) phi) = c(V) f_*(phi): the reader's Whitney map
+    # on the left, a product after the push on the right
+    table = bundle_ring(rank)
+    phi = elaborate(parse_expression(text, rank), rank, 40).payload
+    whitney = (1 + table.var("y")) * sum((table.var(f"q{i}") for i in range(1, rank)), table.one())
+    total = sum((table.var(f"c{i}") for i in range(1, rank + 1)), table.one())
+    lhs = pushforward(ClassExpr(whitney * phi), rank)
+    assert lhs.chern_form == total * pushforward(ClassExpr(phi), rank).chern_form
+    assert lhs.checks == {"fixed_point_sample": "pass"}
+
+
 def test_effective_cutoff_is_minimum():
     # the class's own cutoff is the one cutoff rule: a series kept only
     # through degree 4 is exact through degree 4 - (rank - 1)

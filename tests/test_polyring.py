@@ -79,6 +79,100 @@ def test_weighted_degree(chern3):
     assert chern3.zero().degree() == -1
 
 
+def test_monomial_outside_the_table_is_refused(chern3):
+    with pytest.raises(ValueError, match="outside the table"):
+        Polynomial(chern3, {Monomial({3: 1}): 1})
+    with pytest.raises(ValueError, match="outside the table"):
+        Polynomial(chern3, {Monomial({0: 1, 7: 2}): 1, Monomial({1: 1}): 2})
+    with pytest.raises(TypeError):
+        Polynomial(chern3, {((0, 1),): 1})
+
+
+# -- one value, one key set: routes that meet at a field boundary ----------
+
+_LAYOUT = bundle_ring(3)
+_LX, _LY, _LC2 = _LAYOUT.var("x"), _LAYOUT.var("y"), _LAYOUT.var("c2")
+
+
+def _built(table: VariableTable, terms: dict[str, int]) -> Polynomial:
+    """The polynomial from ``{"x^a y^b ...": coeff}``, built term by term."""
+    out = {}
+    for text, coeff in terms.items():
+        exps = {}
+        for factor in text.split():
+            name, _, e = factor.partition("^")
+            exps[table.index(name)] = int(e or 1)
+        out[Monomial(exps)] = coeff
+    return Polynomial(table, out)
+
+
+def _same_value(p: Polynomial, q: Polynomial) -> None:
+    assert p == q and q == p
+    assert hash(p) == hash(q)
+    assert p.degree() == q.degree() and p.sorted_terms() == q.sorted_terms()
+    assert len({p, q}) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_power_of_two_reached_by_one_more_factor_is_one_value(k):
+    top = 2**k
+    _same_value(_LX.pow(top - 1) * _LX, _LX.pow(top))
+    _same_value(_LX.pow(top - 1).mul_trunc(_LX, top), _built(_LAYOUT, {f"x^{top}": 1}))
+    _same_value((_LX.pow(top - 1) * _LY).truncate(top), _built(_LAYOUT, {f"x^{top - 1} y": 1}))
+    assert _LX.pow(top - 1).mul_trunc(_LX, top - 1).is_zero()
+
+
+def test_a_truncated_wider_product_is_the_value_built_narrow():
+    wide = (1 + _LX + _LX.pow(9)) * (1 + _LY.pow(12))  # degree 21
+    _same_value(wide.truncate(1), 1 + _LX)
+    _same_value((1 + _LX + _LX.pow(9)).mul_trunc(1 + _LY.pow(12), 3), 1 + _LX)
+    _same_value(wide.truncate(9), _built(_LAYOUT, {"": 1, "x": 1, "x^9": 1}))
+
+
+@pytest.mark.parametrize("high", [4, 8, 16, 64])
+def test_cancellation_below_a_power_of_two_is_one_value(high):
+    low = _LX * _LY + _LC2
+    _same_value((_LX.pow(high) + low) - _LX.pow(high), low)
+    _same_value((1 + _LX.pow(high)) * (1 - _LX.pow(high)) + _LX.pow(2 * high), _LAYOUT.one())
+    _same_value((_LY.pow(high) + 3) + (-_LY.pow(high)), _LAYOUT.const(3))
+    assert hash((_LX.pow(high) + 3) - _LX.pow(high)) == hash(3)
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (1, 6), (4, 4), (7, 8), (8, 8), (15, 16), (31, 1)])
+def test_products_whose_exponents_sum_onto_a_field_boundary(a, b):
+    # x^a y^b c2 times x^b y^a: every field sums to a + b, at or next to 2^j - 1 or 2^j
+    p = _built(_LAYOUT, {f"x^{a} y^{b} c2": 2, "y": 1}) * _built(_LAYOUT, {f"x^{b} y^{a}": -1, "c2": 1})
+    expected = {f"x^{a + b} y^{a + b} c2": -2, f"x^{a} y^{b} c2^2": 2, f"x^{b} y^{a + 1}": -1, "y c2": 1}
+    _same_value(p, _built(_LAYOUT, expected))
+    mon, coeff = p.sorted_terms()[0]
+    assert dict(mon) == {0: a + b, 1: a + b, _LAYOUT.index("c2"): 1} and coeff == -2
+
+
+@pytest.mark.parametrize("cutoff", [3, 7, 8, 15, 16])
+def test_truncate_exactly_at_the_cutoff(cutoff):
+    p = sum((_LX.pow(d) * _LY for d in range(cutoff - 2, cutoff + 2)), _LC2)
+    kept = p.truncate(cutoff)
+    assert kept.degree() == cutoff
+    _same_value(kept, sum((_LX.pow(d) * _LY for d in range(cutoff - 2, cutoff)), _LC2))
+    _same_value(p.mul_trunc(_LAYOUT.one(), cutoff), kept)
+    assert p.truncate(cutoff + 1) == p - _LX.pow(cutoff + 1) * _LY and p.truncate(cutoff + 2) is p
+
+
+@pytest.mark.parametrize("high", [3, 4, 7, 8, 16])
+def test_the_degree_stays_right_when_a_generator_is_split_off(high):
+    # x^high y + y^3 without x has degree 3, below the field width of degree high + 1
+    p = _LX.pow(high) * _LY + _LY.pow(3)
+    dropped = p.substitute({"x": _LAYOUT.zero()})
+    assert dropped.degree() == 3 and dropped.truncate(2).is_zero()
+    _same_value(dropped, _LY.pow(3))
+    _same_value(p.substitute({"x": _LY}), _LY.pow(high + 1) + _LY.pow(3))
+    u1, u2 = _LAYOUT.var("u1"), _LAYOUT.var("u2")
+    quotient = divide_exact_linear(u1.pow(high + 1) - u2.pow(high + 1), u1 - u2)
+    assert quotient.degree() == high and quotient.truncate(high - 1).is_zero()
+    _same_value(quotient, sum((u1.pow(i) * u2.pow(high - i) for i in range(high + 1)), _LAYOUT.zero()))
+    assert quotient.graded_parts() == [(high, quotient)]
+
+
 # -- arithmetic --------------------------------------------------------------
 
 
