@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import UnsupportedVariableError
-from .localization import _fold, _read_in_x, _segre_sum, _unpack_sum, _valid_through, bundle_ring
+from .localization import _fold, _read_in_x, _result, _segre_sum, _valid_through, bundle_ring
 from .localization import fixed_point_sample, localize, relation_check
 from .polyring import Polynomial, _Value, series_inverse
 from .symfun import expand_elementary, root_generators
@@ -86,7 +86,7 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     passes with probability at most d / |S|, |S| = 2^40 - 1, in its lowest
     wrong degree d, over that seeded choice of point (not against an input
     built to vanish there).  Without a q_i, the presentation oracle
-    (``_fold``) runs on the same read and must give the same packed sum.
+    (``_fold``) runs on the same read and must give the same integer sum.
     Each outcome is recorded in ``checks`` as "pass" or "fail".  Every
     evaluator lowers degree by exactly r - 1, so a payload truncated at
     ``expr.cutoff`` gives results that stop at ``valid_through``.
@@ -97,7 +97,7 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
         raise UnsupportedVariableError("root variables u_i cannot be pushed forward; use localize for those")
     buckets, d, width = _read_in_x(expr.payload)
     packed = _segre_sum(buckets, rank, width)
-    chern_form = _unpack_sum(expr.payload.table, packed, d, width)
+    chern_form = _result(expr.payload.table, packed, d, width)
     sample = fixed_point_sample(expr.payload, rank, chern_form)
     checks = {"fixed_point_sample": "pass" if sample else "fail"}
     if "q" not in kinds:
@@ -134,7 +134,7 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
             f"presentation oracle accepts only x, y and c1..c{rank}; got {sorted(extra)}"
         )
     buckets, d, width = _read_in_x(payload)
-    return _unpack_sum(payload.table, _fold(buckets, rank, width), d, width)
+    return _result(payload.table, _fold(buckets, rank, width), d, width)
 
 
 class VerificationCheck(_Value):

@@ -11,13 +11,13 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series, each term built as it is used and r of them kept
 (``_segre_sum``); ``_fold`` gets it from the ring presentation.  Both run on
-one read of the class as sum_k a_k x^k, y = -x, each q_i in x by the Whitney
-relation, on packed int keys (``_read_in_x``).  ``localize`` reads
-``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample`` checks
-an answer against the sum itself at one integer point.  ``_valid_through``
-holds the one cutoff rule (every evaluator lowers degree by the fiber
-dimension r - 1) and the shared guards.  The test suite's symbolic references
-in the roots build on the charts, ``_vandermonde`` and ``_cofactors``.
+one read of the class, on its own int keys, as sum_k a_k x^k, y = -x, each
+q_i in x by the Whitney relation (``_read_in_x``), and key their sums as the
+answer.  ``localize`` reads ``_closed_form`` in the roots (c_i -> e_i(u));
+``fixed_point_sample`` checks an answer against the sum itself at one integer
+point.  ``_valid_through`` holds the one cutoff rule (every evaluator lowers
+degree by the fiber dimension r - 1) and the shared guards.  The test suite's
+symbolic references build on the charts, ``_vandermonde`` and ``_cofactors``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import ArityError, SymmetryError
-from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _unpack
+from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _lead, _pairs, _shift
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -161,21 +161,22 @@ class LocalizationResult(_Value):
 
 
 def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int]:
-    """``payload`` as sum_k a_k x^k with y = -x, in one pass: a term
-    c x^a y^b q^beta m adds (-1)^b c times q^beta, written in x by the
+    """``payload`` as sum_k a_k x^k with y = -x, in one pass over its keys:
+    a term c x^a y^b q^beta m adds (-1)^b c times q^beta, written in x by the
     Whitney relation (1 + y)(1 + q1 + ... + q(r-1)) = c(V), to the a_k with
-    k >= a + b.  Returns (buckets, D, width): bucket k is D a_k, D the least
-    common denominator of ``payload``, in ints keyed by ints with ``width``
-    bits a field for each exponent of c1.. and the roots (Monagan and Pearce,
-    CASC 2007), ``width`` from the degree of ``payload``, which the map keeps,
-    so no field carries.  With y = -x, q_i = sum_(m <= i) x^m c_(i-m),
-    c_0 = 1; each distinct q^beta is expanded once per call, on keys whose
-    top field, above every c_i and u_i, holds the power of x.
+    k >= a + b.  Returns (buckets, D, width): bucket k >= r - 1 is D a_k, D
+    the least common denominator of ``payload``, in ints on its keys
+    (``width`` bits a field) with x, y and the q_i cleared and the degree
+    lowered by r - 1, as f_* lowers it, so each evaluator's sum is keyed as
+    its answer; lower buckets push forward to 0.  With y = -x, q_i =
+    sum_(m <= i) x^m c_(i-m), c_0 = 1, each distinct q^beta expanded once.
     """
-    table, width = payload.table, payload.degree().bit_length()
+    table, width = payload.table, payload._width
     payload, d = _integral(payload)
-    y, first = table.index("y"), table.index("c1")
-    top = width * (len(table) - first)  # the field of x in the expansions
+    first = table.index("c1")
+    rank, x, y = first - 1, _shift(table, width, 0), _shift(table, width, 1)
+    low = 1 << _shift(table, width, first - 1)  # the fields of c1.. and the roots lie below
+    qs, mask = (1 << y) - low, (1 << width) - 1  # the fields of the q_i; one field
     images: dict[tuple, dict[int, int]] = {(): {0: 1}}
 
     def expand(beta: tuple) -> dict[int, int]:
@@ -184,41 +185,36 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
         for i, e in beta:
             for n in range(1, e + 1):
                 key = prefix + ((i, n),)
-                if key not in images:  # times q_j = x^j + sum_(m < j) x^m c_(j-m), j = i - y
-                    j = i - y
-                    q = [j << top] + [(m << top) + (1 << width * (j - m - 1)) for m in range(j)]
+                if key not in images:  # times q_j = x^j + sum_(m < j) x^m c_(j-m), j = i - 1
+                    j = i - 1
+                    q = [j << x] + [(m << x) + (1 << _shift(table, width, first + j - m - 1)) for m in range(j)]
                     out: dict[int, int] = {}
                     for a, c in image.items():
                         for b in q:
-                            out[a + b] = out.get(a + b, 0) + c
+                            b += a
+                            out[b] = out.get(b, 0) + c
                     images[key] = out
                 image = images[key]
             prefix = key
         return image
 
     total: dict[int, int] = {}
-    for mon, c in payload._terms.items():
-        k = key = 0
-        beta = []
-        for i, e in mon:
-            if i >= first:
-                key += e << width * (i - first)
-            elif i > y:
-                beta.append((i, e))
-            else:  # x^e, or y^e read as (-x)^e
-                k += e
-                c = -c if i == y and e & 1 else c
-        key += k << top
-        if beta:
-            for b, cb in expand(tuple(beta)).items():
-                total[key + b] = total.get(key + b, 0) + c * cb
+    for key, c in payload._terms.items():
+        b = key >> y & mask  # y^b, read as (-x)^b
+        key += (b << x) - (b << y)
+        c = -c if b & 1 else c
+        if key & qs:
+            rest = key - (key & qs)
+            for kq, cq in expand(tuple(_pairs(table, width, key & qs))).items():
+                total[rest + kq] = total.get(rest + kq, 0) + c * cq
         else:
             total[key] = total.get(key, 0) + c
     buckets: dict[int, dict[int, int]] = {}
-    mask = (1 << top) - 1
+    drop = (rank - 1) << _shift(table, width, -1)
     for key, c in total.items():
-        if c:
-            buckets.setdefault(key >> top, {})[key & mask] = c
+        k = key >> x & mask
+        if c and k >= rank - 1:
+            buckets.setdefault(k, {})[key - (k << x) - drop] = c
     return buckets, d, width
 
 
@@ -230,7 +226,9 @@ def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dic
     (Fulton, *Intersection Theory*, Prop. 3.1(a)).  Each s_m is built as it
     is used, s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i), and only the
     newest r are kept."""
-    steps, lower, total = [1 << width * i for i in range(rank)], [], {}  # s_(m-1), s_(m-2), ...
+    table, lower, total = bundle_ring(rank), [], {}  # s_(m-1), s_(m-2), ...
+    steps = [1 << _shift(table, width, rank + i) for i in range(1, rank + 1)]  # times c_i, the degree kept
+    get = total.get
     for k in range(rank - 1, max(buckets, default=0) + 1):
         s = {} if lower else {0: 1}
         for step, below in zip(steps, lower):  # c_i s_(m-i), i = 1, 2, ...
@@ -239,7 +237,8 @@ def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dic
                 s[key] = s.get(key, 0) - c
         for a, ca in buckets.get(k, {}).items():
             for b, cb in s.items():
-                total[a + b] = total.get(a + b, 0) + ca * cb
+                b += a
+                total[b] = get(b, 0) + ca * cb
         lower = [s, *lower[: rank - 1]]
     return {key: c for key, c in total.items() if c}
 
@@ -252,7 +251,8 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
     t_k = a_k - sum_(1 <= i <= r) c_i t_(k+i), t_k = 0 above the top; on the
     read's keys a product by c_i adds one int and never carries, the relation
     being homogeneous.  Zeros are dropped, and the read is left as it is."""
-    steps, upper = [1 << width * i for i in range(rank)], [{}]  # t_(k+1), t_(k+2), ...
+    table, upper = bundle_ring(rank), [{}]  # t_(k+1), t_(k+2), ...
+    steps = [1 << _shift(table, width, rank + i) for i in range(1, rank + 1)]  # times c_i, the degree kept
     for k in range(max(buckets, default=0), rank - 2, -1):
         t = dict(buckets.get(k, ()))
         for step, above in zip(steps, upper):
@@ -263,17 +263,17 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
     return {key: c for key, c in upper[0].items() if c}
 
 
-def _unpack_sum(table: VariableTable, packed: dict[int, int], d: int, width: int) -> Polynomial:
-    """A sum on ``_read_in_x`` keys over the denominator ``d``, divided by ``d`` and unpacked."""
+def _result(table: VariableTable, packed: dict[int, int], d: int, width: int) -> Polynomial:
+    """The polynomial that a sum on ``_read_in_x`` keys over the denominator ``d`` stands for."""
     if d != 1:
         packed = {key: _as_coeff(Fraction(c, d)) for key, c in packed.items()}
-    return _unpack(table, packed, range(table.index("c1"), len(table)), width)
+    return Polynomial._fit(table, packed, width)
 
 
 def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     """The fixed-point sum in c1..cr (and the roots) by ``_segre_sum`` on one read."""
     buckets, d, width = _read_in_x(payload)
-    return _unpack_sum(payload.table, _segre_sum(buckets, rank, width), d, width)
+    return _result(payload.table, _segre_sum(buckets, rank, width), d, width)
 
 
 def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:
@@ -318,21 +318,28 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[dict[int, int
     return point, tuple(charts)
 
 
-def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple, object]:
-    """The terms of ``p`` with each generator index in ``values`` set to that
-    integer, summed by (degree, the rest of the monomial)."""
-    degrees = p.table.degrees
-    out: dict[tuple, object] = {}
-    for mon, value in p._terms.items():
-        degree, rest = 0, []
-        for i, e in mon:
-            degree += degrees[i] * e
-            if i in values:
-                value = value * values[i] ** e
-            else:
-                rest.append((i, e))
-        key = (degree, tuple(rest))
-        out[key] = out.get(key, 0) + value
+def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple[int, int], object]:
+    """The terms of ``p`` with each generator index in ``values`` (c1 on, at
+    the end of the table, so in the lowest fields) set to that integer,
+    summed by (degree, the key of the rest of the monomial).  Those fields
+    are read from their first generator on (``_lead``), and what is left is
+    a shorter key, read once however many terms share it."""
+    table, width = p.table, p._width
+    top, low = _shift(table, width, -1), 1 << _shift(table, width, min(values) - 1)
+    parts: dict[int, tuple[object, int]] = {0: (1, 0)}
+
+    def read(key: int) -> tuple[object, int]:  # (the value of the generators in values, the key of the others)
+        i, e, below = _lead(table, width, key)
+        value, rest = parts.get(below) or read(below)
+        found = parts[key] = (value * values[i] ** e, rest) if i in values else (value, rest + key - below)
+        return found
+
+    out: dict[tuple[int, int], object] = {}
+    for key, value in p._terms.items():
+        degree, below = key >> top, key % low
+        factor, rest = parts.get(below) or read(below)
+        key = (degree, key - (degree << top) - below + rest)
+        out[key] = out.get(key, 0) + value * factor
     return out
 
 
@@ -374,13 +381,14 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
         if rest:
             return False  # a pushforward lives in c1..cr
         expected[degree + rank - 1] = value
-    restricted = _by_degree(phi, shared)
+    restricted = [(degree, _pairs(phi.table, phi._width, rest), value)
+                  for (degree, rest), value in _by_degree(phi, shared).items()]
     vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
     sums: dict[int, object] = {}
     for images, euler in charts:
         cofactor = vandermonde // euler
         numerators: dict[int, object] = {}
-        for (degree, rest), value in restricted.items():
+        for degree, rest, value in restricted:
             for i, e in rest:
                 value = value * images[i] ** e
             numerators[degree] = numerators.get(degree, 0) + value

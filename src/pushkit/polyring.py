@@ -8,12 +8,15 @@ equality is structural equality.  A coefficient is an ``int`` when it is
 integral and a :class:`fractions.Fraction` otherwise, never a float:
 arithmetic is exact and floats are rejected everywhere.
 
-Two kernels run on packed monomials instead, ints with a fixed-width field
-per exponent (Monagan and Pearce, CASC 2007): ``_series_power``, the truncated
-power p^n (n >= -1) behind ``series_inverse`` and ``pow`` with a cutoff; and
-the two evaluators of f_* in ``localization``, on the keys of its reader
-``_read_in_x``.  ``_unpack`` turns such keys back into a polynomial.  Powers
-and inverses are the one place that refuses a coefficient Python cannot print.
+A monomial is stored as one int, a packed exponent vector (Monagan and
+Pearce, CASC 2007), laid out here alone (``_shift``): the weighted degree
+in the top field, then one field of ``width`` bits per generator, table
+index 0 the most significant.  ``width`` is ``_width`` of the polynomial's
+degree, so no field carries and equal polynomials have equal keys; int
+order is the graded-lex print order, a product adds keys and a degree bound
+is one comparison.  ``_series_power`` (``series_inverse``, ``pow`` with a
+cutoff) and the evaluators of f_* in ``localization`` run on these keys as
+they are.  Powers and inverses refuse a coefficient Python cannot print.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
@@ -162,22 +164,21 @@ class VariableTable:
     def var(self, name: str) -> Polynomial:
         """The generator ``name`` as a polynomial."""
         i = self.index(name)
-        return Polynomial._raw(self, {Monomial(((i, 1),)): 1})
+        width = _width(self._degrees[i])
+        return Polynomial._raw(self, {_key(self, width, ((i, 1),)): 1}, width)
 
     def gens(self) -> tuple[Polynomial, ...]:
         return tuple(self.var(name) for name in self._names)
 
     def const(self, value) -> Polynomial:
         c = _as_coeff(value)
-        if not c:
-            return Polynomial._raw(self, {})
-        return Polynomial._raw(self, {_MONOMIAL_ONE: c})
+        return Polynomial._raw(self, {0: c} if c else {}, 1)
 
     def zero(self) -> Polynomial:
-        return Polynomial._raw(self, {})
+        return Polynomial._raw(self, {}, 1)
 
     def one(self) -> Polynomial:
-        return Polynomial._raw(self, {_MONOMIAL_ONE: 1})
+        return Polynomial._raw(self, {0: 1}, 1)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -194,9 +195,57 @@ class VariableTable:
         return f"VariableTable({body})"
 
 
-_new = tuple.__new__
-# Sorts after every pair in Monomial.__mul__'s merge: no index reaches it.
-_END = (sys.maxsize, 0)
+def _width(degree: int) -> int:
+    """Bits per exponent field of a polynomial of weighted degree ``degree``:
+    every exponent is at most the degree, so none fills its field."""
+    return max(1, degree.bit_length())
+
+
+def _shift(table: VariableTable, width: int, index: int) -> int:
+    """Where the field of generator ``index`` starts in a key of
+    ``width``-bit fields over ``table``; index -1 is the degree field."""
+    return width * (len(table._names) - 1 - index)
+
+
+def _key(table: VariableTable, width: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """The key of the monomial with these ``(index, exponent)`` pairs."""
+    degrees, degree, key = table._degrees, 0, 0
+    for i, e in pairs:
+        degree += e * degrees[i]
+        key += e << _shift(table, width, i)
+    return key + (degree << _shift(table, width, -1))
+
+
+def _lead(table: VariableTable, width: int, key: int) -> tuple[int, int, int]:
+    """(index, exponent, the rest of ``key``) for the nonzero generator field
+    of ``key`` with the least index; ``key`` is nonzero and has no degree field."""
+    j = (key.bit_length() - 1) // width  # the highest nonzero field, counted from the bottom
+    e = key >> width * j
+    return len(table._names) - 1 - j, e, key - (e << width * j)
+
+
+def _pairs(table: VariableTable, width: int, key: int) -> list[tuple[int, int]]:
+    """The ``(index, exponent)`` pairs of the nonzero generator fields of
+    ``key``, in increasing index; the degree field is not read."""
+    out, key = [], key & ((1 << _shift(table, width, -1)) - 1)
+    while key:
+        i, e, key = _lead(table, width, key)
+        out.append((i, e))
+    return out
+
+
+def _relaid(table: VariableTable, terms: dict[int, _Coeff], old: int, new: int) -> dict[int, _Coeff]:
+    """``terms`` keyed at ``old`` bits a field, keyed at ``new`` bits instead."""
+    if old == new:
+        return terms
+    top, out = _shift(table, old, -1), {}
+    for key, c in terms.items():
+        rest, moved = key & ((1 << top) - 1), key >> top << _shift(table, new, -1)
+        while rest:
+            i, e, rest = _lead(table, old, rest)
+            moved += e << _shift(table, new, i)
+        out[moved] = c
+    return out
 
 
 class Monomial(tuple):
@@ -205,7 +254,8 @@ class Monomial(tuple):
     Each index occurs at most once and zero exponents are never stored, so
     two equal monomials always have identical representations.  Hashing and
     equality are the tuple's own, so a monomial compares equal to the plain
-    tuple of its pairs.
+    tuple of its pairs.  It is how a term is named to and by
+    :class:`Polynomial`, which stores it as an int key.
     """
 
     __slots__ = ()
@@ -232,59 +282,6 @@ class Monomial(tuple):
         """Wrap sorted, zero-free pairs with distinct indices without validating."""
         return tuple.__new__(cls, exps)
 
-    @property
-    def exps(self) -> tuple[tuple[int, int], ...]:
-        """The ``(index, exponent)`` pairs as a plain tuple."""
-        return tuple(self)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self
-
-    def exponent(self, idx: int) -> int:
-        for i, e in self:
-            if i == idx:
-                return e
-        return 0
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        """Exponent-wise sum, merging the two sorted pair tuples in one pass."""
-        if not other:
-            return self
-        if not self:
-            return other
-        out = []
-        append = out.append
-        rest = iter(other)
-        q = next(rest)
-        for p in self:
-            while q[0] < p[0]:
-                append(q)
-                q = next(rest, _END)
-            if q[0] == p[0]:
-                append((p[0], p[1] + q[1]))
-                q = next(rest, _END)
-            else:
-                append(p)
-        if q is not _END:
-            append(q)
-            out.extend(rest)
-        return _new(Monomial, out)
-
-    def degree(self, table: VariableTable) -> int:
-        degs = table.degrees
-        return sum(e * degs[i] for i, e in self)
-
-    def dense(self, nvars: int) -> tuple[int, ...]:
-        out = [0] * nvars
-        for i, e in self:
-            out[i] = e
-        return tuple(out)
-
-    def sort_key(self, table: VariableTable) -> tuple[int, tuple[int, ...]]:
-        """Graded-lex key: total degree first, then the dense exponent vector."""
-        return (self.degree(table), self.dense(len(table)))
-
     def __repr__(self) -> str:
         if not self:
             return "Monomial(1)"
@@ -292,44 +289,45 @@ class Monomial(tuple):
         return f"Monomial({body})"
 
 
-_MONOMIAL_ONE = Monomial(())
-
-
 class Polynomial:
     """Sparse polynomial over a :class:`VariableTable` with exact coefficients:
     ``int`` when integral, :class:`fractions.Fraction` otherwise.
 
-    Canonical form: no zero coefficients are stored, so ``==`` is exact
-    mathematical equality.  Supports ``+ - * **`` with other polynomials over
-    the same table and with exact scalars (int, Fraction).
+    Canonical form: no zero coefficients are stored and the keys are laid
+    out at the width of the degree, so ``==`` is exact mathematical equality.
+    Supports ``+ - * **`` with other polynomials over the same table and
+    with exact scalars (int, Fraction).
     """
 
-    __slots__ = ("table", "_terms", "_degree_span")
+    __slots__ = ("table", "_terms", "_width")
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, object] | None = None):
-        cleaned: dict[Monomial, _Coeff] = {}
-        if terms:
-            n = len(table)
-            for mon, coeff in terms.items():
-                if not isinstance(mon, Monomial):
-                    raise TypeError("term keys must be Monomial instances")
-                if mon and mon[-1][0] >= n:
-                    raise ValueError("monomial references a generator outside the table")
-                c = _as_coeff(coeff)
-                if c:
-                    cleaned[mon] = c
-        self.table = table
-        self._terms = cleaned
-        self._degree_span: tuple[int, int] | None = None
+        cleaned: list[tuple[Monomial, _Coeff]] = []
+        n, degrees = len(table), table.degrees
+        for mon, coeff in (terms or {}).items():
+            if not isinstance(mon, Monomial):
+                raise TypeError("term keys must be Monomial instances")
+            if mon and mon[-1][0] >= n:
+                raise ValueError("monomial references a generator outside the table")
+            c = _as_coeff(coeff)
+            if c:
+                cleaned.append((mon, c))
+        width = _width(max((sum(e * degrees[i] for i, e in mon) for mon, _ in cleaned), default=0))
+        self.table, self._terms, self._width = table, {_key(table, width, mon): c for mon, c in cleaned}, width
 
     @classmethod
-    def _raw(cls, table: VariableTable, terms: dict[Monomial, _Coeff]) -> Polynomial:
-        """Wrap an already-canonical term dict without re-validating it."""
+    def _raw(cls, table: VariableTable, terms: dict[int, _Coeff], width: int) -> Polynomial:
+        """Wrap an already-canonical term dict, keyed at ``width``, without re-validating it."""
         p = object.__new__(cls)
-        p.table = table
-        p._terms = terms
-        p._degree_span = None
+        p.table, p._terms, p._width = table, terms, width
         return p
+
+    @classmethod
+    def _fit(cls, table: VariableTable, terms: dict[int, _Coeff], width: int) -> Polynomial:
+        """Wrap a zero-free term dict keyed at ``width``, at least the width of
+        its degree; its keys are laid out again if that width is narrower."""
+        fit = _width(max(terms, default=0) >> _shift(table, width, -1))
+        return cls._raw(table, _relaid(table, terms, width, fit), fit)
 
     # -- inspection --------------------------------------------------------
 
@@ -340,39 +338,33 @@ class Polynomial:
         return bool(self._terms)
 
     def constant_term(self) -> _Coeff:
-        return self._terms.get(_MONOMIAL_ONE, 0)
-
-    def _span(self) -> tuple[int, int]:
-        """(smallest, largest) weighted degree of a term, computed once;
-        (0, -1) for the zero polynomial."""
-        if self._degree_span is None:
-            table = self.table
-            degrees = [mon.degree(table) for mon in self._terms]
-            self._degree_span = (min(degrees, default=0), max(degrees, default=-1))
-        return self._degree_span
+        return self._terms.get(0, 0)
 
     def degree(self) -> int:
         """Largest weighted total degree of a term; -1 for the zero polynomial."""
-        return self._span()[1]
+        return max(self._terms) >> _shift(self.table, self._width, -1) if self._terms else -1
+
+    def _monomial(self, key: int) -> Monomial:
+        """The monomial that ``key`` stands for in this polynomial."""
+        return Monomial._raw(_pairs(self.table, self._width, key))
 
     def variables(self) -> tuple[str, ...]:
         """Names of the generators that actually occur, in table order."""
-        seen: set[int] = set()
-        for mon in self._terms:
-            for i, _ in mon:
-                seen.add(i)
+        seen = 0
+        for key in self._terms:
+            seen |= key
         names = self.table.names
-        return tuple(names[i] for i in sorted(seen))
+        return tuple(names[i] for i, _ in _pairs(self.table, self._width, seen))
 
     def sorted_terms(self) -> list[tuple[Monomial, _Coeff]]:
         """Terms in decreasing graded-lex order (the canonical print order)."""
-        table = self.table
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(table), reverse=True)
+        terms = self._terms
+        return [(self._monomial(key), terms[key]) for key in sorted(terms, reverse=True)]
 
     def is_homogeneous_of_degree(self, degree: int) -> bool:
         """True if every term has the given degree (vacuously true for zero)."""
-        low, high = self._span()
-        return not self._terms or low == high == degree
+        shift = _shift(self.table, self._width, -1)
+        return all(key >> shift == degree for key in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -389,11 +381,17 @@ class Polynomial:
         except TypeError:
             return None
 
+    def _plus(self, other: Polynomial, sign: int) -> Polynomial:
+        width = max(self._width, other._width)
+        terms = _accumulate(dict(_relaid(self.table, self._terms, self._width, width)),
+                            _relaid(self.table, other._terms, other._width, width).items(), sign)
+        return Polynomial._fit(self.table, terms, width)
+
     def __add__(self, other) -> Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Polynomial._raw(self.table, _accumulate(dict(self._terms), rhs._terms.items()))
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
@@ -401,7 +399,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Polynomial._raw(self.table, _accumulate(dict(self._terms), rhs._terms.items(), -1))
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -410,7 +408,7 @@ class Polynomial:
         return rhs - self
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(self.table, {m: -c for m, c in self._terms.items()})
+        return Polynomial._raw(self.table, {k: -c for k, c in self._terms.items()}, self._width)
 
     def __mul__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -431,21 +429,30 @@ class Polynomial:
         return self * (Fraction(1) / c)
 
     def _mul(self, other: Polynomial, cutoff: int | None) -> Polynomial:
-        """Product; with a ``cutoff``, pairs whose degrees add up past it are
-        never formed (the right-hand terms are sorted by degree once)."""
-        table = self.table
-        right = list(other._terms.items())
-        if cutoff is not None:
-            right.sort(key=lambda term: term[0].degree(table))
-            degrees = [mon.degree(table) for mon, _ in right]
-
-        def fitting(ma: Monomial) -> list[tuple[Monomial, _Coeff]]:
-            if cutoff is None:
-                return right
-            return right[: bisect_right(degrees, cutoff - ma.degree(table))]
-
-        pairs = ((ma * mb, ca * cb) for ma, ca in self._terms.items() for mb, cb in fitting(ma))
-        return Polynomial._raw(table, _accumulate({}, pairs))
+        """Product, at the width of top = min(deg a + deg b, cutoff): a product
+        of terms adds their keys, and no field carries.  The right-hand terms
+        are grouped by degree, and one comparison skips a group past the top."""
+        table, da, db = self.table, self.degree(), other.degree()
+        if da < 0 or db < 0:
+            return table.zero()
+        if cutoff is not None and max(da, db) > cutoff:
+            return self.truncate(cutoff)._mul(other.truncate(cutoff), cutoff)
+        top = da + db if cutoff is None else min(da + db, cutoff)
+        width = _width(top)
+        shift, groups = _shift(table, width, -1), {}
+        for kb, cb in _relaid(table, other._terms, other._width, width).items():
+            groups.setdefault(kb >> shift, []).append((kb, cb))
+        terms: dict[int, _Coeff] = {}
+        get = terms.get
+        for ka, ca in _relaid(table, self._terms, self._width, width).items():
+            room = top - (ka >> shift)
+            for degree, group in groups.items():
+                if degree <= room:
+                    for kb, cb in group:
+                        kb += ka
+                        terms[kb] = get(kb, 0) + ca * cb
+        terms = {key: c if c.__class__ is int else _as_coeff(c) for key, c in terms.items() if c}
+        return Polynomial._fit(table, terms, width)
 
     def mul_trunc(self, other: Polynomial, cutoff: int) -> Polynomial:
         """Product with every term of degree above ``cutoff`` dropped."""
@@ -465,7 +472,8 @@ class Polynomial:
         base = self if cutoff is None else self.truncate(cutoff)
         if cutoff is not None and base.constant_term():
             return _series_power(base, exponent, cutoff)
-        if cutoff is not None and exponent * base._span()[0] > cutoff:
+        low = min(base._terms, default=0) >> _shift(self.table, base._width, -1)
+        if cutoff is not None and exponent * low > cutoff:
             return self.table.zero()
         result, n = self.table.one(), exponent
         while n:
@@ -491,7 +499,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._terms.keys() <= {_MONOMIAL_ONE}:
+        if self._terms.keys() <= {0}:
             return hash(self.constant_term())  # it equals that number, so hash alike
         return hash((self.table, frozenset(self._terms.items())))
 
@@ -503,24 +511,20 @@ class Polynomial:
             raise TypeError("cutoff must be an integer")
         if self.degree() <= cutoff:
             return self
-        table = self.table
-        kept = {m: c for m, c in self._terms.items() if m.degree(table) <= cutoff}
-        return Polynomial._raw(table, kept)
+        limit = (cutoff + 1) << _shift(self.table, self._width, -1)
+        return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k < limit}, self._width)
 
     def graded_parts(self) -> list[tuple[int, Polynomial]]:
         """Homogeneous components as ``(degree, part)`` in increasing degree."""
-        table = self.table
-        buckets: dict[int, dict[Monomial, _Coeff]] = {}
-        for mon, c in self._terms.items():
-            buckets.setdefault(mon.degree(table), {})[mon] = c
-        return [
-            (d, Polynomial._raw(table, terms)) for d, terms in sorted(buckets.items())
-        ]
+        shift = _shift(self.table, self._width, -1)
+        buckets: dict[int, dict[int, _Coeff]] = {}
+        for key, c in self._terms.items():
+            buckets.setdefault(key >> shift, {})[key] = c
+        return [(d, Polynomial._fit(self.table, terms, self._width)) for d, terms in sorted(buckets.items())]
 
     def homogeneous_component(self, degree: int) -> Polynomial:
-        table = self.table
-        kept = {m: c for m, c in self._terms.items() if m.degree(table) == degree}
-        return Polynomial._raw(table, kept)
+        shift = _shift(self.table, self._width, -1)
+        return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k >> shift == degree}, self._width)
 
     # -- substitution ------------------------------------------------------
 
@@ -537,9 +541,8 @@ class Polynomial:
         order: the terms are split by that generator's exponent and folded
         from the top exponent k down, acc = acc * img^(prev - k) + inner(k),
         then acc * img^(k_min), so every product is the accumulator times a
-        cached power of one image.  A generator sent to itself (the target
-        generator of its own index) stays in the monomials and is never
-        split on.
+        cached power of one image.  Within the polynomial's own table, a
+        generator sent to itself stays in the keys and is never split on.
         """
         table = self.table
         target: VariableTable | None = None
@@ -558,21 +561,21 @@ class Polynomial:
         if target is None:
             target = table
 
-        # A generator without an image, or whose image is the target generator
-        # of its own index, is fixed: its monomial entries already mean the image.
+        # Within one table, a generator without an image, or sent to itself,
+        # is fixed: its field already means the image.  Into another table
+        # every occurring generator is split off, so only constants are left.
         same = target is table or target == table
         moved: list[int] = []
-        for i in sorted({i for mon in self._terms for i, _ in mon}):
-            name = table.names[i]
+        for name in self.variables():
             if name not in images:
                 if same:
                     continue
                 raise UnboundVariableError(f"no image for {name!r}")
-            img_terms = images[name]._terms
-            if len(img_terms) != 1 or img_terms.get(((i, 1),)) != 1:
-                moved.append(i)
+            if not same or images[name] != table.var(name):
+                moved.append(table.index(name))
 
         powers = {i: [target.one()] for i in moved}
+        width = self._width
 
         def power(i: int, e: int) -> Polynomial:
             cache = powers[i]
@@ -580,16 +583,15 @@ class Polynomial:
                 cache.append(cache[-1] * images[table.names[i]])
             return cache[e]
 
-        def horner(terms: dict[Monomial, _Coeff], level: int) -> Polynomial:
+        def horner(terms: dict[int, _Coeff], level: int) -> Polynomial:
             if level == len(moved):
-                return Polynomial._raw(target, terms)
+                return Polynomial._fit(target, terms, width)
             i = moved[level]
-            buckets = _split(Polynomial._raw(table, terms), i)
+            buckets = _split(table, width, terms, i)
             exps = sorted(buckets, reverse=True)
             acc = horner(buckets[exps[0]], level + 1)
             for prev, k in zip(exps, exps[1:]):
-                acc = acc._mul(power(i, prev - k), None)  # a fresh dict: add in place
-                _accumulate(acc._terms, horner(buckets[k], level + 1)._terms.items())
+                acc = acc._mul(power(i, prev - k), None) + horner(buckets[k], level + 1)
             return acc._mul(power(i, exps[-1]), None) if exps[-1] else acc
 
         if not self._terms:
@@ -610,30 +612,30 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _accumulate(out: dict[Monomial, _Coeff], items: Iterable, sign: int = 1) -> dict:
-    """Add ``sign`` (1 or -1) times each ``(monomial, coefficient)`` pair into
+def _accumulate(out: dict[int, _Coeff], items: Iterable, sign: int = 1) -> dict:
+    """Add ``sign`` (1 or -1) times each ``(key, coefficient)`` pair into
     ``out`` in place and return it; terms that cancel are deleted, so a
     zero-free ``out`` stays zero-free, and integral sums are stored as ``int``."""
     add = sign > 0
     get = out.get
-    for mon, c in items:
-        s = get(mon, 0) + c if add else get(mon, 0) - c
+    for key, c in items:
+        s = get(key, 0) + c if add else get(key, 0) - c
         if s:
-            out[mon] = s if s.__class__ is int else _as_coeff(s)
-        elif mon in out:
-            del out[mon]
+            out[key] = s if s.__class__ is int else _as_coeff(s)
+        elif key in out:
+            del out[key]
     return out
 
 
-def _split(p: Polynomial, idx: int) -> dict[int, dict[Monomial, _Coeff]]:
-    """The terms of ``p`` grouped by their exponent of generator ``idx``, which is removed."""
-    buckets: dict[int, dict[Monomial, _Coeff]] = {}
-    for mon, coeff in p._terms.items():
-        k = bisect_left(mon, (idx,))  # the first pair whose index is >= idx
-        if k < len(mon) and mon[k][0] == idx:
-            buckets.setdefault(mon[k][1], {})[_new(Monomial, mon[:k] + mon[k + 1 :])] = coeff
-        else:
-            buckets.setdefault(0, {})[mon] = coeff
+def _split(table: VariableTable, width: int, terms: dict[int, _Coeff], idx: int) -> dict[int, dict[int, _Coeff]]:
+    """``terms``, keyed at ``width``, grouped by their exponent of generator
+    ``idx``, which each key loses together with its share of the degree."""
+    shift, mask = _shift(table, width, idx), (1 << width) - 1
+    unit = (1 << shift) + (table.degrees[idx] << _shift(table, width, -1))
+    buckets: dict[int, dict[int, _Coeff]] = {}
+    for key, coeff in terms.items():
+        e = key >> shift & mask
+        buckets.setdefault(e, {})[key - e * unit] = coeff
     return buckets
 
 
@@ -643,21 +645,8 @@ def _integral(p: Polynomial) -> tuple[Polynomial, int]:
     d = math.lcm(*(c.denominator for c in p._terms.values() if c.__class__ is not int))
     if d == 1:
         return p, 1
-    terms = {m: c.numerator * (d // c.denominator) for m, c in p._terms.items()}
-    return Polynomial._raw(p.table, terms), d
-
-
-def _unpack(table: VariableTable, packed: Mapping[int, _Coeff], gens: Iterable[int], width: int) -> Polynomial:
-    """The polynomial over ``table`` whose monomials ``packed`` keys as ints,
-    a field of ``width`` bits per exponent of each generator index in
-    ``gens``, in increasing order from the lowest field; zero coefficients
-    are dropped."""
-    mask, fields = (1 << width) - 1, [(i, width * n, {}) for n, i in enumerate(gens)]
-    # each (index, exponent) pair is made once and shared by the terms that hold it
-    terms = {Monomial._raw([row.get(e) or row.setdefault(e, (i, e))
-                            for i, shift, row in fields if (e := key >> shift & mask)]): c
-             for key, c in packed.items() if c}
-    return Polynomial._raw(table, terms)
+    terms = {k: c.numerator * (d // c.denominator) for k, c in p._terms.items()}
+    return Polynomial._raw(p.table, terms, p._width), d
 
 
 def _render_terms(
@@ -678,7 +667,7 @@ def _render_terms(
         neg = c < 0
         mag = -c if neg else c
         factors: list[str] = []
-        if mon.is_constant or mag != 1:
+        if not mon or mag != 1:
             factors.append(coeff(mag))
         for i, e in mon:
             base = name(names[i])
@@ -700,11 +689,12 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     remainder is nonzero, which signals a violated invariant upstream.
     """
     p._check_table(factor)
-    table = p.table
+    table, width = p.table, p._width
     pos = neg = None
     if len(factor._terms) != 2:
         raise ValueError("factor must be a difference of two generators")
-    for mon, coeff in factor._terms.items():
+    for key, coeff in factor._terms.items():
+        mon = factor._monomial(key)
         if len(mon) != 1 or mon[0][1] != 1:
             raise ValueError("factor must be a difference of two generators")
         idx = mon[0][0]
@@ -719,22 +709,22 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     if pos is None or neg is None or pos == neg:
         raise ValueError("factor must be a difference of two distinct generators")
 
+    # on the keys of p, which every partial result fits: times a^e or b adds a key
     a, b = pos, neg
-    buckets = _split(p, a)
-    b_mon = Monomial._raw(((b, 1),))
-    carry: dict[Monomial, _Coeff] = {}
-    quotient: dict[Monomial, _Coeff] = {}
+    buckets = _split(table, width, p._terms, a)
+    a_key, b_key = _key(table, width, ((a, 1),)), _key(table, width, ((b, 1),))
+    carry: dict[int, _Coeff] = {}
+    quotient: dict[int, _Coeff] = {}
     for k in range(max(buckets, default=0), 0, -1):
         cur = _accumulate(buckets.pop(k, {}), carry.items())
-        a_mon = Monomial._raw(((a, k - 1),) if k > 1 else ())
-        for mon, c in cur.items():
-            quotient[mon * a_mon] = c
-        carry = {mon * b_mon: c for mon, c in cur.items()}
+        for key, c in cur.items():
+            quotient[key + (k - 1) * a_key] = c
+        carry = {key + b_key: c for key, c in cur.items()}
     if _accumulate(buckets.get(0, {}), carry.items()):
         raise NotDivisibleError(
             f"{table.names[a]} - {table.names[b]} does not divide the given polynomial"
         )
-    return Polynomial._raw(table, quotient)
+    return Polynomial._fit(table, quotient, width)
 
 
 def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
@@ -758,28 +748,29 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
     It runs in integers on t_d = M^d P_d / c0^n, t_0 = 1, M = L c0 with L the
     least common denominator of ``p``: d t_d = sum_i (d - (n + 1) i)
     (-L p_i M^(i-1)) t_(d-i), divided by d exactly; at n = -1 the weight d
-    cancels and nothing is divided.  Each product is one pass over packed int
-    keys, ``cutoff.bit_length()`` bits per generator in ``p``, and each t_d is
-    scaled by c0^n / M^d once, as soon as it is built.  UsageError is raised at
-    c0^n by its size (n clamped to 10^300) and at the first degree Python cannot
-    print (``_refuse_unprintable``); it stops at degree n deg p for n >= 0, at 0
-    for a constant p.
+    cancels and nothing is divided.  Each product adds the keys of ``p``,
+    laid out at the width of the top degree built, and each t_d is scaled by
+    c0^n / M^d once, as soon as it is built.  UsageError is raised at c0^n
+    by its size (n clamped to 10^300) and at the first degree Python cannot
+    print (``_refuse_unprintable``); it stops at degree n deg p for n >= 0,
+    at 0 for a constant p.
     """
-    table, width, c0 = p.table, cutoff.bit_length(), p.constant_term()
+    table, c0 = p.table, p.constant_term()
     _refuse_unprintable(log10=min(n, 10**300) * math.log10(max(abs(c0.numerator), c0.denominator)))
     num, den = (c0.numerator ** n, c0.denominator ** n) if n >= 0 else (c0.denominator, c0.numerator)
     p, _ = _integral(p.truncate(cutoff))
-    gens = sorted({i for mon in p._terms for i, _ in mon})
-    shifts = {i: width * k for k, i in enumerate(gens)}
+    top = p.degree()
+    last = cutoff if n == -1 and top else min(cutoff, n * top)  # deg p^n <= n deg p
+    width = max(p._width, _width(last))
+    shift = _shift(table, width, -1)
     m = p.constant_term()  # M = L c0, the constant term of L p
     parts: dict[int, list[tuple[int, int]]] = {}  # i -> the terms of -L p_i M^(i-1)
-    for mon, c in p._terms.items():
-        if mon:
-            i = mon.degree(table)
-            parts.setdefault(i, []).append((sum(e << shifts[j] for j, e in mon), -c * m ** (i - 1)))
+    for key, c in _relaid(table, p._terms, p._width, width).items():
+        if key:
+            i = key >> shift
+            parts.setdefault(i, []).append((key, -c * m ** (i - 1)))
     series: list[dict[int, int]] = []  # t_0, t_1, ...
     packed: dict[int, _Coeff] = {}
-    last = cutoff if n == -1 and parts else min(cutoff, n * max(parts, default=0))  # deg p^n <= n deg p
     for d in range(last + 1):
         t: dict[int, int] = {} if d else {0: 1}
         for i, part in parts.items():
@@ -797,4 +788,4 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
         _refuse_unprintable(t.values())
         packed.update(t)
         den *= m
-    return _unpack(table, packed, gens, width)
+    return Polynomial._fit(table, packed, width)

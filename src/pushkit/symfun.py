@@ -55,10 +55,10 @@ def root_generators(table: VariableTable) -> tuple[Polynomial, ...]:
 
 
 def _generator_index(gen: Polynomial) -> int:
-    terms = gen._terms
+    terms = gen.sorted_terms()
     if len(terms) != 1:
         raise ValueError("expected a single generator")
-    mon, coeff = next(iter(terms.items()))
+    mon, coeff = terms[0]
     if coeff != 1 or len(mon) != 1 or mon[0][1] != 1:
         raise ValueError("expected a single generator")
     idx = mon[0][0]
@@ -90,7 +90,7 @@ def elementary_symmetric(k: int, gens: Iterable[Polynomial]) -> Polynomial:
         Monomial(tuple((i, 1) for i in combo)): 1
         for combo in itertools.combinations(indices, k)
     }
-    return Polynomial._raw(table, terms)
+    return Polynomial(table, terms)
 
 
 def complete_homogeneous(k: int, gens: Iterable[Polynomial]) -> Polynomial:
@@ -103,7 +103,7 @@ def complete_homogeneous(k: int, gens: Iterable[Polynomial]) -> Polynomial:
         Monomial(Counter(combo)): 1
         for combo in itertools.combinations_with_replacement(indices, k)
     }
-    return Polynomial._raw(table, terms)
+    return Polynomial(table, terms)
 
 
 def is_symmetric(p: Polynomial) -> bool:
@@ -115,12 +115,13 @@ def is_symmetric(p: Polynomial) -> bool:
     """
     roots = set(_root_indices(p.table))
     orbits: dict[tuple, list] = {}
-    for mon, c in p._terms.items():
-        key = (
+    for key, c in p._terms.items():
+        mon = p._monomial(key)
+        orbit = (
             tuple(t for t in mon if t[0] not in roots),
             tuple(sorted(e for i, e in mon if i in roots)),
         )
-        seen = orbits.setdefault(key, [c, 0])
+        seen = orbits.setdefault(orbit, [c, 0])
         if seen[0] != c:
             return False
         seen[1] += 1
@@ -161,25 +162,24 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
     root_idx = _root_indices(table)
     chern_idx = _chern_indices(table)
 
-    allowed = set(root_idx)
-    for mon in p._terms:
-        for i, _ in mon:
-            if i not in allowed:
-                raise ValueError("input must involve only the root generators u1..ur")
+    allowed = {table.names[i] for i in root_idx}
+    if not allowed.issuperset(p.variables()):
+        raise ValueError("input must involve only the root generators u1..ur")
     if not is_symmetric(p):
         raise SymmetryError("input is not symmetric in u1..ur")
 
     out: dict[Monomial, _Coeff] = {}
     while p:
-        mon, coeff = max(p._terms.items(), key=lambda term: term[0].sort_key(table))
-        lam = [mon.exponent(i) for i in root_idx] + [0]
+        top = max(p._terms)  # the graded-lex leading term
+        mon, coeff = p._monomial(top), p._terms[top]
+        lam = [dict(mon).get(i, 0) for i in root_idx] + [0]
         mults = enumerate(zip(lam, lam[1:]))
         c_mon = Monomial._raw(tuple((chern_idx[k], a - b) for k, (a, b) in mults if a > b))
         out[c_mon] = coeff
-        p = p - _chern_to_roots(Polynomial._raw(table, {c_mon: coeff}))
-        if mon in p._terms:  # each step must cancel u^lambda, or the loop would not end
+        p = p - _chern_to_roots(Polynomial(table, {c_mon: coeff}))
+        if p and p._monomial(max(p._terms)) == mon:  # each step must cancel u^lambda, or the loop would not end
             raise ArithmeticError("leading-term subtraction left its leading monomial")
-    return Polynomial._raw(table, out)
+    return Polynomial(table, out)
 
 
 def _chern_to_roots(p: Polynomial) -> Polynomial:
@@ -199,7 +199,7 @@ def expand_elementary(p: Polynomial) -> Polynomial:
     """Inverse direction of :func:`reduce_to_elementary`: substitute each
     c_i by the i-th elementary symmetric polynomial of the roots.  The map
     is ``_chern_to_roots``; the input must involve only c1..cr."""
-    allowed = set(_chern_indices(p.table))
-    if any(i not in allowed for mon in p._terms for i, _ in mon):
+    allowed = {p.table.names[i] for i in _chern_indices(p.table)}
+    if not allowed.issuperset(p.variables()):
         raise ValueError("input must involve only the Chern generators c1..cr")
     return _chern_to_roots(p)

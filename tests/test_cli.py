@@ -304,14 +304,14 @@ def _shift_top_coefficient(monkeypatch):
     """Make ``pushforward`` answer its closed form plus 1 on its top-degree term."""
     import pushkit.gysin
 
-    unpack_sum = pushkit.gysin._unpack_sum
+    result = pushkit.gysin._result
 
     def shifted(table, packed, d, width):
-        value = unpack_sum(table, packed, d, width)
+        value = result(table, packed, d, width)
         mon, _ = value.sorted_terms()[0]
-        return value + Polynomial._raw(value.table, {mon: 1})
+        return value + Polynomial(value.table, {mon: 1})
 
-    monkeypatch.setattr(pushkit.gysin, "_unpack_sum", shifted)
+    monkeypatch.setattr(pushkit.gysin, "_result", shifted)
 
 
 def test_failed_check_is_a_verification_failure(capsys, monkeypatch):

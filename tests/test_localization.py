@@ -216,8 +216,8 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
-def test_cached_segre_series_is_the_inverse_total_chern_class(rank):
-    # the closed form builds s_m = -sum c_i s_(m-i) on packed keys as it
+def test_segre_sum_of_x_to_the_r_minus_1_plus_m_is_the_segre_class_s_m(rank):
+    # the closed form builds s_m = -sum c_i s_(m-i) on the read's keys as it
     # goes, keeping r terms; on x^(r-1+m) it is s_m, here against series
     # inversion
     top, table = 10, bundle_ring(rank)
@@ -225,7 +225,7 @@ def test_cached_segre_series_is_the_inverse_total_chern_class(rank):
     for m in range(top + 1):
         buckets, d, width = localization._read_in_x(table.var("x").pow(rank - 1 + m))
         packed = localization._segre_sum(buckets, rank, width)
-        assert localization._unpack_sum(table, packed, d, width) == inverse.homogeneous_component(m)
+        assert localization._result(table, packed, d, width) == inverse.homogeneous_component(m)
 
 
 _WINDOW_CLASSES = [
@@ -244,9 +244,9 @@ def test_segre_window_edges_agree_with_the_fold(text, rank, cutoff):
     buckets, d, width = localization._read_in_x(phi)
     packed = localization._segre_sum(buckets, rank, width)
     assert packed == localization._fold(buckets, rank, width)
-    answer = localization._unpack_sum(phi.table, packed, d, width)
+    answer = localization._result(phi.table, packed, d, width)
     assert expand_elementary(answer) == literal_sum(phi, rank, cutoff)
-    assert (packed == {}) == (max(buckets) < rank - 1)
+    assert (packed == {}) == (not buckets)  # the read keeps no power below r - 1
 
 
 _DENOMINATOR_CLASSES = [  # coprime denominators; the q-class has 1/4 coefficients
@@ -272,7 +272,7 @@ def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
     assert localization.fixed_point_sample(phi, rank, answer)
     table = bundle_ring(rank)
     for _, part in answer.graded_parts():
-        shift = Polynomial(table, {next(iter(part._terms)): Fraction(1, denominator)})
+        shift = Polynomial(table, {part.sorted_terms()[0][0]: Fraction(1, denominator)})
         assert not localization.fixed_point_sample(phi, rank, answer + shift)
 
 

@@ -656,27 +656,6 @@ def _assert_exact(p: Polynomial) -> None:
         assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
 
 
-_exponents = st.dictionaries(st.integers(0, 7), st.integers(0, 4), max_size=6)
-
-
-@seed(20261018)
-@settings(max_examples=200, deadline=None)
-@given(_exponents, _exponents)
-@example({1: 2, 4: 1}, {1: 3, 4: 2})  # every index shared
-@example({0: 1, 5: 2}, {2: 1, 7: 3})  # disjoint, interleaved
-@example({}, {3: 2})  # the empty monomial on either side
-@example({3: 2}, {})
-def test_monomial_product_adds_dense_exponents(a, b):
-    ma, mb = Monomial(a), Monomial(b)
-    product = ma * mb
-    assert type(product) is Monomial
-    assert product.dense(8) == tuple(x + y for x, y in zip(ma.dense(8), mb.dense(8)))
-    assert list(product) == sorted(product) and all(e > 0 for _, e in product)
-    assert len({i for i, _ in product}) == len(product)
-    assert product == Monomial({i: a.get(i, 0) + b.get(i, 0) for i in {*a, *b}})
-    assert hash(product) == hash(product.exps) and product == product.exps
-
-
 _scalars = st.one_of(
     st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
 )
