@@ -209,8 +209,7 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
                 total[rest + kq] = total.get(rest + kq, 0) + c * cq
         else:
             total[key] = total.get(key, 0) + c
-    buckets: dict[int, dict[int, int]] = {}
-    drop = (rank - 1) << _shift(table, width, -1)
+    buckets, drop = {}, (rank - 1) << _shift(table, width, -1)
     for key, c in total.items():
         k = key >> x & mask
         if c and k >= rank - 1:
@@ -226,8 +225,8 @@ def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dic
     (Fulton, *Intersection Theory*, Prop. 3.1(a)).  Each s_m is built as it
     is used, s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i), and only the
     newest r are kept."""
-    table, lower, total = bundle_ring(rank), [], {}  # s_(m-1), s_(m-2), ...
-    steps = [1 << _shift(table, width, rank + i) for i in range(1, rank + 1)]  # times c_i, the degree kept
+    steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i, degree kept
+    lower, total = [], {}  # s_(m-1), s_(m-2), ...
     get = total.get
     for k in range(rank - 1, max(buckets, default=0) + 1):
         s = {} if lower else {0: 1}
@@ -321,17 +320,19 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[dict[int, int
 def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple[int, int], object]:
     """The terms of ``p`` with each generator index in ``values`` (c1 on, at
     the end of the table, so in the lowest fields) set to that integer,
-    summed by (degree, the key of the rest of the monomial).  Those fields
-    are read from their first generator on (``_lead``), and what is left is
-    a shorter key, read once however many terms share it."""
+    summed by (degree, the key of the rest).  Those fields are read as their
+    first field (``_lead``) times the rest, each part once however often used."""
     table, width = p.table, p._width
     top, low = _shift(table, width, -1), 1 << _shift(table, width, min(values) - 1)
     parts: dict[int, tuple[object, int]] = {0: (1, 0)}
 
     def read(key: int) -> tuple[object, int]:  # (the value of the generators in values, the key of the others)
         i, e, below = _lead(table, width, key)
-        value, rest = parts.get(below) or read(below)
-        found = parts[key] = (value * values[i] ** e, rest) if i in values else (value, rest + key - below)
+        if below:
+            (lead, other), (value, rest) = parts.get(key - below) or read(key - below), parts.get(below) or read(below)
+            found = parts[key] = (lead * value, other + rest)
+        else:
+            found = parts[key] = (values[i] ** e, 0) if i in values else (1, key)
         return found
 
     out: dict[tuple[int, int], object] = {}

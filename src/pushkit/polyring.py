@@ -353,8 +353,7 @@ class Polynomial:
         seen = 0
         for key in self._terms:
             seen |= key
-        names = self.table.names
-        return tuple(names[i] for i, _ in _pairs(self.table, self._width, seen))
+        return tuple(self.table.names[i] for i, _ in _pairs(self.table, self._width, seen))
 
     def sorted_terms(self) -> list[tuple[Monomial, _Coeff]]:
         """Terms in decreasing graded-lex order (the canonical print order)."""
