@@ -250,8 +250,8 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
     t_k = a_k - sum_(1 <= i <= r) c_i t_(k+i), t_k = 0 above the top; on the
     read's keys a product by c_i adds one int and never carries, the relation
     being homogeneous.  Zeros are dropped, and the read is left as it is."""
-    table, upper = bundle_ring(rank), [{}]  # t_(k+1), t_(k+2), ...
-    steps = [1 << _shift(table, width, rank + i) for i in range(1, rank + 1)]  # times c_i, the degree kept
+    steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i, degree kept
+    upper = [{}]  # t_(k+1), t_(k+2), ...
     for k in range(max(buckets, default=0), rank - 2, -1):
         t = dict(buckets.get(k, ()))
         for step, above in zip(steps, upper):
