@@ -335,13 +335,13 @@ def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple[int, int], o
             found = parts[key] = (values[i] ** e, 0) if i in values else (1, key)
         return found
 
-    out: dict[tuple[int, int], object] = {}
+    out: dict[int, object] = {}  # keyed by the key without the fields of values
     for key, value in p._terms.items():
-        degree, below = key >> top, key % low
+        below = key % low
         factor, rest = parts.get(below) or read(below)
-        key = (degree, key - (degree << top) - below + rest)
+        key += rest - below
         out[key] = out.get(key, 0) + value * factor
-    return out
+    return {(key >> top, key - (key >> top << top)): value for key, value in out.items()}
 
 
 def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
