@@ -43,7 +43,6 @@ from .localization import (
     bundle_ring,
     fixed_point_charts,
     localize,
-    relation_check,
 )
 from .gysin import (
     ClassExpr,
@@ -94,7 +93,6 @@ __all__ = [
     "presentation_oracle",
     "pushforward",
     "reduce_to_elementary",
-    "relation_check",
     "root_generators",
     "segre_oracle",
     "series_inverse",

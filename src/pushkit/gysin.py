@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .errors import UnsupportedVariableError
 from .localization import _fold, _read_in_x, _result, _segre_sum, _valid_through, bundle_ring
-from .localization import fixed_point_sample, localize, relation_check
+from .localization import fixed_point_sample, localize
 from .polyring import Polynomial, _Value, series_inverse
 from .symfun import expand_elementary, root_generators
 
@@ -160,13 +160,15 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
     Checks: the pushforward of the geometric series in x equals the inverse
     total Chern class degree by degree; every power x^k (k <= cutoff) passes
     both checks that ``pushforward`` records, the presentation oracle and
-    the fixed-point sample at one integer point; the fiber-ring relation
-    restricts to a true identity at every fixed point; and, at rank 3, the
-    closed form read in the roots for 1/(1 + y) equals the expanded product
-    of the three geometric series 1/(1 + u_j).  Each comparison is exact
-    equality; only the fixed-point sample is a check at one point (see
-    ``pushforward`` for its bound).  The callees raise ValueError for a rank
-    below 1 or a cutoff below rank - 1.
+    the fixed-point sample at one integer point; Gauss-Bonnet on the fiber,
+    f_*(c_(r-1)(T_f)) = chi(P^(r-1)) = r, through ``pushforward`` with its
+    sample passing, which checks the read's Whitney map and every image in
+    the sample's fixed-point table; and, at rank 3, the closed form read in
+    the roots for 1/(1 + y) equals the expanded product of the three
+    geometric series 1/(1 + u_j).  Each comparison is exact equality; only
+    the fixed-point sample is a check at one point (see ``pushforward`` for
+    its bound).  No check builds the symbolic charts.  The callees raise
+    ValueError for a rank below 1 or a cutoff below rank - 1.
     """
     table = bundle_ring(rank)
     x = table.var("x")
@@ -204,11 +206,15 @@ def verify_classical(rank: int, cutoff: int) -> VerificationReport:
         )
     )
 
+    # c_(r-1)(T_f) = sum_(i < r) q_i x^(r-1-i), q_0 = 1, as T_f = Q (x) O(1).
+    q = [table.one()] + [table.var(f"q{i}") for i in range(1, rank)]
+    top = sum((q[i] * x.pow(rank - 1 - i) for i in range(rank)), table.zero())
+    result = pushforward(ClassExpr(top), rank)
     checks.append(
         VerificationCheck(
-            name="chart_relation",
-            passed=relation_check(rank),
-            detail="restricted Whitney relation at every fixed point",
+            name="gauss_bonnet",
+            passed=result.chern_form == rank and set(result.checks.values()) == {"pass"},
+            detail=f"f_*(sum_(i=0..{rank - 1}) q_i x^({rank - 1}-i)) = {rank} = chi(P^{rank - 1})",
         )
     )
 

@@ -6,7 +6,8 @@ tautological line and its dual), the quotient-bundle classes q1..q(r-1), the
 base Chern classes c1..cr, and the Chern roots u1..ur.  The torus action on
 the fiber has r isolated fixed points; at the j-th one, y restricts to u_j
 and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
-``_fixed_points`` builds that data at any root values, for the charts.
+``_fixed_points`` builds that data at any root values: the symbolic charts
+at the roots, and ``fixed_point_sample``'s integer table at one point.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series, each term built as it is used and r of them kept
@@ -16,8 +17,10 @@ q_i in x by the Whitney relation (``_read_in_x``), and key their sums as the
 answer.  ``localize`` reads ``_closed_form`` in the roots (c_i -> e_i(u));
 ``fixed_point_sample`` checks an answer against the sum itself at one integer
 point.  ``_valid_through`` holds the one cutoff rule (every evaluator lowers
-degree by the fiber dimension r - 1) and the shared guards.  The test suite's
-symbolic references build on the charts, ``_vandermonde`` and ``_cofactors``.
+degree by the fiber dimension r - 1) and the shared guards.  The symbolic
+charts, ``_vandermonde`` and ``_cofactors`` are references only: the test
+suite's literal sum and chart relation, the demo and the benchmark tracer
+build on them, and no ``pushkit`` command does.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "fixed_point_charts",
     "fixed_point_sample",
     "localize",
-    "relation_check",
 ]
 
 
@@ -413,14 +415,3 @@ def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> Localizat
     if not is_symmetric(value):
         raise SymmetryError("localization result is not invariant under permuting the roots")
     return LocalizationResult(value, valid_through)
-
-
-def relation_check(rank: int) -> bool:
-    """True when the defining relation of the fiber ring restricts to a true
-    identity at every fixed point: (1 + u_j) * (1 + sum of complementary
-    elementary symmetric polynomials) equals prod_i (1 + u_i), exactly.
-    Restriction is a ring map: the left side is a product of images."""
-    table = bundle_ring(rank)
-    rhs = math.prod((1 + u for u in root_generators(table)), start=table.one())
-    return all((1 + images["y"]) * sum((images[f"q{i}"] for i in range(1, rank)), table.one()) == rhs
-               for images in (chart.restriction for chart in _charts(rank)))

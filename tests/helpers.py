@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -117,6 +118,18 @@ def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polyno
     for a, b in localization._vandermonde(rank):
         value = divide_exact_linear(value, table.var(a) - table.var(b))
     return value if cutoff is None else value.truncate(cutoff - (rank - 1))
+
+
+def relation_check(rank: int) -> bool:
+    """Reference for the symbolic charts: True when the defining relation of
+    the fiber ring restricts to a true identity at every fixed point, (1 +
+    u_j) * (1 + sum of complementary elementary symmetric polynomials) equals
+    prod_i (1 + u_i), exactly.  Restriction is a ring map: the left side is a
+    product of images."""
+    table = bundle_ring(rank)
+    rhs = math.prod((1 + u for u in root_generators(table)), start=table.one())
+    return all((1 + images["y"]) * sum((images[f"q{i}"] for i in range(1, rank)), table.one()) == rhs
+               for images in (chart.restriction for chart in fixed_point_charts(rank)))
 
 
 def permute_roots(p: Polynomial, images: Sequence[int]) -> Polynomial:

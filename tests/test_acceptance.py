@@ -24,14 +24,13 @@ from pushkit import (
     presentation_oracle,
     pushforward,
     reduce_to_elementary,
-    relation_check,
     root_generators,
     segre_oracle,
     series_inverse,
 )
 from pushkit.cli import run
 
-from helpers import localize_divided_differences, random_chern_poly, random_fiber_poly
+from helpers import localize_divided_differences, random_chern_poly, random_fiber_poly, relation_check
 from helpers import random_poly, random_x_class
 
 

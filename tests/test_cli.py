@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from pushkit.errors import UsageError
 from helpers import literal_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MUTANTS = Path(__file__).resolve().parents[1] / "tools" / "mutants.json"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -171,6 +173,67 @@ def test_verify_command(capsys):
     assert out.count("PASS") == 4
     assert "FAIL" not in out
     assert run(["verify", "--rank", "1", "--max-degree", "4"]) == 0
+
+
+def test_verify_at_rank_twenty_passes_every_check(capsys):
+    assert run(["verify", "--rank", "20", "--max-degree", "23"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "3/3 checks passed (rank 20, max degree 23)"
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert "PASS gauss_bonnet: f_*(sum_(i=0..19) q_i x^(19-i)) = 20 = chi(P^19)" in lines
+
+
+def test_verify_builds_no_symbolic_chart(capsys):
+    from pushkit import localization
+
+    before = localization._charts.cache_info()
+    for rank in (1, 2, 3, 4, 5, 6, 20):
+        assert run(["verify", "--rank", str(rank), "--max-degree", str(rank + 3)]) == 0
+    capsys.readouterr()
+    assert localization._charts.cache_info() == before
+
+
+def _mutated(fn, name: str):
+    """``fn`` rebuilt, in its own module's globals, with the recorded mutant
+    ``name`` of ``tools/mutants.json`` applied to its source."""
+    mutant = next(m for m in json.loads(MUTANTS.read_text()) if m["name"] == name)
+    source = inspect.getsource(fn)
+    assert source.count(mutant["old"]) == 1
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(mutant["old"], mutant["new"]), fn.__code__.co_filename, "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def _assert_gauss_bonnet_alone_fails(capsys, rank):
+    assert run(["verify", "--rank", str(rank), "--max-degree", str(rank + 3)]) == 1
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["FAIL gauss_bonnet"]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 6])
+def test_wrong_q_image_at_a_fixed_point_fails_gauss_bonnet(capsys, monkeypatch, rank):
+    # the q1 image at the second fixed point shifted by 1, in the table the sample reads
+    from pushkit import localization
+
+    fixed_points = localization._fixed_points
+
+    def wrong(a, one):
+        points = fixed_points(a, one)
+        points[1][0]["q1"] += one
+        return points
+
+    monkeypatch.setattr(localization, "_fixed_points", wrong)
+    monkeypatch.setattr(localization, "_sample_point", localization._sample_point.__wrapped__)  # uncached
+    _assert_gauss_bonnet_alone_fails(capsys, rank)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 6])
+def test_whitney_sign_mutant_fails_gauss_bonnet(capsys, monkeypatch, rank):
+    # odd powers of x negated in the read's q_i images: only a class with a q_i sees it
+    import pushkit.gysin
+
+    monkeypatch.setattr(pushkit.gysin, "_read_in_x", _mutated(pushkit.gysin._read_in_x, "whitney-sign"))
+    _assert_gauss_bonnet_alone_fails(capsys, rank)
 
 
 def test_usage_and_parse_errors_exit_two(capsys):
@@ -492,7 +555,7 @@ PUBLIC_API = [
     "VerificationReport", "bundle_ring", "complete_homogeneous", "divide_exact_linear",
     "elaborate", "elementary_symmetric", "expand_elementary", "fixed_point_charts",
     "is_symmetric", "localize", "parse_expression", "presentation_oracle", "pushforward",
-    "reduce_to_elementary", "relation_check", "root_generators", "segre_oracle",
+    "reduce_to_elementary", "root_generators", "segre_oracle",
     "series_inverse", "verify_classical",
 ]
 

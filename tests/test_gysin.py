@@ -408,7 +408,7 @@ def test_verify_classical_passes(rank, cutoff):
     report = verify_classical(rank, cutoff)
     assert report.ok, [c for c in report.checks if not c.passed]
     names = {c.name for c in report.checks}
-    assert {"segre_series", "hyperplane_powers", "chart_relation"} <= names
+    assert {"segre_series", "hyperplane_powers", "gauss_bonnet"} <= names
     assert ("u_series_rank3" in names) == (rank == 3)
 
 

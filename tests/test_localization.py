@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pushkit import (
     ArityError,
     ClassExpr,
+    FixedPointChart,
     Polynomial,
     SymmetryError,
     UnsupportedVariableError,
@@ -31,7 +32,6 @@ from pushkit import (
     parse_expression,
     pushforward,
     reduce_to_elementary,
-    relation_check,
     root_generators,
     segre_oracle,
     series_inverse,
@@ -39,7 +39,7 @@ from pushkit import (
 from pushkit import gysin, localization, polyring
 
 from helpers import literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
-from helpers import localize_divided_differences, symmetrize
+from helpers import localize_divided_differences, relation_check, symmetrize
 
 SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -179,7 +179,7 @@ def test_chart_maps_are_read_only():
     # the charts are cached per rank: a caller's write must not reach them
     with pytest.raises(TypeError):
         fixed_point_charts(3)[0].restriction["y"] = bundle_ring(3).var("u2")
-    # localize reads no chart; the reference and the relation check do, and
+    # localize reads no chart; the test-side reference and relation check do, and
     # fixed_point_sample reads the same builder's table at an integer point
     y = bundle_ring(3).var("y")
     assert localize_divided_differences(y * y, 3) == 1
@@ -387,6 +387,16 @@ def test_benchmark_tracer_wraps_the_pipeline(monkeypatch, fresh_setup_caches):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
 def test_relation_check(rank):
     assert relation_check(rank)
+
+
+def test_relation_check_fails_on_a_perturbed_chart(monkeypatch):
+    # the q1 image at the second fixed point shifted by 1: the reference must see it
+    charts = list(fixed_point_charts(3))
+    images = dict(charts[1].restriction)
+    images["q1"] = images["q1"] + 1
+    charts[1] = FixedPointChart(2, images, charts[1].euler)
+    monkeypatch.setattr(localization, "_charts", lambda rank: tuple(charts))
+    assert not relation_check(3)
 
 
 def test_localize_point_class_rank_three():

@@ -37,8 +37,8 @@ _RECORDS = {
         lambda: verify_classical(1, 1),
         "VerificationReport(rank=1, cutoff=1, checks=(VerificationCheck(name='segre_series', passed=True, "
         "detail='degrees 0..1 agree'), VerificationCheck(name='hyperplane_powers', passed=True, "
-        "detail='k = 0..1 agree'), VerificationCheck(name='chart_relation', passed=True, "
-        "detail='restricted Whitney relation at every fixed point')))",
+        "detail='k = 0..1 agree'), VerificationCheck(name='gauss_bonnet', passed=True, "
+        "detail='f_*(sum_(i=0..0) q_i x^(0-i)) = 1 = chi(P^0)')))",
     ),
     "localization": (
         lambda: localize(_X * _X, 2, 4),
