@@ -16,8 +16,10 @@ one read of the class, on its own int keys, as sum_k a_k x^k, y = -x, each
 q_i in x by the Whitney relation (``_read_in_x``), and key their sums as the
 answer.  ``localize`` reads ``_closed_form`` in the roots (c_i -> e_i(u));
 ``fixed_point_sample`` checks an answer against the sum itself at one integer
-point.  ``_valid_through`` holds the one cutoff rule (every evaluator lowers
-degree by the fiber dimension r - 1) and the shared guards.  The symbolic
+point: the Euler classes' cofactors of the Vandermonde are kept per rank
+(``_sample_weights``), and the class is grouped by fiber monomial (its x, y
+and q_i) and each weighed once.  ``_valid_through`` holds the one cutoff rule
+(every evaluator lowers degree by r - 1) and the shared guards.  The symbolic
 charts, ``_vandermonde`` and ``_cofactors`` are references only: the test
 suite's literal sum and chart relation, the demo and the benchmark tracer
 build on them, and no ``pushkit`` command does.
@@ -29,10 +31,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from .errors import ArityError, SymmetryError
-from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _lead, _pairs, _shift
+from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _pairs, _shift
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -319,31 +322,13 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[dict[int, int
     return point, tuple(charts)
 
 
-def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple[int, int], object]:
-    """The terms of ``p`` with each generator index in ``values`` (c1 on, at
-    the end of the table, so in the lowest fields) set to that integer,
-    summed by (degree, the key of the rest).  Those fields are read as their
-    first field (``_lead``) times the rest, each part once however often used."""
-    table, width = p.table, p._width
-    top, low = _shift(table, width, -1), 1 << _shift(table, width, min(values) - 1)
-    parts: dict[int, tuple[object, int]] = {0: (1, 0)}
-
-    def read(key: int) -> tuple[object, int]:  # (the value of the generators in values, the key of the others)
-        i, e, below = _lead(table, width, key)
-        if below:
-            (lead, other), (value, rest) = parts.get(key - below) or read(key - below), parts.get(below) or read(below)
-            found = parts[key] = (lead * value, other + rest)
-        else:
-            found = parts[key] = (values[i] ** e, 0) if i in values else (1, key)
-        return found
-
-    out: dict[int, object] = {}  # keyed by the key without the fields of values
-    for key, value in p._terms.items():
-        below = key % low
-        factor, rest = parts.get(below) or read(below)
-        key += rest - below
-        out[key] = out.get(key, 0) + value * factor
-    return {(key >> top, key - (key >> top << top)): value for key, value in out.items()}
+@lru_cache(maxsize=_CACHED_RANKS)
+def _sample_weights(rank: int) -> tuple[int, tuple[int, ...]]:
+    """V = prod_(i < k) (a_i - a_k) at a = ``_sample_point(rank)``, and per
+    chart j the exact cofactor V / prod_(i != j) (a_i - a_j)."""
+    a, charts = _sample_point(rank)
+    vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
+    return vandermonde, tuple(vandermonde // euler for _, euler in charts)
 
 
 def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
@@ -357,10 +342,14 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     part of the pushforward at c_i = e_i(a), exactly.  True when every such
     sum equals ``chern_form`` at c_i = e_i(a), and the degrees below r - 1
     sum to 0.  Both sides are scaled by the Vandermonde
-    V = prod_(i < k) (a_i - a_k), so chart j contributes its numbers times the
-    exact integer V / prod_(i != j) (a_i - a_j) and nothing is divided.
-    It shares only the denominator clearing (``_integral``, one integer
-    factor per side) with ``_closed_form``: no Whitney map, no Segre series.
+    V = prod_(i < k) (a_i - a_k), so chart j weighs its numbers by the exact
+    integer cofactor V / prod_(i != j) (a_i - a_j), kept per rank by
+    ``_sample_weights``, and nothing is divided.  The c_i and u_i restrict
+    alike at every fixed point, so the terms are summed by degree and fiber
+    monomial f (the x, y and q_i fields of a key) and each f is weighed once,
+    by W(f) = sum_j cofactor_j f|_j, each power taken once per call.  Only the
+    denominator clearing (``_integral``) is shared with ``_closed_form``: no
+    Whitney map, no Segre series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
     d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
@@ -375,30 +364,50 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
-    a, charts = _sample_point(rank)
-    shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
+    charts, (vandermonde, cofactors) = _sample_point(rank)[1], _sample_weights(rank)
+    last, shared = 3 * rank, charts[0][0]  # fields counted from the bottom: u_r is 0, c1 2r - 1, x 3r
+    powers: dict[tuple[int, int], int] = {}  # a c_i or u_i image to one power, by (field, exponent)
+    columns: dict[int, list] = {}  # the images of x, y or a q_i, chart by chart, by field
+    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart
 
-    expected: dict[int, object] = {}
-    chern = {i: value for i, value in shared.items() if phi.table.names[i][0] == "c"}
-    for (degree, rest), value in _by_degree(chern_form, chern).items():
-        if rest:
+    def value(base: int, values: dict[int, int]) -> int:  # c and u fields at the point: the top one times the rest
+        j = (base.bit_length() - 1) // width
+        e = base >> width * j
+        rest = base - (e << width * j)
+        power = powers.get((j, e)) or powers.setdefault((j, e), shared[last - j] ** e)
+        found = values[base] = power * (values.get(rest) or value(rest, values))
+        return found
+
+    def at_point(p: Polynomial, high: int) -> dict[int, int]:  # by key less its fields c1.. above bit high, at a
+        mask, values, out = (1 << 2 * rank * width) - high, {0: 1}, {}
+        for key, c in p._terms.items():
+            base = key & mask
+            out[key - base] = out.get(key - base, 0) + c * (values.get(base) or value(base, values))
+        return out
+
+    def weigh(f: int) -> tuple:  # from f with one power less of its top field, or else without that field
+        j = (f.bit_length() - 1) // width
+        e = f >> width * j
+        column = columns.get(j) or columns.setdefault(j, [images[last - j] for images, _ in charts])
+        lower = weighted.get(f - (1 << width * j))
+        if lower is None:
+            lower, column = weighted.get(f - (e << width * j)) or weigh(f - (e << width * j)), [a ** e for a in column]
+        found = weighted[f] = tuple(map(mul, lower, column))
+        return found
+
+    width = chern_form._width  # of the polynomial the helpers read
+    top, expected = _shift(chern_form.table, width, -1), {}
+    for key, c in at_point(chern_form, 1 << rank * width).items():  # the u_i stay in the key
+        if key & ((1 << top) - 1):
             return False  # a pushforward lives in c1..cr
-        expected[degree + rank - 1] = value
-    restricted = [(degree, _pairs(phi.table, phi._width, rest), value)
-                  for (degree, rest), value in _by_degree(phi, shared).items()]
-    vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
-    sums: dict[int, object] = {}
-    for images, euler in charts:
-        cofactor = vandermonde // euler
-        numerators: dict[int, object] = {}
-        for degree, rest, value in restricted:
-            for i, e in rest:
-                value = value * images[i] ** e
-            numerators[degree] = numerators.get(degree, 0) + value
-        for degree, n in numerators.items():
-            sums[degree] = sums.get(degree, 0) + n * cofactor
-    return all(chern_scale * sums.get(d, 0) == scale * vandermonde * expected.get(d, 0)
-               for d in set(sums) | set(expected))
+        expected[(key >> top) + rank - 1] = c
+    width = phi._width
+    top, sums = _shift(phi.table, width, -1), {}
+    for key, c in at_point(phi, 1).items():
+        degree, fiber = key >> top, key & ((1 << top) - 1)
+        sums[degree] = sums.get(degree, 0) + c * sum(weighted.get(fiber) or weigh(fiber))
+    scale *= vandermonde
+    return all(chern_scale * sums.get(d, 0) == scale * expected.get(d, 0) for d in sums.keys() | expected)
 
 
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:

@@ -20,6 +20,7 @@ from pushkit import (
     root_generators,
 )
 from pushkit import localization
+from pushkit.polyring import _integral, _lead, _pairs, _shift
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -130,6 +131,68 @@ def relation_check(rank: int) -> bool:
     rhs = math.prod((1 + u for u in root_generators(table)), start=table.one())
     return all((1 + images["y"]) * sum((images[f"q{i}"] for i in range(1, rank)), table.one()) == rhs
                for images in (chart.restriction for chart in fixed_point_charts(rank)))
+
+
+def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple[int, int], object]:
+    """The terms of ``p`` with each generator index in ``values`` (c1 on, at
+    the end of the table, so in the lowest fields) set to that integer,
+    summed by (degree, the key of the rest).  Those fields are read as their
+    first field (``_lead``) times the rest, each part once however often used."""
+    table, width = p.table, p._width
+    top, low = _shift(table, width, -1), 1 << _shift(table, width, min(values) - 1)
+    parts: dict[int, tuple[object, int]] = {0: (1, 0)}
+
+    def read(key: int) -> tuple[object, int]:  # (the value of the generators in values, the key of the others)
+        i, e, below = _lead(table, width, key)
+        if below:
+            (lead, other), (value, rest) = parts.get(key - below) or read(key - below), parts.get(below) or read(below)
+            found = parts[key] = (lead * value, other + rest)
+        else:
+            found = parts[key] = (values[i] ** e, 0) if i in values else (1, key)
+        return found
+
+    out: dict[int, object] = {}  # keyed by the key without the fields of values
+    for key, value in p._terms.items():
+        below = key % low
+        factor, rest = parts.get(below) or read(below)
+        key += rest - below
+        out[key] = out.get(key, 0) + value * factor
+    return {(key >> top, key - (key >> top << top)): value for key, value in out.items()}
+
+
+def sample_by_charts(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
+    """Reference for ``localization.fixed_point_sample``, the same check
+    chart by chart: each chart restricts every term of ``phi`` on its own,
+    sums the numbers by degree and multiplies each sum by its cofactor,
+    rebuilding the Vandermonde and dividing it by the Euler class at every
+    call.  It reads the same ``_sample_point`` table and gives the same bool."""
+    localization._valid_through(phi, rank, None)
+    localization._valid_through(chern_form, rank, None)
+    (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
+    a, charts = localization._sample_point(rank)
+    shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
+
+    expected: dict[int, object] = {}
+    chern = {i: value for i, value in shared.items() if phi.table.names[i][0] == "c"}
+    for (degree, rest), value in _by_degree(chern_form, chern).items():
+        if rest:
+            return False  # a pushforward lives in c1..cr
+        expected[degree + rank - 1] = value
+    restricted = [(degree, _pairs(phi.table, phi._width, rest), value)
+                  for (degree, rest), value in _by_degree(phi, shared).items()]
+    vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
+    sums: dict[int, object] = {}
+    for images, euler in charts:
+        cofactor = vandermonde // euler
+        numerators: dict[int, object] = {}
+        for degree, rest, value in restricted:
+            for i, e in rest:
+                value = value * images[i] ** e
+            numerators[degree] = numerators.get(degree, 0) + value
+        for degree, n in numerators.items():
+            sums[degree] = sums.get(degree, 0) + n * cofactor
+    return all(chern_scale * sums.get(d, 0) == scale * vandermonde * expected.get(d, 0)
+               for d in set(sums) | set(expected))
 
 
 def permute_roots(p: Polynomial, images: Sequence[int]) -> Polynomial:

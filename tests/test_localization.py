@@ -39,7 +39,7 @@ from pushkit import (
 from pushkit import gysin, localization, polyring
 
 from helpers import literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
-from helpers import localize_divided_differences, relation_check, symmetrize
+from helpers import localize_divided_differences, random_coeff, relation_check, sample_by_charts, symmetrize
 
 SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -137,6 +137,18 @@ def test_sample_table_matches_the_combination_sums(rank):
         assert len(images) == len(bundle_ring(rank).names)
 
 
+def test_sample_weights_are_the_exact_cofactors():
+    # fixed_point_sample weighs chart j by V / prod_(i != j) (a_i - a_j),
+    # kept per rank: an exact integer, so the division leaves no remainder
+    for rank in range(1, 33):
+        a, charts = localization._sample_point(rank)
+        vandermonde, cofactors = localization._sample_weights(rank)
+        assert vandermonde == math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
+        assert len(cofactors) == rank
+        for cofactor, (_, euler) in zip(cofactors, charts):
+            assert cofactor * euler == vandermonde
+
+
 def test_sample_point_is_distinct_in_range_and_repeatable():
     # the Schwartz-Zippel bound of fixed_point_sample needs r distinct
     # coordinates in S = {1, ..., 2^40 - 1}, the same point at every call
@@ -191,7 +203,7 @@ def test_per_rank_caches_are_bounded():
     bound = localization._CACHED_RANKS
     assert bound >= 20
     for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES),
-                  localization._sample_point):
+                  localization._sample_point, localization._sample_weights):
         assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
@@ -206,7 +218,7 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
     # per call, so the module's only caches are the per-rank ones above, and
     # a second round of pushes gives the first round's answers
     caches = {name for name, value in vars(localization).items() if hasattr(value, "cache_info")}
-    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point"}
+    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point", "_sample_weights"}
     rank, cutoff = 4, 15
     texts = ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15", "q1^7 q3^2 c2")
     classes = [elaborate(parse_expression(text, rank), rank, cutoff).payload for text in texts]
@@ -505,6 +517,34 @@ def test_fixed_point_sample_accepts_the_reference_and_refuses_a_shifted_answer(s
     shift = random_chern_poly(rng, rank) or table.var(f"c{rank}")
     assert not localization.fixed_point_sample(phi, rank, answer + shift)
     assert not localization.fixed_point_sample(phi, rank, answer + table.var("y"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=7))
+def test_fixed_point_sample_agrees_with_the_chart_by_chart_reference(seed, rank):
+    # the check groups the class by fiber monomial and weighs each once; the
+    # reference restricts every term at every chart.  On q/y/c and x/q/c
+    # classes with fractional coefficients they give the same verdict: True
+    # for the answer, False for it shifted by one c-term in a single degree
+    # and for it plus an x, q_i or u_i term
+    rng = random.Random(seed)
+    table = bundle_ring(rank)
+    phi = random_class(rng, rank, "y") + random_class(rng, rank, "x")
+    answer = pushforward(ClassExpr(phi), rank).chern_form
+    shift, left = table.const(random_coeff(rng)), rng.randint(0, answer.degree() + 1)
+    while left:
+        i = rng.randint(1, min(left, rank))
+        shift, left = shift * table.var(f"c{i}"), left - i
+    cases = [(answer, True), (answer + shift, False)]
+    for name in ["x", f"q{rng.randint(1, rank - 1)}" if rank > 1 else "y", f"u{rng.randint(1, rank)}"]:
+        extra = table.var(name) * table.var(f"c{rng.randint(1, rank)}").pow(rng.randint(0, 2))
+        cases.append((answer + extra * random_coeff(rng), False))
+    for chern_form, verdict in cases:
+        assert localization.fixed_point_sample(phi, rank, chern_form) is verdict
+        assert sample_by_charts(phi, rank, chern_form) is verdict
+    # a root in the class: both read u_i as a_i at every chart, whatever the verdict
+    rooted = phi + table.var(f"u{rng.randint(1, rank)}") * table.var("y").pow(rng.randint(0, rank + 1))
+    assert localization.fixed_point_sample(rooted, rank, answer) is sample_by_charts(rooted, rank, answer)
 
 
 @settings(max_examples=40, deadline=None)
