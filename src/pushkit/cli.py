@@ -33,10 +33,10 @@ from .errors import (
     UnsupportedVariableError,
     UsageError,
 )
-from .expressions import elaborate, parse_expression, refuse_unprintable
+from .expressions import elaborate, parse_expression
 from .gysin import ClassExpr, pushforward, verify_classical
 from .localization import bundle_ring, localize
-from .polyring import Polynomial, _Value, _render_terms
+from .polyring import Polynomial, _Value, _refuse_unprintable, _render_terms
 
 __all__ = ["OutputRecord", "run", "main"]
 
@@ -101,6 +101,11 @@ def _tex_power(base: str, e: int) -> str:
     return f"{base}^{{{e}}}"
 
 
+def _refuse_unprinted(*polys: Polynomial) -> None:
+    """The print-time check: ``polyring._refuse_unprintable`` on every coefficient printed."""
+    _refuse_unprintable(c for p in polys for c in p._terms.values())
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pushkit",
@@ -160,13 +165,13 @@ def _cmd_push(args: argparse.Namespace) -> int:
     ast = parse_expression(args.expr, rank)
     cls = elaborate(ast, rank, degree)
     result = pushforward(cls, rank)
-    u_form = (result.u_form,) if args.format == "text" else ()
-    refuse_unprintable(cls.payload, result.chern_form, *u_form)
+    echoed = (cls.payload, result.u_form) if args.format == "text" else ()  # only text prints these
+    _refuse_unprinted(result.chern_form, *echoed)
     record = OutputRecord(
         rank=rank,
         cutoff=degree,
         valid_through=result.valid_through,
-        input_echo=cls.payload.render() if args.format == "text" else "",  # only text echoes it
+        input_echo=cls.payload.render() if echoed else "",
         polynomial=result.chern_form,
         checks=tuple(result.checks.items()),
     )
@@ -176,7 +181,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
         print(record.render_tex())
     else:
         print(record.render_text())
-        print(f"u_form = {u_form[0].render()}")
+        print(f"u_form = {result.u_form.render()}")
     return 1 if any(v == "fail" for _, v in record.checks) else 0
 
 
@@ -186,7 +191,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     ast = parse_expression(args.expr, rank, allow_u=True)
     cls = elaborate(ast, rank, degree)
     result = localize(cls.payload, rank, degree)
-    refuse_unprintable(cls.payload, result.value)
+    _refuse_unprinted(cls.payload, result.value)
     record = OutputRecord(
         rank=rank,
         cutoff=degree,
@@ -208,7 +213,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     failed = False
     for k in range(args.start, args.stop + 1):
         result = pushforward(ClassExpr(x.pow(k)), rank)
-        refuse_unprintable(result.chern_form)
+        _refuse_unprinted(result.chern_form)
         if any(v == "fail" for v in result.checks.values()):
             failed = True
         print(f"f_*(x^{k}) = {result.chern_form.render()}")

@@ -25,7 +25,7 @@ from typing import Union
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import Polynomial, _Value, _refuse_unprintable, series_inverse
+from .polyring import Polynomial, _Value, series_inverse
 
 __all__ = [
     "ExprAst",
@@ -241,11 +241,6 @@ def parse_expression(text: str, rank: int, *, allow_u: bool = False) -> ExprAst:
     if not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(_tokenize(text), rank, allow_u).parse()
-
-
-def refuse_unprintable(*polys: Polynomial) -> None:
-    """The print-time check: ``polyring._refuse_unprintable`` on every coefficient."""
-    _refuse_unprintable(c for p in polys for c in p._terms.values())
 
 
 def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:

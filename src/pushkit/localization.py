@@ -16,13 +16,13 @@ one read of the class, on its own int keys, as sum_k a_k x^k, y = -x, each
 q_i in x by the Whitney relation (``_read_in_x``), and key their sums as the
 answer.  ``localize`` reads ``_closed_form`` in the roots (c_i -> e_i(u));
 ``fixed_point_sample`` checks an answer against the sum itself at one integer
-point: the Euler classes' cofactors of the Vandermonde are kept per rank
-(``_sample_weights``), and the class is grouped by fiber monomial (its x, y
-and q_i) and each weighed once.  ``_valid_through`` holds the one cutoff rule
-(every evaluator lowers degree by r - 1) and the shared guards.  The symbolic
-charts, ``_vandermonde`` and ``_cofactors`` are references only: the test
-suite's literal sum and chart relation, the demo and the benchmark tracer
-build on them, and no ``pushkit`` command does.
+point, from one read-only per-rank integer table (``_sample_point``), each
+fiber monomial of the class (its x, y and q_i) weighed once.
+``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
+by r - 1) and the shared guards.  The symbolic charts, ``_vandermonde`` and
+``_cofactors`` are references only: the test suite's literal sum and chart
+relation, the demo and the benchmark tracer build on them, and no
+``pushkit`` command does.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-_CACHED_RANKS = 32  # ranks each per-rank cache keeps; tests use ranks 1..20
+_CACHED_RANKS = 32  # ranks each per-rank cache keeps; tests use ranks 1..32
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
@@ -303,11 +303,14 @@ _SAMPLE_BITS = 40  # sample coordinates lie in S = {1, ..., 2^40 - 1}
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
-def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[dict[int, int], int], ...]]:
-    """``rank`` distinct integers a_1..a_r in S, the same at every call for one
-    rank: the top 40 bits of successive splitmix64 outputs seeded with the
-    rank (Steele, Lea and Flood, OOPSLA 2014), skipping 0 and repeats.  With
-    them, ``_fixed_points`` at a, each chart's images keyed by generator index."""
+def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """``fixed_point_sample``'s read-only table (a, columns, V, cofactors): a
+    is ``rank`` distinct integers in S, the same at every call, the top 40
+    bits of successive splitmix64 outputs seeded with the rank (Steele, Lea
+    and Flood, OOPSLA 2014), skipping 0 and repeats; ``columns[j]`` is the
+    image of key field j (from the bottom: u_r is 0, c1 2r - 1, x 3r) at each
+    fixed point, by ``_fixed_points`` at a; V = prod_(i < k) (a_i - a_k), and
+    per fixed point j the exact cofactor V / prod_(i != j) (a_i - a_j)."""
     mask = (1 << 64) - 1
     state, point = rank, []
     while len(point) < rank:
@@ -317,24 +320,17 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[dict[int, int
         a = (z ^ (z >> 31)) >> (64 - _SAMPLE_BITS)
         if a and a not in point:
             point.append(a)
-    index, point = bundle_ring(rank).index, tuple(point)
-    charts = (({index(n): v for n, v in images.items()}, euler) for images, euler in _fixed_points(point, 1))
-    return point, tuple(charts)
-
-
-@lru_cache(maxsize=_CACHED_RANKS)
-def _sample_weights(rank: int) -> tuple[int, tuple[int, ...]]:
-    """V = prod_(i < k) (a_i - a_k) at a = ``_sample_point(rank)``, and per
-    chart j the exact cofactor V / prod_(i != j) (a_i - a_j)."""
-    a, charts = _sample_point(rank)
-    vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
-    return vandermonde, tuple(vandermonde // euler for _, euler in charts)
+    point = tuple(point)
+    charts = _fixed_points(point, 1)
+    columns = tuple(tuple(images[name] for images, _ in charts) for name in reversed(bundle_ring(rank).names))
+    vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(point, 2))
+    return point, columns, vandermonde, tuple(vandermonde // euler for _, euler in charts)
 
 
 def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
     """Check ``chern_form`` against the fixed-point sum of ``phi`` at one point.
 
-    Put u_i = a_i t, with a = ``_sample_point(rank)``.  At fixed point j each
+    Put u_i = a_i t, with a from ``_sample_point(rank)``.  At fixed point j each
     generator restricts to an integer times t^degree, as the charts do at the
     roots, from ``_fixed_points`` at a: q_i -> e_i(a without a_j), c_i -> e_i(a).
     So phi restricts to one number per degree D.  Divided by the Euler class
@@ -343,13 +339,13 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     sum equals ``chern_form`` at c_i = e_i(a), and the degrees below r - 1
     sum to 0.  Both sides are scaled by the Vandermonde
     V = prod_(i < k) (a_i - a_k), so chart j weighs its numbers by the exact
-    integer cofactor V / prod_(i != j) (a_i - a_j), kept per rank by
-    ``_sample_weights``, and nothing is divided.  The c_i and u_i restrict
-    alike at every fixed point, so the terms are summed by degree and fiber
-    monomial f (the x, y and q_i fields of a key) and each f is weighed once,
-    by W(f) = sum_j cofactor_j f|_j, each power taken once per call.  Only the
-    denominator clearing (``_integral``) is shared with ``_closed_form``: no
-    Whitney map, no Segre series.
+    integer cofactor V / prod_(i != j) (a_i - a_j), and nothing is divided;
+    the images by key field, V and the cofactors are ``_sample_point``'s.
+    The c_i and u_i restrict alike at every fixed point, so the terms are
+    summed by degree and fiber monomial f (the x, y and q_i fields of a key)
+    and each f is weighed once, by W(f) = sum_j cofactor_j f|_j, each power
+    taken once per call.  Only the denominator clearing (``_integral``) is
+    shared with ``_closed_form``: no Whitney map, no Segre series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
     d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
@@ -364,17 +360,15 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
-    charts, (vandermonde, cofactors) = _sample_point(rank)[1], _sample_weights(rank)
-    last, shared = 3 * rank, charts[0][0]  # fields counted from the bottom: u_r is 0, c1 2r - 1, x 3r
+    _, columns, vandermonde, cofactors = _sample_point(rank)
     powers: dict[tuple[int, int], int] = {}  # a c_i or u_i image to one power, by (field, exponent)
-    columns: dict[int, list] = {}  # the images of x, y or a q_i, chart by chart, by field
-    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart
+    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart; see weigh
 
     def value(base: int, values: dict[int, int]) -> int:  # c and u fields at the point: the top one times the rest
         j = (base.bit_length() - 1) // width
         e = base >> width * j
         rest = base - (e << width * j)
-        power = powers.get((j, e)) or powers.setdefault((j, e), shared[last - j] ** e)
+        power = powers.get((j, e)) or powers.setdefault((j, e), columns[j][0] ** e)
         found = values[base] = power * (values.get(rest) or value(rest, values))
         return found
 
@@ -385,13 +379,15 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
             out[key - base] = out.get(key - base, 0) + c * (values.get(base) or value(base, values))
         return out
 
-    def weigh(f: int) -> tuple:  # from f with one power less of its top field, or else without that field
+    def weigh(f: int, weighted: dict) -> tuple:  # from f with one power less of its top field, or else without it
+        # weighted is passed, not closed over: weigh refers to itself, a cycle
+        # only the garbage collector frees, and it must not hold the products
         j = (f.bit_length() - 1) // width
         e = f >> width * j
-        column = columns.get(j) or columns.setdefault(j, [images[last - j] for images, _ in charts])
+        column, rest = columns[j], f - (e << width * j)
         lower = weighted.get(f - (1 << width * j))
         if lower is None:
-            lower, column = weighted.get(f - (e << width * j)) or weigh(f - (e << width * j)), [a ** e for a in column]
+            lower, column = weighted.get(rest) or weigh(rest, weighted), [a ** e for a in column]
         found = weighted[f] = tuple(map(mul, lower, column))
         return found
 
@@ -405,7 +401,7 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     top, sums = _shift(phi.table, width, -1), {}
     for key, c in at_point(phi, 1).items():
         degree, fiber = key >> top, key & ((1 << top) - 1)
-        sums[degree] = sums.get(degree, 0) + c * sum(weighted.get(fiber) or weigh(fiber))
+        sums[degree] = sums.get(degree, 0) + c * sum(weighted.get(fiber) or weigh(fiber, weighted))
     scale *= vandermonde
     return all(chern_scale * sums.get(d, 0) == scale * expected.get(d, 0) for d in sums.keys() | expected)
 

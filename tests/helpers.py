@@ -165,11 +165,13 @@ def sample_by_charts(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool
     chart by chart: each chart restricts every term of ``phi`` on its own,
     sums the numbers by degree and multiplies each sum by its cofactor,
     rebuilding the Vandermonde and dividing it by the Euler class at every
-    call.  It reads the same ``_sample_point`` table and gives the same bool."""
+    call.  It takes only the point from ``_sample_point``, builds the charts
+    there with ``_fixed_points`` and gives the same bool."""
     localization._valid_through(phi, rank, None)
     localization._valid_through(chern_form, rank, None)
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
-    a, charts = localization._sample_point(rank)
+    a, index = localization._sample_point(rank)[0], phi.table.index
+    charts = [({index(n): v for n, v in images.items()}, euler) for images, euler in localization._fixed_points(a, 1)]
     shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
 
     expected: dict[int, object] = {}

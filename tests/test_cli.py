@@ -268,6 +268,19 @@ def test_unprintable_coefficient_exits_two(capsys):
         assert capsys.readouterr() == ("", _TOO_LONG)
 
 
+def test_only_what_is_printed_must_be_printable(capsys):
+    # 10^8000 pushes forward to 0 at rank 3: JSON and TeX print the answer
+    # alone, and only the text echo would print the class itself
+    push = ["push", "--rank", "3", "--max-degree", "6", "--format"]
+    assert run([*push, "json", "--", "10^4000 10^4000"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["terms"] == [] and err == ""
+    assert run([*push, "tex", "--", "10^4000 10^4000"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+    assert run([*push, "text", "--", "10^4000 10^4000"]) == 2
+    assert capsys.readouterr() == ("", _TOO_LONG)
+
+
 def test_power_with_an_unprintable_constant_term_is_refused_before_computing(capsys):
     huge = "1" + "0" * 400  # far past the largest float
     for text in ("2^100000000000", "(2+x)^100000000000", "(1/3)^9100 x", "2^20000 x", f"2^{huge}"):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,31 +124,31 @@ def test_sample_table_matches_the_combination_sums(rank):
     def e(i, values):
         return sum(math.prod(combo) for combo in itertools.combinations(values, i))
 
-    index = bundle_ring(rank).index
-    a, charts = localization._sample_point(rank)
-    assert len(charts) == rank
-    for j, (images, euler) in enumerate(charts):
+    # column j is key field j from the bottom, so field 0 is u_r
+    names = bundle_ring(rank).names
+    a, columns, vandermonde, cofactors = localization._sample_point(rank)
+    assert len(columns) == len(names) and all(len(column) == rank for column in columns)
+    image = {name: column for name, column in zip(reversed(names), columns)}
+    for j in range(rank):
         complement = a[:j] + a[j + 1:]
-        assert images[index("x")] == -a[j] and images[index("y")] == a[j]
+        assert image["x"][j] == -a[j] and image["y"][j] == a[j]
         for i in range(1, rank):
-            assert images[index(f"q{i}")] == e(i, complement)
+            assert image[f"q{i}"][j] == e(i, complement)
         for i in range(1, rank + 1):
-            assert images[index(f"c{i}")] == e(i, a)
-            assert images[index(f"u{i}")] == a[i - 1]
-        assert euler == math.prod(ai - a[j] for ai in complement)
-        assert len(images) == len(bundle_ring(rank).names)
+            assert image[f"c{i}"][j] == e(i, a)
+            assert image[f"u{i}"][j] == a[i - 1]
+        assert cofactors[j] * math.prod(ai - a[j] for ai in complement) == vandermonde
 
 
 def test_sample_weights_are_the_exact_cofactors():
     # fixed_point_sample weighs chart j by V / prod_(i != j) (a_i - a_j),
     # kept per rank: an exact integer, so the division leaves no remainder
     for rank in range(1, 33):
-        a, charts = localization._sample_point(rank)
-        vandermonde, cofactors = localization._sample_weights(rank)
+        a, _, vandermonde, cofactors = localization._sample_point(rank)
         assert vandermonde == math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
         assert len(cofactors) == rank
-        for cofactor, (_, euler) in zip(cofactors, charts):
-            assert cofactor * euler == vandermonde
+        for j, cofactor in enumerate(cofactors):
+            assert cofactor * math.prod(ai - a[j] for i, ai in enumerate(a) if i != j) == vandermonde
 
 
 def test_sample_point_is_distinct_in_range_and_repeatable():
@@ -198,12 +200,47 @@ def test_chart_maps_are_read_only():
     assert relation_check(3)
 
 
+def test_sample_table_is_read_only():
+    # the table is cached per rank, like the charts: a caller's write must not
+    # reach it, so it is tuples of ints all through
+    def entries(value):
+        if isinstance(value, tuple):
+            yield value
+            for item in value:
+                yield from entries(item)
+        else:
+            assert type(value) is int
+
+    for rank in range(1, 7):
+        for entry in entries(localization._sample_point(rank)):
+            with pytest.raises(TypeError):
+                entry[0] = 0
+
+
+def test_sample_check_keeps_no_weight_after_it_returns():
+    # a push's weights die with the call, not at the next garbage collection:
+    # inv(1 - x) at rank 32 weighs 40 powers of x, each 32 integers of about
+    # 20,000 bits
+    rank = 32
+    phi = elaborate(parse_expression("inv(1 - x)", rank), rank, 40).payload
+    answer = localization._closed_form(phi, rank)
+    assert localization.fixed_point_sample(phi, rank, answer)  # the table is built
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert localization.fixed_point_sample(phi, rank, answer)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 1_000_000 and retained < peak // 20
+
+
 def test_per_rank_caches_are_bounded():
-    # one fixed bound for every per-rank cache, at least the 20 ranks the suite uses
+    # one fixed bound for every per-rank cache, at least the 32 ranks the suite reads
     bound = localization._CACHED_RANKS
-    assert bound >= 20
-    for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES),
-                  localization._sample_point, localization._sample_weights):
+    assert bound >= 32
+    for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES), localization._sample_point):
         assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
@@ -218,7 +255,7 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
     # per call, so the module's only caches are the per-rank ones above, and
     # a second round of pushes gives the first round's answers
     caches = {name for name, value in vars(localization).items() if hasattr(value, "cache_info")}
-    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point", "_sample_weights"}
+    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point"}
     rank, cutoff = 4, 15
     texts = ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15", "q1^7 q3^2 c2")
     classes = [elaborate(parse_expression(text, rank), rank, cutoff).payload for text in texts]
