@@ -25,7 +25,8 @@ from typing import Union
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import Polynomial, _Value, series_inverse
+from .polyring import (Polynomial, VariableTable, _Value, _accumulate, _key, _power, _product, _relaid, _shift,
+                       _width, series_inverse)
 
 __all__ = [
     "ExprAst",
@@ -248,37 +249,42 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
 
     inv(...) becomes a truncated series inverse; it and X^N refuse their first
     unprintable coefficient.  The class is returned as evaluated: x and y stay
-    apart, and the evaluators read y as -x.
+    apart, and the evaluators read y as -x.  Each node is a term dict keyed at
+    the cutoff's width, which no node exceeds, and the class is fitted once.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
-    table = bundle_ring(rank)
+    table, width = bundle_ring(rank), _width(cutoff)
+    return ClassExpr(Polynomial._fit(table, _evaluate(ast, table, width, cutoff), width), cutoff)
 
-    def ev(node: ExprAst) -> Polynomial:
-        if isinstance(node, Num):
-            return table.const(node.value)
-        if isinstance(node, Var):
-            return table.var(node.name).truncate(cutoff)
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Sum):
-            value = ev(node.terms[0][1])
-            for sign, term in node.terms[1:]:
-                value = value + ev(term) if sign > 0 else value - ev(term)
-            return value
-        if isinstance(node, Product):
-            value = ev(node.factors[0])
-            for factor in node.factors[1:]:
-                value = value.mul_trunc(ev(factor), cutoff)
-            return value
-        if isinstance(node, Pow):
-            return ev(node.base).pow(node.exponent, cutoff)
-        if isinstance(node, Inv):
-            inner = ev(node.operand)
-            try:
-                return series_inverse(inner, cutoff)
-            except NotInvertibleError as exc:
-                raise NotInvertibleError(str(exc), offset=node.offset) from None
-        raise TypeError(f"unknown node {node!r}")
 
-    return ClassExpr(ev(ast), cutoff)
+def _evaluate(node: ExprAst, table: VariableTable, width: int, cutoff: int) -> dict:
+    """``elaborate``'s terms of ``node``, a new dict; a module function, as a nested one calling itself is a cycle."""
+    if isinstance(node, Num):
+        return table.const(node.value)._terms
+    if isinstance(node, Var):
+        i = table.index(node.name)
+        return {_key(table, width, ((i, 1),)): 1} if table.degrees[i] <= cutoff else {}
+    if isinstance(node, Neg):
+        return {key: -c for key, c in _evaluate(node.operand, table, width, cutoff).items()}
+    if isinstance(node, Sum):
+        value = _evaluate(node.terms[0][1], table, width, cutoff)
+        for sign, term in node.terms[1:]:
+            _accumulate(value, _evaluate(term, table, width, cutoff).items(), sign)
+        return value
+    if isinstance(node, Product):
+        value = _evaluate(node.factors[0], table, width, cutoff)
+        for factor in node.factors[1:]:
+            value = _product(_shift(table, width, -1), value, _evaluate(factor, table, width, cutoff), cutoff)
+        return value
+    if isinstance(node, Pow):
+        base = Polynomial._raw(table, _evaluate(node.base, table, width, cutoff), width)
+        return _power(base, node.exponent, cutoff)[0]
+    if isinstance(node, Inv):
+        inner = Polynomial._raw(table, _evaluate(node.operand, table, width, cutoff), width)
+        try:
+            inverse = series_inverse(inner, cutoff)
+        except NotInvertibleError as exc:
+            raise NotInvertibleError(str(exc), offset=node.offset) from None
+        return _relaid(table, inverse._terms, inverse._width, width)
+    raise TypeError(f"unknown node {node!r}")

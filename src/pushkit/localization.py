@@ -35,7 +35,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import ArityError, SymmetryError
-from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _pairs, _shift
+from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _shift
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -182,25 +182,24 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
     rank, x, y = first - 1, _shift(table, width, 0), _shift(table, width, 1)
     low = 1 << _shift(table, width, first - 1)  # the fields of c1.. and the roots lie below
     qs, mask = (1 << y) - low, (1 << width) - 1  # the fields of the q_i; one field
-    images: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    images: dict[int, dict[int, int]] = {0: {0: 1}}  # q^beta by its q fields, one lookup a term
 
-    def expand(beta: tuple) -> dict[int, int]:
-        """q^beta, each prefix of it times one more q_i, every prefix kept."""
-        image, prefix = images[()], ()
-        for i, e in beta:
-            for n in range(1, e + 1):
-                key = prefix + ((i, n),)
-                if key not in images:  # times q_j = x^j + sum_(m < j) x^m c_(j-m), j = i - 1
-                    j = i - 1
-                    q = [j << x] + [(m << x) + (1 << _shift(table, width, first + j - m - 1)) for m in range(j)]
-                    out: dict[int, int] = {}
-                    for a, c in image.items():
-                        for b in q:
-                            b += a
-                            out[b] = out.get(b, 0) + c
-                    images[key] = out
-                image = images[key]
-            prefix = key
+    def expand(beta: int) -> dict[int, int]:
+        """q^beta from q^beta with one power less of its first q_i, every one kept."""
+        chain = []
+        while beta not in images:
+            j = (beta.bit_length() - 1) // width  # the first q_i's field, from the bottom
+            chain.append((beta, len(table.names) - 2 - j))  # and its i
+            beta -= 1 << width * j
+        image = images[beta]
+        for beta, j in reversed(chain):  # times q_j = x^j + sum_(m < j) x^m c_(j-m)
+            q = [j << x] + [(m << x) + (1 << _shift(table, width, first + j - m - 1)) for m in range(j)]
+            out: dict[int, int] = {}
+            for a, c in image.items():
+                for b in q:
+                    b += a
+                    out[b] = out.get(b, 0) + c
+            image = images[beta] = out
         return image
 
     total: dict[int, int] = {}
@@ -208,10 +207,11 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
         b = key >> y & mask  # y^b, read as (-x)^b
         key += (b << x) - (b << y)
         c = -c if b & 1 else c
-        if key & qs:
-            rest = key - (key & qs)
-            for kq, cq in expand(tuple(_pairs(table, width, key & qs))).items():
-                total[rest + kq] = total.get(rest + kq, 0) + c * cq
+        beta = key & qs
+        if beta:
+            for kq, cq in (images.get(beta) or expand(beta)).items():
+                kq += key - beta
+                total[kq] = total.get(kq, 0) + c * cq
         else:
             total[key] = total.get(key, 0) + c
     buckets, drop = {}, (rank - 1) << _shift(table, width, -1)
@@ -327,6 +327,30 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ..
     return point, columns, vandermonde, tuple(vandermonde // euler for _, euler in charts)
 
 
+# The sample check's recursions are module functions: a nested function that
+# calls itself is a reference cycle, which only the garbage collector frees.
+def _sample_value(base: int, values: dict[int, int], powers: dict, columns: tuple, width: int) -> int:
+    """The c and u fields ``base`` of a key at the sample point: the top one times the rest."""
+    j = (base.bit_length() - 1) // width
+    e = base >> width * j
+    rest = base - (e << width * j)
+    power = powers.get((j, e)) or powers.setdefault((j, e), columns[j][0] ** e)
+    found = values[base] = power * (values.get(rest) or _sample_value(rest, values, powers, columns, width))
+    return found
+
+
+def _weigh(f: int, weighted: dict, columns: tuple, width: int) -> tuple:
+    """W(f) for the fiber fields ``f`` of a key, from f with one power less of its top field, or else without it."""
+    j = (f.bit_length() - 1) // width
+    e = f >> width * j
+    column, rest = columns[j], f - (e << width * j)
+    lower = weighted.get(f - (1 << width * j))
+    if lower is None:
+        lower, column = weighted.get(rest) or _weigh(rest, weighted, columns, width), [a ** e for a in column]
+    found = weighted[f] = tuple(map(mul, lower, column))
+    return found
+
+
 def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
     """Check ``chern_form`` against the fixed-point sum of ``phi`` at one point.
 
@@ -362,34 +386,15 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
     _, columns, vandermonde, cofactors = _sample_point(rank)
     powers: dict[tuple[int, int], int] = {}  # a c_i or u_i image to one power, by (field, exponent)
-    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart; see weigh
-
-    def value(base: int, values: dict[int, int]) -> int:  # c and u fields at the point: the top one times the rest
-        j = (base.bit_length() - 1) // width
-        e = base >> width * j
-        rest = base - (e << width * j)
-        power = powers.get((j, e)) or powers.setdefault((j, e), columns[j][0] ** e)
-        found = values[base] = power * (values.get(rest) or value(rest, values))
-        return found
+    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart; see _weigh
 
     def at_point(p: Polynomial, high: int) -> dict[int, int]:  # by key less its fields c1.. above bit high, at a
         mask, values, out = (1 << 2 * rank * width) - high, {0: 1}, {}
         for key, c in p._terms.items():
             base = key & mask
-            out[key - base] = out.get(key - base, 0) + c * (values.get(base) or value(base, values))
+            value = values.get(base) or _sample_value(base, values, powers, columns, width)
+            out[key - base] = out.get(key - base, 0) + c * value
         return out
-
-    def weigh(f: int, weighted: dict) -> tuple:  # from f with one power less of its top field, or else without it
-        # weighted is passed, not closed over: weigh refers to itself, a cycle
-        # only the garbage collector frees, and it must not hold the products
-        j = (f.bit_length() - 1) // width
-        e = f >> width * j
-        column, rest = columns[j], f - (e << width * j)
-        lower = weighted.get(f - (1 << width * j))
-        if lower is None:
-            lower, column = weighted.get(rest) or weigh(rest, weighted), [a ** e for a in column]
-        found = weighted[f] = tuple(map(mul, lower, column))
-        return found
 
     width = chern_form._width  # of the polynomial the helpers read
     top, expected = _shift(chern_form.table, width, -1), {}
@@ -401,7 +406,7 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     top, sums = _shift(phi.table, width, -1), {}
     for key, c in at_point(phi, 1).items():
         degree, fiber = key >> top, key & ((1 << top) - 1)
-        sums[degree] = sums.get(degree, 0) + c * sum(weighted.get(fiber) or weigh(fiber, weighted))
+        sums[degree] = sums.get(degree, 0) + c * sum(weighted.get(fiber) or _weigh(fiber, weighted, columns, width))
     scale *= vandermonde
     return all(chern_scale * sums.get(d, 0) == scale * expected.get(d, 0) for d in sums.keys() | expected)
 

@@ -11,12 +11,12 @@ arithmetic is exact and floats are rejected everywhere.
 A monomial is stored as one int, a packed exponent vector (Monagan and
 Pearce, CASC 2007), laid out here alone (``_shift``): the weighted degree
 in the top field, then one field of ``width`` bits per generator, table
-index 0 the most significant.  ``width`` is ``_width`` of the polynomial's
-degree, so no field carries and equal polynomials have equal keys; int
-order is the graded-lex print order, a product adds keys and a degree bound
-is one comparison.  ``_series_power`` (``series_inverse``, ``pow`` with a
-cutoff) and the evaluators of f_* in ``localization`` run on these keys as
-they are.  Powers and inverses refuse a coefficient Python cannot print.
+index 0 the most significant.  ``width`` is ``_width`` of the degree, at
+least 4: no field carries, equal polynomials have equal keys and all below
+degree 16 share one layout.  Int order is the graded-lex print order, and a
+product adds keys.  The kernels ``_product``, ``_power`` and ``_series_power``
+and the f_* evaluators of ``localization`` return dicts at one width, fitted
+once.  Powers and inverses refuse a coefficient Python cannot print.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so they are safe to share between threads.
@@ -172,13 +172,13 @@ class VariableTable:
 
     def const(self, value) -> Polynomial:
         c = _as_coeff(value)
-        return Polynomial._raw(self, {0: c} if c else {}, 1)
+        return Polynomial._raw(self, {0: c} if c else {}, _width(0))
 
     def zero(self) -> Polynomial:
-        return Polynomial._raw(self, {}, 1)
+        return Polynomial._raw(self, {}, _width(0))
 
     def one(self) -> Polynomial:
-        return Polynomial._raw(self, {0: 1}, 1)
+        return Polynomial._raw(self, {0: 1}, _width(0))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -197,8 +197,10 @@ class VariableTable:
 
 def _width(degree: int) -> int:
     """Bits per exponent field of a polynomial of weighted degree ``degree``:
-    every exponent is at most the degree, so none fills its field."""
-    return max(1, degree.bit_length())
+    every exponent is at most the degree, so none fills its field.  At least
+    4, so every polynomial below degree 16 shares one layout and a small
+    class, its intermediates and its answer are never laid out again."""
+    return max(4, degree.bit_length())
 
 
 def _shift(table: VariableTable, width: int, index: int) -> int:
@@ -428,9 +430,7 @@ class Polynomial:
         return self * (Fraction(1) / c)
 
     def _mul(self, other: Polynomial, cutoff: int | None) -> Polynomial:
-        """Product, at the width of top = min(deg a + deg b, cutoff): a product
-        of terms adds their keys, and no field carries.  The right-hand terms
-        are grouped by degree, and one comparison skips a group past the top."""
+        """Product, by ``_product`` at the width of top = min(deg a + deg b, cutoff)."""
         table, da, db = self.table, self.degree(), other.degree()
         if da < 0 or db < 0:
             return table.zero()
@@ -438,19 +438,8 @@ class Polynomial:
             return self.truncate(cutoff)._mul(other.truncate(cutoff), cutoff)
         top = da + db if cutoff is None else min(da + db, cutoff)
         width = _width(top)
-        shift, groups = _shift(table, width, -1), {}
-        for kb, cb in _relaid(table, other._terms, other._width, width).items():
-            groups.setdefault(kb >> shift, []).append((kb, cb))
-        terms: dict[int, _Coeff] = {}
-        get = terms.get
-        for ka, ca in _relaid(table, self._terms, self._width, width).items():
-            room = top - (ka >> shift)
-            for degree, group in groups.items():
-                if degree <= room:
-                    for kb, cb in group:
-                        kb += ka
-                        terms[kb] = get(kb, 0) + ca * cb
-        terms = {key: c if c.__class__ is int else _as_coeff(c) for key, c in terms.items() if c}
+        terms = _product(_shift(table, width, -1), _relaid(table, self._terms, self._width, width),
+                         _relaid(table, other._terms, other._width, width), top)
         return Polynomial._fit(table, terms, width)
 
     def mul_trunc(self, other: Polynomial, cutoff: int) -> Polynomial:
@@ -469,21 +458,7 @@ class Polynomial:
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
         base = self if cutoff is None else self.truncate(cutoff)
-        if cutoff is not None and base.constant_term():
-            return _series_power(base, exponent, cutoff)
-        low = min(base._terms, default=0) >> _shift(self.table, base._width, -1)
-        if cutoff is not None and exponent * low > cutoff:
-            return self.table.zero()
-        result, n = self.table.one(), exponent
-        while n:
-            if n & 1:
-                result = result._mul(base, cutoff)
-                _refuse_unprintable(result._terms.values())
-            n >>= 1
-            if n:
-                base = base._mul(base, cutoff)
-                _refuse_unprintable(base._terms.values())
-        return result
+        return Polynomial._fit(self.table, *_power(base, exponent, cutoff))
 
     def __pow__(self, exponent: int) -> Polynomial:
         return self.pow(exponent)
@@ -611,6 +586,49 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
+def _product(shift: int, a: dict[int, _Coeff], b: dict[int, _Coeff], top: int) -> dict[int, _Coeff]:
+    """``a`` times ``b`` through degree ``top``, keyed at one width that holds
+    it, the degree field at ``shift``: a product of terms adds their keys.  One
+    comparison skips each group of ``b``'s terms, by degree, past the top."""
+    groups: dict[int, list] = {}
+    for kb, cb in b.items():
+        groups.setdefault(kb >> shift, []).append((kb, cb))
+    terms: dict[int, _Coeff] = {}
+    get = terms.get
+    for ka, ca in a.items():
+        room = top - (ka >> shift)
+        for degree, group in groups.items():
+            if degree <= room:
+                for kb, cb in group:
+                    kb += ka
+                    terms[kb] = get(kb, 0) + ca * cb
+    return {key: c if c.__class__ is int else _as_coeff(c) for key, c in terms.items() if c}
+
+
+def _power(base: Polynomial, exponent: int, cutoff: int | None) -> tuple[dict[int, _Coeff], int]:
+    """``Polynomial.pow`` of ``base``, keyed at any width and none above
+    ``cutoff``: the terms and their width, at least the base's, not fitted."""
+    if cutoff is not None and base.constant_term():
+        return _series_power(base, exponent, cutoff)
+    table, high = base.table, max(base.degree(), 0)
+    low = min(base._terms, default=0) >> _shift(table, base._width, -1)
+    top = exponent * high if cutoff is None else min(cutoff, exponent * high)
+    if exponent * low > top:
+        return {}, base._width
+    width = max(base._width, _width(top))
+    terms, shift = _relaid(table, base._terms, base._width, width), _shift(table, width, -1)
+    result, n = {0: 1}, exponent
+    while n:
+        if n & 1:
+            result = _product(shift, result, terms, top)
+            _refuse_unprintable(result.values())
+        n >>= 1
+        if n:
+            terms = _product(shift, terms, terms, top)
+            _refuse_unprintable(terms.values())
+    return result, width
+
+
 def _accumulate(out: dict[int, _Coeff], items: Iterable, sign: int = 1) -> dict:
     """Add ``sign`` (1 or -1) times each ``(key, coefficient)`` pair into
     ``out`` in place and return it; terms that cancel are deleted, so a
@@ -736,13 +754,14 @@ def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
         raise ValueError("cutoff must be a non-negative integer")
     if not p.constant_term():
         raise NotInvertibleError("cannot invert a series with zero constant term")
-    return _series_power(p, -1, cutoff)
+    return Polynomial._fit(p.table, *_series_power(p, -1, cutoff))
 
 
-def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
+def _series_power(p: Polynomial, n: int, cutoff: int) -> tuple[dict[int, _Coeff], int]:
     """``p^n`` truncated at ``cutoff >= 0`` for an integer n >= -1 and a
     constant term c0 != 0, by J. C. P. Miller's recurrence (Knuth, TAOCP
     vol. 2, sec. 4.7): d c0 P_d = sum_(1 <= i <= d) ((n + 1) i - d) p_i P_(d-i).
+    Returns the terms and their width, at least that of ``p``, not fitted.
 
     It runs in integers on t_d = M^d P_d / c0^n, t_0 = 1, M = L c0 with L the
     least common denominator of ``p``: d t_d = sum_i (d - (n + 1) i)
@@ -787,4 +806,4 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> Polynomial:
         _refuse_unprintable(t.values())
         packed.update(t)
         den *= m
-    return Polynomial._fit(table, packed, width)
+    return packed, width

@@ -20,7 +20,10 @@ from pushkit import (
     root_generators,
 )
 from pushkit import localization
-from pushkit.polyring import _integral, _lead, _pairs, _shift
+from pushkit.errors import NotInvertibleError
+from pushkit.expressions import ExprAst, Inv, Neg, Num, Pow, Product, Sum, Var
+from pushkit.gysin import ClassExpr
+from pushkit.polyring import _integral, _lead, _pairs, _shift, series_inverse
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -294,3 +297,46 @@ def series_inverse_by_powers(p: Polynomial, cutoff: int) -> Polynomial:
             break
         acc = acc + power
     return acc / c0
+
+
+def elaborate_by_polynomials(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
+    """Reference elaboration, one ``Polynomial`` per node, each laid out at
+    the width of its own degree: a syntax tree evaluated in the rank-r ring,
+    truncated at ``cutoff``.
+
+    inv(...) becomes a truncated series inverse; it and X^N refuse their first
+    unprintable coefficient.  The class is returned as evaluated: x and y stay
+    apart, and the evaluators read y as -x.
+    """
+    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+        raise ValueError("cutoff must be a non-negative integer")
+    table = bundle_ring(rank)
+
+    def ev(node: ExprAst) -> Polynomial:
+        if isinstance(node, Num):
+            return table.const(node.value)
+        if isinstance(node, Var):
+            return table.var(node.name).truncate(cutoff)
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Sum):
+            value = ev(node.terms[0][1])
+            for sign, term in node.terms[1:]:
+                value = value + ev(term) if sign > 0 else value - ev(term)
+            return value
+        if isinstance(node, Product):
+            value = ev(node.factors[0])
+            for factor in node.factors[1:]:
+                value = value.mul_trunc(ev(factor), cutoff)
+            return value
+        if isinstance(node, Pow):
+            return ev(node.base).pow(node.exponent, cutoff)
+        if isinstance(node, Inv):
+            inner = ev(node.operand)
+            try:
+                return series_inverse(inner, cutoff)
+            except NotInvertibleError as exc:
+                raise NotInvertibleError(str(exc), offset=node.offset) from None
+        raise TypeError(f"unknown node {node!r}")
+
+    return ClassExpr(ev(ast), cutoff)

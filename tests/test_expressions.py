@@ -25,9 +25,10 @@ from pushkit import (
 )
 from pushkit import expressions, localization
 from pushkit.cli import run
+from pushkit.errors import UsageError
 from pushkit.expressions import _MAX_DEPTH, Inv, Neg, Num, Pow, Product, Sum, Var
 
-from helpers import random_poly
+from helpers import elaborate_by_polynomials, random_poly
 
 
 # -- parsing -------------------------------------------------------------------
@@ -340,6 +341,73 @@ def test_elaborate_truncates_by_degree():
 def test_elaborate_huge_exponent_terminates():
     cls = elaborate(parse_expression("x^123456789", 3), 3, 6)
     assert cls.payload.is_zero()
+
+
+def _outcome(elaborator, ast, rank: int, cutoff: int) -> tuple:
+    """(the class, its key width), or (the error's type, message, offset)."""
+    try:
+        payload = elaborator(ast, rank, cutoff).payload
+    except (NotInvertibleError, UsageError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return payload, payload._width
+
+
+@st.composite
+def _drawn_trees(draw):
+    """(tree, rank, cutoff): sums, products, powers, inverses and negations of
+    fractions and at most two of x, y, q_i and c_i, so that a cutoff of 40
+    stays cheap."""
+    rank, cutoff = draw(st.integers(1, 7)), draw(st.integers(0, 40))
+    pool = ["x", "y", *(f"q{i}" for i in range(1, rank)), *(f"c{i}" for i in range(1, rank + 1))]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    var = st.builds(Var, st.sampled_from(names), st.just(0))
+    leaves = st.one_of(var, st.builds(Num, st.fractions(-3, 3, max_denominator=4)), var)
+    one_plus = lambda node: Sum(((1, Num(Fraction(1))), (1, node)))  # noqa: E731
+    tree = st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.lists(st.tuples(st.sampled_from((1, -1)), kids), min_size=2, max_size=3).map(
+            lambda terms: Sum(((1, terms[0][1]), *terms[1:]))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda factors: Product(tuple(factors))),
+        st.builds(Pow, kids, st.integers(0, 5)),
+        st.builds(Inv, kids.map(one_plus) | kids, st.integers(0, 9)),
+    ), max_leaves=6)
+    series = st.builds(Inv, tree.map(one_plus), st.just(0))  # a whole series, up to the cutoff
+    return draw(st.one_of(tree, series, st.builds(lambda a, b: Product((a, b)), tree, series))), rank, cutoff
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_trees())
+def test_elaborate_matches_the_per_node_polynomial_evaluation(case):
+    # one key layout at the cutoff's width, fitted once, against a Polynomial
+    # per node: the same class, keyed alike, or the same refusal
+    ast, rank, cutoff = case
+    assert _outcome(elaborate, ast, rank, cutoff) == _outcome(elaborate_by_polynomials, ast, rank, cutoff)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_product_past_a_power_of_two_widens_its_keys(k):
+    # x^(2^k - 1) x needs one more bit a field than x^(2^k - 1)
+    ast = parse_expression(f"x^{2**k - 1} x", 2)
+    for cutoff in (2**k - 1, 2**k, 2**k + 1, 2 * 2**k):
+        built = _outcome(elaborate, ast, 2, cutoff)
+        assert built == _outcome(elaborate_by_polynomials, ast, 2, cutoff)
+        assert built[0].degree() == (2**k if cutoff >= 2**k else -1)
+
+
+@pytest.mark.parametrize("text, cutoff, error", [
+    ("inv(x)", 5, NotInvertibleError),
+    ("1 + c1 inv(c1 - x)", 5, NotInvertibleError),
+    ("x inv(1 + inv(c1 - x))", 5, NotInvertibleError),
+    ("inv(1 - 10^1000 x)", 100_000, UsageError),
+    ("(2 + x)^20000", 3, UsageError),
+    ("(10^1500 x)^3", 3, UsageError),
+    ("(10^1500 + x)^3", 3, UsageError),
+])
+def test_elaborate_refuses_as_the_per_node_evaluation_does(text, cutoff, error):
+    ast = parse_expression(text, 3)
+    refused = _outcome(elaborate, ast, 3, cutoff)
+    assert refused[0] is error
+    assert refused == _outcome(elaborate_by_polynomials, ast, 3, cutoff)
 
 
 # -- round trips ------------------------------------------------------------------

@@ -236,6 +236,22 @@ def test_sample_check_keeps_no_weight_after_it_returns():
     assert peak > 1_000_000 and retained < peak // 20
 
 
+def test_sample_check_leaves_no_cyclic_garbage():
+    # a nested function that calls itself is a reference cycle: each call
+    # would leave its function, closure cells and memo to the collector
+    rank, cutoff = 6, 12
+    phi = elaborate(parse_expression("inv(1 - c1 - x)", rank), rank, cutoff).payload
+    answer = localization._closed_form(phi, rank)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert localization.fixed_point_sample(phi, rank, answer)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_per_rank_caches_are_bounded():
     # one fixed bound for every per-rank cache, at least the 32 ranks the suite reads
     bound = localization._CACHED_RANKS

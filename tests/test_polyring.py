@@ -30,7 +30,7 @@ from pushkit import (
     series_inverse,
 )
 
-from pushkit import polyring
+from pushkit import ClassExpr, polyring, pushforward
 
 from helpers import random_coeff, random_homogeneous, random_poly, series_inverse_by_powers
 from helpers import substitute_by_powers
@@ -722,3 +722,54 @@ def test_localized_integral_coefficients_are_ints():
     integral = localize(series_inverse(1 + y, 8), 4, 8).value
     assert integral and all(type(c) is int for _, c in integral.sorted_terms())
     _assert_exact(localize(series_inverse(2 + y, 8), 4, 8).value)
+
+
+def _width_routes():
+    """(route, polynomial) pairs at degrees 15, 16, 31 and 32 among others,
+    most built from operands laid out at another width."""
+    table = bundle_ring(2)
+    one, x, c1 = table.one(), table.var("x"), table.var("c1")
+    xs = {d: Polynomial(table, {Monomial({0: d}): 1}) for d in (0, 1, 15, 16, 31, 32, 40)}
+    yield from ((f"constructor x^{d}", p) for d, p in xs.items())
+    yield "constructor 0", Polynomial(table)
+    yield from (("const", table.const(v)) for v in (0, 3, Fraction(-1, 3)))
+    yield from (("zero, one", p) for p in (table.zero(), table.one()))
+    yield from (("var", table.var(name)) for name in ("x", "q1", "c2"))
+    yield from (("+", a + b) for a, b in [(xs[16], xs[15] - xs[16]), (xs[31], x), (xs[31], xs[32]),
+                                            (xs[32], -xs[32]), (xs[15], xs[16]), (xs[40], 2)])
+    yield from (("-", a - b) for a, b in [(xs[32] + xs[16], xs[32]), (xs[16] + xs[15], xs[16]),
+                                            (xs[32], xs[31]), (xs[16], xs[16])])
+    yield from (("negation", -p) for p in xs.values())
+    yield from (("*", a * b) for a, b in [(xs[15], x), (xs[15], xs[16]), (xs[16], xs[16]), (xs[15], 0),
+                                            (xs[16], 3), (xs[31], c1)])
+    yield from (("mul_trunc", a.mul_trunc(b, cutoff)) for a, b, cutoff in [
+        (x + xs[16], xs[15], 16), (xs[16] + 1, xs[15], 30), (xs[16], xs[16], 31), (xs[16], xs[16], 32),
+        (xs[40], x, 15)])
+    yield from (("pow", x.pow(d)) for d in (0, 15, 16, 31, 32))
+    yield from (("pow", base.pow(n, cutoff)) for base, n, cutoff in [
+        (x, 16, 15), (one + x, 40, 15), (one + x, 40, 16), (one + x, 40, 31), (one + x, 40, 32),
+        (xs[16], 2, None), (x + xs[16], 2, 31), (one + xs[16] + xs[32], 3, 31), (xs[16] + xs[15], 2, 31)])
+    yield from (("truncate", (xs[15] + xs[32]).truncate(d)) for d in (15, 16, 31, 32))
+    yield from (("homogeneous_component", (xs[15] + xs[32]).homogeneous_component(d)) for d in (15, 32))
+    yield from (("series_inverse", series_inverse(one - x, d)) for d in (15, 16, 31, 32))
+    yield from (("series_inverse", series_inverse(p, cutoff)) for p, cutoff in [
+        (one - xs[16], 31), (2 + xs[32], 31), (one + xs[16], 15), (one + xs[32], 40)])
+    for text, cutoff in [("inv(1 - x)", 15), ("inv(1 - x)", 16), ("inv(1 - x)", 31), ("inv(1 - x)", 32),
+                         ("x^15 x", 16), ("x^16 - x^16 + x^15", 40), ("inv(2 + x^32)", 31),
+                         ("x^31 c1", 32), ("(1 + x)^40", 15), ("inv(1 - x^16)", 31)]:
+        yield "elaborate", elaborate(parse_expression(text, 2), 2, cutoff).payload
+    for d in (15, 16, 31, 32):
+        yield "pushforward", pushforward(ClassExpr(series_inverse(one - x, d + 1), d + 1), 2).chern_form
+        yield "pushforward", pushforward(ClassExpr(x.pow(d + 1)), 2).chern_form
+
+
+def test_every_route_lays_its_keys_out_at_the_width_of_its_degree():
+    # one layout per degree, with a floor of 4 bits a field: equal classes
+    # have equal keys whichever route built them, and below degree 16 every
+    # class shares the layout of the constants
+    degrees = set()
+    for route, p in _width_routes():
+        degree = max(p.degree(), 0)
+        degrees.add(p.degree())
+        assert p._width == polyring._width(degree) == max(4, degree.bit_length()), (route, p.render())
+    assert {-1, 0, 15, 16, 31, 32} <= degrees
