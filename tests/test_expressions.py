@@ -362,7 +362,9 @@ def _drawn_trees(draw):
     names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
     var = st.builds(Var, st.sampled_from(names), st.just(0))
     leaves = st.one_of(var, st.builds(Num, st.fractions(-3, 3, max_denominator=4)), var)
-    one_plus = lambda node: Sum(((1, Num(Fraction(1))), (1, node)))  # noqa: E731
+    def one_plus(node):
+        return Sum(((1, Num(Fraction(1))), (1, node)))
+
     tree = st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Neg, kids),
         st.lists(st.tuples(st.sampled_from((1, -1)), kids), min_size=2, max_size=3).map(
