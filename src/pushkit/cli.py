@@ -19,7 +19,6 @@ appear anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -165,7 +164,8 @@ def _cmd_push(args: argparse.Namespace) -> int:
     ast = parse_expression(args.expr, rank)
     cls = elaborate(ast, rank, degree)
     result = pushforward(cls, rank)
-    echoed = (cls.payload, result.u_form) if args.format == "text" else ()  # only text prints these
+    # only text prints the echo and u_form; the property builds u_form, so it is read once
+    echoed = (cls.payload, result.u_form) if args.format == "text" else ()
     _refuse_unprinted(result.chern_form, *echoed)
     record = OutputRecord(
         rank=rank,
@@ -176,12 +176,14 @@ def _cmd_push(args: argparse.Namespace) -> int:
         checks=tuple(result.checks.items()),
     )
     if args.format == "json":
+        import json  # only here: no other command pays for importing it
+
         print(json.dumps(record.to_json_dict(), indent=2))
     elif args.format == "tex":
         print(record.render_tex())
     else:
         print(record.render_text())
-        print(f"u_form = {result.u_form.render()}")
+        print(f"u_form = {echoed[1].render()}")
     return 1 if any(v == "fail" for _, v in record.checks) else 0
 
 
@@ -271,6 +273,9 @@ def run(argv: Sequence[str]) -> int:
         return 1
     except (PushkitError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 1
 
 

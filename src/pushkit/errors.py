@@ -12,7 +12,7 @@ class TableMismatchError(PushkitError):
 
 
 class UnboundVariableError(PushkitError):
-    """A substitution has no image for a variable that occurs."""
+    """A name is not a generator of the variable table it is looked up in."""
 
 
 class GradingError(PushkitError):

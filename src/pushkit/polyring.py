@@ -503,53 +503,27 @@ class Polynomial:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, images: Mapping[str, Polynomial]) -> Polynomial:
-        """Apply the ring homomorphism sending each generator to its image.
+        """Apply the endomorphism of this polynomial's table that sends each
+        generator named in ``images`` to its image and fixes every other one.
 
-        All images must live in one target table; every image, used or not,
-        must be homogeneous of the degree of the variable it replaces, so
-        grading is preserved.  A generator given no image is fixed when the
-        target table is this polynomial's own; with another target table,
-        every occurring generator must have an image.
-
-        Evaluated by Horner's scheme, one moved generator at a time in table
-        order: the terms are split by that generator's exponent and folded
-        from the top exponent k down, acc = acc * img^(prev - k) + inner(k),
-        then acc * img^(k_min), so every product is the accumulator times a
-        cached power of one image.  Within the polynomial's own table, a
-        generator sent to itself stays in the keys and is never split on.
+        Every image, used or not, must be a polynomial of this table,
+        homogeneous of the degree of the generator it replaces, so grading
+        is preserved.  Evaluated by ``_horner``, one moved generator at a
+        time in table order; a generator sent to itself stays in the keys
+        and is never split on.
         """
         table = self.table
-        target: VariableTable | None = None
         for name, img in images.items():
             if name not in table:
                 raise UnboundVariableError(f"{name!r} is not a generator of this table")
             if not isinstance(img, Polynomial):
                 raise TypeError("substitution images must be polynomials")
-            if target is None:
-                target = img.table
-            elif target is not img.table and target != img.table:
-                raise TableMismatchError("substitution images use different tables")
+            self._check_table(img)
             want = table.degree_of(name)
             if not img.is_homogeneous_of_degree(want):
                 raise GradingError(f"image of {name!r} must be homogeneous of degree {want}")
-        if target is None:
-            target = table
-
-        # Within one table, a generator without an image, or sent to itself,
-        # is fixed: its field already means the image.  Into another table
-        # every occurring generator is split off, so only constants are left.
-        same = target is table or target == table
-        moved: list[int] = []
-        for name in self.variables():
-            if name not in images:
-                if same:
-                    continue
-                raise UnboundVariableError(f"no image for {name!r}")
-            if not same or images[name] != table.var(name):
-                moved.append(table.index(name))
-
-        powers = {i: [target.one()] for i in moved}
-        width = self._width
+        moved = [table.index(name) for name in self.variables() if name in images and images[name] != table.var(name)]
+        powers = {i: [table.one()] for i in moved}
 
         def power(i: int, e: int) -> Polynomial:
             cache = powers[i]
@@ -557,20 +531,7 @@ class Polynomial:
                 cache.append(cache[-1] * images[table.names[i]])
             return cache[e]
 
-        def horner(terms: dict[int, _Coeff], level: int) -> Polynomial:
-            if level == len(moved):
-                return Polynomial._fit(target, terms, width)
-            i = moved[level]
-            buckets = _split(table, width, terms, i)
-            exps = sorted(buckets, reverse=True)
-            acc = horner(buckets[exps[0]], level + 1)
-            for prev, k in zip(exps, exps[1:]):
-                acc = acc._mul(power(i, prev - k), None) + horner(buckets[k], level + 1)
-            return acc._mul(power(i, exps[-1]), None) if exps[-1] else acc
-
-        if not self._terms:
-            return target.zero()
-        return horner(self._terms, 0)
+        return _horner(table, self._width, self._terms, moved, power, 0)
 
     # -- rendering ---------------------------------------------------------
 
@@ -654,6 +615,25 @@ def _split(table: VariableTable, width: int, terms: dict[int, _Coeff], idx: int)
         e = key >> shift & mask
         buckets.setdefault(e, {})[key - e * unit] = coeff
     return buckets
+
+
+def _horner(table: VariableTable, width: int, terms: dict[int, _Coeff], moved: list[int],
+            power: Callable[[int, int], Polynomial], level: int) -> Polynomial:
+    """``terms``, keyed at ``width``, with generators ``moved[level:]`` sent to
+    their images, ``power(i, e)`` being image i to the e: split by the
+    exponent of ``moved[level]`` and folded from the top exponent k down,
+    acc = acc * img^(prev - k) + inner(k), then acc * img^(k_min), so every
+    product is the accumulator times a cached power of one image.  A module
+    function, so a call leaves no reference cycle for the collector."""
+    if level == len(moved):
+        return Polynomial._fit(table, terms, width)
+    i = moved[level]
+    buckets = _split(table, width, terms, i)
+    exps = sorted(buckets, reverse=True)
+    acc = _horner(table, width, buckets[exps[0]], moved, power, level + 1)
+    for prev, k in zip(exps, exps[1:]):
+        acc = acc._mul(power(i, prev - k), None) + _horner(table, width, buckets[k], moved, power, level + 1)
+    return acc._mul(power(i, exps[-1]), None) if exps[-1] else acc
 
 
 def _integral(p: Polynomial) -> tuple[Polynomial, int]:

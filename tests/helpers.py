@@ -264,22 +264,22 @@ def random_homogeneous(rng: random.Random, table: VariableTable, degree: int) ->
 
 def substitute_by_powers(p: Polynomial, images: dict[str, Polynomial]) -> Polynomial:
     """Reference substitution, term by term: each term is its coefficient
-    times cached powers of the images of its generators."""
-    target = next(iter(images.values())).table if images else p.table
-    names = p.table.names
+    times cached powers of the images of its generators; a generator
+    without an image is fixed."""
+    table = p.table
     powers: dict[str, list[Polynomial]] = {}
 
     def power(name: str, e: int) -> Polynomial:
-        cache = powers.setdefault(name, [target.one()])
+        cache = powers.setdefault(name, [table.one()])
         while len(cache) <= e:
-            cache.append(cache[-1] * images[name])
+            cache.append(cache[-1] * images.get(name, table.var(name)))
         return cache[e]
 
-    out = target.zero()
+    out = table.zero()
     for mon, coeff in p.sorted_terms():
-        prod = target.const(coeff)
+        prod = table.const(coeff)
         for i, e in mon:
-            prod = prod * power(names[i], e)
+            prod = prod * power(table.names[i], e)
         out = out + prod
     return out
 

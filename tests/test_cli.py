@@ -101,6 +101,20 @@ def test_push_renders_the_input_echo_only_in_text(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_push_builds_the_roots_form_once_and_only_for_text(capsys, monkeypatch):
+    # u_form is a property that runs expand_elementary at each read
+    import pushkit.gysin
+
+    calls, expand = [], pushkit.gysin.expand_elementary
+    monkeypatch.setattr(pushkit.gysin, "expand_elementary", lambda p: calls.append(p) or expand(p))
+    argv = ["push", "--rank", "3", "--max-degree", "6", "--", "inv(1 - c1 - x)"]
+    for fmt, count in (("json", 0), ("tex", 0), ("text", 1)):
+        calls.clear()
+        assert run([*argv[:-2], "--format", fmt, *argv[-2:]]) == 0
+        assert len(calls) == count, fmt
+    assert capsys.readouterr().out.endswith(f"u_form = {expand(calls[0]).render()}\n")
+
+
 def test_push_default_cutoff_is_rank_plus_three(capsys):
     assert run(["push", "--rank", "2", "x"]) == 0
     payload = capsys.readouterr().out
@@ -376,6 +390,17 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: broken invariant\n"
 
 
+def test_out_of_memory_is_an_internal_error(capsys, monkeypatch):
+    import pushkit.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pushkit.cli, "pushforward", exhausted)
+    assert run(["push", "--rank", "12", "--max-degree", "30", "inv(1-x)"]) == 1
+    assert capsys.readouterr() == ("", "internal error: out of memory\n")
+
+
 def _shift_top_coefficient(monkeypatch):
     """Make ``pushforward`` answer its closed form plus 1 on its top-degree term."""
     import pushkit.gysin
@@ -558,6 +583,14 @@ def test_library_import_loads_no_front_end():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_front_end_import_loads_no_json():
+    # only the JSON renderer imports json; -S keeps site-packages from loading it first
+    code = "import sys; before = 'json' in sys.modules; import pushkit.cli; print(before or 'json' not in sys.modules)"
+    proc = _python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 PUBLIC_API = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -148,6 +149,23 @@ def test_reduce_rejects_incomplete_orbit(ring3):
 def test_reduce_rejects_foreign_variables(ring3):
     with pytest.raises(ValueError):
         reduce_to_elementary(ring3.var("y"))
+
+
+def test_expand_elementary_leaves_no_cyclic_garbage():
+    # a nested function that calls itself is a reference cycle: each call
+    # would leave its function, closure cells and cached image powers to the collector
+    table = bundle_ring(4)
+    c1, c2, c3 = (table.var(f"c{i}") for i in (1, 2, 3))
+    g = (1 + c1 + c2 + c3).pow(3) - 2 * c1 * c2 * c3
+    expected = expand_elementary(g)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert expand_elementary(g) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- properties ----------------------------------------------------------------

@@ -10,7 +10,9 @@ into a temporary directory and runs tier-1 there once unchanged; if that run
 fails, it stops with exit status 2.  It then applies one mutant at a time
 to the copy, runs tier-1 with ``-x`` under a timeout of 600 s and an
 address-space cap of 3,000,000 KiB, and restores the file.  One run at a
-time: the suite itself starts subprocesses.
+time: the suite itself starts subprocesses.  The mutant runs deselect
+``SELF_CHECK``, the test that each recorded old text is in its file, which
+any mutant in place fails; the unchanged run keeps it.
 
 Each mutant is reported as one of:
 - killed: tier-1 failed, with the whole id of the first failing test and the
@@ -42,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().with_name("mutants.json")
 COPIED = ("src", "tests", "demos", "perfbench", "tools", "pyproject.toml")
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+SELF_CHECK = "tests/test_mutants.py::test_every_recorded_mutant_names_its_file_text_and_source"
 TIMEOUT_S = 600.0
 MEMORY_BYTES = 3_000_000 * 1024  # as `ulimit -v 3000000`
 # "FAILED <id> - <message>": a parametrized id runs to the first "]" before " - ",
@@ -53,12 +56,13 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def tier1(copy: Path, timeout: float) -> tuple[str, float, str]:
-    """Run tier-1 in ``copy``: (killed, survived or timed out; seconds; the
-    first failing test, or the tail of the output when none is named)."""
+def tier1(copy: Path, timeout: float, *extra: str) -> tuple[str, float, str]:
+    """Run tier-1 in ``copy``, with pytest options ``extra``: (killed, survived
+    or timed out; seconds; the first failing test, or the tail of the output
+    when none is named)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.monotonic()
-    proc = subprocess.Popen([sys.executable, *TIER1], cwd=copy, env=env, stdout=subprocess.PIPE,
+    proc = subprocess.Popen([sys.executable, *TIER1, *extra], cwd=copy, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True,
                             preexec_fn=_cap_memory)
     try:
@@ -103,7 +107,7 @@ def run(mutants: list[dict[str, str]], root: Path = ROOT,
             else:
                 target.write_text(text.replace(mutant["old"], mutant["new"]))
                 try:
-                    result = (mutant, *tier1(copy, timeout))
+                    result = (mutant, *tier1(copy, timeout, "--deselect", SELF_CHECK))
                 finally:
                     target.write_text(text)
             results.append(result)
