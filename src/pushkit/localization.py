@@ -10,14 +10,17 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 at the roots, and ``fixed_point_sample``'s integer table at one point.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
-over the Segre series, each term built as it is used and r of them kept
-(``_segre_sum``); ``_fold`` gets it from the ring presentation.  Both run on
-one read of the class, on its own int keys, as sum_k a_k x^k, y = -x, each
-q_i in x by the Whitney relation (``_read_in_x``), and key their sums as the
-answer.  ``localize`` reads ``_closed_form`` in the roots (c_i -> e_i(u));
-``fixed_point_sample`` checks an answer against the sum itself at one integer
-point, from one read-only per-rank integer table (``_sample_point``), each
-fiber monomial of the class (its x, y and q_i) weighed once.
+over the Segre series (``_segre_sum``), whose terms are kept per rank and
+key width and extended in place (``_segre_table``); ``_fold`` gets it from
+the ring presentation.  Both run on one read of the class, on its own int
+keys, as sum_k a_k x^k, y = -x, each q_i in x by the Whitney relation
+(``_read_in_x``), and key their sums as the answer.  ``localize`` reads
+``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample`` checks
+an answer against the sum itself at one integer point, from one read-only
+per-rank integer table (``_sample_point``), keeping each c/u-monomial's
+value and each fiber monomial's (its x, y and q_i) weight per rank and key
+width while that table lives (``_sample_tables``).  No check reads the
+Segre table.
 ``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
 by r - 1) and the shared guards.  The symbolic charts, ``_vandermonde`` and
 ``_cofactors`` are references only: the test suite's literal sum and chart
@@ -222,28 +225,48 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
     return buckets, d, width
 
 
+@lru_cache(maxsize=_CACHED_RANKS)
+def _segre_table(rank: int, width: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The Segre series s_0, s_1, ... of rank ``rank`` on keys of ``width``
+    bits a field, each s_m as its keys in c1..cr, with no degree field, and
+    its coefficients, in two tuples (no tuple per term), as far as a read
+    has needed it; ``_segre_series`` extends it in place.  Only
+    ``_segre_sum`` reads it: neither check does."""
+    return [((0,), (1,))]
+
+
+def _segre_series(rank: int, width: int, top: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``_segre_table(rank, width)`` through s_top, each missing s_m built by
+    s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i) and appended."""
+    series = _segre_table(rank, width)
+    if len(series) <= top:
+        steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i
+        for m in range(len(series), top + 1):
+            s: dict[int, int] = {}
+            for step, below in zip(steps, series[m - 1::-1]):  # c_i s_(m-i), i = 1, 2, ...
+                for key, c in zip(*below):
+                    key += step
+                    s[key] = s.get(key, 0) - c
+            series.append((tuple(s), tuple(s.values())))
+    return series
+
+
 def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int, int]:
     """The closed form on a ``_read_in_x`` read, sum_k a_k s_(k-r+1) in
     integers on its keys, zeros dropped: at the fixed points, sum_j u_j^k /
     prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange
     interpolation), so f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
-    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  Each s_m is built as it
-    is used, s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i), and only the
-    newest r are kept."""
-    steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i, degree kept
-    lower, total = [], {}  # s_(m-1), s_(m-2), ...
+    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  The s_m come from the
+    per-rank ``_segre_table`` at the read's width; only the buckets present
+    are summed, in increasing k."""
+    series, total = _segre_series(rank, width, max(buckets, default=0) - rank + 1), {}
     get = total.get
-    for k in range(rank - 1, max(buckets, default=0) + 1):
-        s = {} if lower else {0: 1}
-        for step, below in zip(steps, lower):  # c_i s_(m-i), i = 1, 2, ...
-            for key, c in below.items():
-                key += step
-                s[key] = s.get(key, 0) - c
-        for a, ca in buckets.get(k, {}).items():
-            for b, cb in s.items():
+    for k in sorted(buckets):
+        keys, coeffs = series[k - rank + 1]
+        for a, ca in buckets[k].items():
+            for b, cb in zip(keys, coeffs):
                 b += a
                 total[b] = get(b, 0) + ca * cb
-        lower = [s, *lower[: rank - 1]]
     return {key: c for key, c in total.items() if c}
 
 
@@ -327,15 +350,35 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ..
     return point, columns, vandermonde, tuple(vandermonde // euler for _, euler in charts)
 
 
+@lru_cache(maxsize=_CACHED_RANKS)
+def _sample_tables(rank: int, width: int) -> list:
+    """``fixed_point_sample``'s memo on keys of ``width`` bits a field,
+    [point, values, weights], filled by ``_sample_memo``: values maps the c
+    and u fields of a key (a single field is a power of one image) to their
+    value at the sample point, weights maps a fiber monomial f to the one
+    int W(f) = sum_j cofactor_j f|_j, and point is the ``_sample_point``
+    table both came from."""
+    return [None, {}, {}]
+
+
+def _sample_memo(point: tuple, rank: int, width: int) -> list:
+    """``_sample_tables(rank, width)``, emptied first unless it came from ``point`` itself."""
+    memo = _sample_tables(rank, width)
+    if memo[0] is not point:
+        memo[:] = point, {0: 1}, {}
+    return memo
+
+
 # The sample check's recursions are module functions: a nested function that
 # calls itself is a reference cycle, which only the garbage collector frees.
-def _sample_value(base: int, values: dict[int, int], powers: dict, columns: tuple, width: int) -> int:
+def _sample_value(base: int, values: dict[int, int], columns: tuple, width: int) -> int:
     """The c and u fields ``base`` of a key at the sample point: the top one times the rest."""
     j = (base.bit_length() - 1) // width
     e = base >> width * j
-    rest = base - (e << width * j)
-    power = powers.get((j, e)) or powers.setdefault((j, e), columns[j][0] ** e)
-    found = values[base] = power * (values.get(rest) or _sample_value(rest, values, powers, columns, width))
+    field = e << width * j
+    rest = base - field
+    power = values.get(field) or values.setdefault(field, columns[j][0] ** e)
+    found = values[base] = power * (values.get(rest) or _sample_value(rest, values, columns, width))
     return found
 
 
@@ -367,8 +410,11 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     the images by key field, V and the cofactors are ``_sample_point``'s.
     The c_i and u_i restrict alike at every fixed point, so the terms are
     summed by degree and fiber monomial f (the x, y and q_i fields of a key)
-    and each f is weighed once, by W(f) = sum_j cofactor_j f|_j, each power
-    taken once per call.  Only the denominator clearing (``_integral``) is
+    and each f is weighed by W(f) = sum_j cofactor_j f|_j.  The value of
+    each c/u-monomial and W(f) of each f are kept per rank and key width
+    (``_sample_tables``), for as long as the ``_sample_point`` table they
+    came from; the r-tuples of cofactor_j f|_j that W is built from live
+    only for the call.  Only the denominator clearing (``_integral``) is
     shared with ``_closed_form``: no Whitney map, no Segre series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
@@ -384,29 +430,32 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
-    _, columns, vandermonde, cofactors = _sample_point(rank)
-    powers: dict[tuple[int, int], int] = {}  # a c_i or u_i image to one power, by (field, exponent)
-    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart; see _weigh
+    point = _sample_point(rank)
+    _, columns, vandermonde, cofactors = point
+    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart, for this call; see _weigh
 
-    def at_point(p: Polynomial, high: int) -> dict[int, int]:  # by key less its fields c1.. above bit high, at a
-        mask, values, out = (1 << 2 * rank * width) - high, {0: 1}, {}
+    def at_point(p: Polynomial, high: int, values: dict) -> dict:  # by key less its fields c1.. above bit high, at a
+        mask, out = (1 << 2 * rank * width) - high, {}
         for key, c in p._terms.items():
             base = key & mask
-            value = values.get(base) or _sample_value(base, values, powers, columns, width)
+            value = values.get(base) or _sample_value(base, values, columns, width)
             out[key - base] = out.get(key - base, 0) + c * value
         return out
 
     width = chern_form._width  # of the polynomial the helpers read
     top, expected = _shift(chern_form.table, width, -1), {}
-    for key, c in at_point(chern_form, 1 << rank * width).items():  # the u_i stay in the key
+    for key, c in at_point(chern_form, 1 << rank * width, _sample_memo(point, rank, width)[1]).items():  # u_i kept
         if key & ((1 << top) - 1):
             return False  # a pushforward lives in c1..cr
         expected[(key >> top) + rank - 1] = c
     width = phi._width
-    top, sums = _shift(phi.table, width, -1), {}
-    for key, c in at_point(phi, 1).items():
+    (_, values, weights), top, sums = _sample_memo(point, rank, width), _shift(phi.table, width, -1), {}
+    for key, c in at_point(phi, 1, values).items():
         degree, fiber = key >> top, key & ((1 << top) - 1)
-        sums[degree] = sums.get(degree, 0) + c * sum(weighted.get(fiber) or _weigh(fiber, weighted, columns, width))
+        w = weights.get(fiber)
+        if w is None:
+            w = weights[fiber] = sum(weighted.get(fiber) or _weigh(fiber, weighted, columns, width))
+        sums[degree] = sums.get(degree, 0) + c * w
     scale *= vandermonde
     return all(chern_scale * sums.get(d, 0) == scale * expected.get(d, 0) for d in sums.keys() | expected)
 

@@ -240,12 +240,15 @@ def _relaid(table: VariableTable, terms: dict[int, _Coeff], old: int, new: int) 
     """``terms`` keyed at ``old`` bits a field, keyed at ``new`` bits instead."""
     if old == new:
         return terms
-    top, out = _shift(table, old, -1), {}
+    top, degree, out = _shift(table, old, -1), _shift(table, new, -1), {}
+    low = (1 << top) - 1
     for key, c in terms.items():
-        rest, moved = key & ((1 << top) - 1), key >> top << _shift(table, new, -1)
-        while rest:
-            i, e, rest = _lead(table, old, rest)
-            moved += e << _shift(table, new, i)
+        rest, moved = key & low, key >> top << degree
+        while rest:  # the highest nonzero field first, as _lead finds it
+            j = (rest.bit_length() - 1) // old
+            e = rest >> old * j
+            rest -= e << old * j
+            moved += e << new * j
         out[moved] = c
     return out
 

@@ -32,6 +32,7 @@ from pushkit import (
     is_symmetric,
     localize,
     parse_expression,
+    presentation_oracle,
     pushforward,
     reduce_to_elementary,
     root_generators,
@@ -218,13 +219,15 @@ def test_sample_table_is_read_only():
 
 
 def test_sample_check_keeps_no_weight_after_it_returns():
-    # a push's weights die with the call, not at the next garbage collection:
-    # inv(1 - x) at rank 32 weighs 40 powers of x, each 32 integers of about
-    # 20,000 bits
+    # a push keeps one int W(f) per fiber monomial f, not the r-tuples of
+    # cofactor_j f|_j that W is summed from: inv(1 - x) at rank 32 weighs 41
+    # powers of x through tuples of 32 integers of about 20,000 bits, and the
+    # call measured weighs them all, on a warm point table
     rank = 32
     phi = elaborate(parse_expression("inv(1 - x)", rank), rank, 40).payload
     answer = localization._closed_form(phi, rank)
-    assert localization.fixed_point_sample(phi, rank, answer)  # the table is built
+    assert localization.fixed_point_sample(phi, rank, answer)  # the point table is built
+    localization._sample_tables.cache_clear()  # and the weights are not
     gc.disable()
     tracemalloc.start()
     try:
@@ -234,6 +237,8 @@ def test_sample_check_keeps_no_weight_after_it_returns():
         tracemalloc.stop()
         gc.enable()
     assert peak > 1_000_000 and retained < peak // 20
+    weights = localization._sample_tables(rank, phi._width)[2]
+    assert len(weights) == len(phi._terms) and all(type(w) is int for w in weights.values())
 
 
 def test_sample_check_leaves_no_cyclic_garbage():
@@ -253,10 +258,12 @@ def test_sample_check_leaves_no_cyclic_garbage():
 
 
 def test_per_rank_caches_are_bounded():
-    # one fixed bound for every per-rank cache, at least the 32 ranks the suite reads
+    # one fixed bound for every per-rank cache, at least the 32 ranks the suite
+    # reads; the Segre and sample tables count each (rank, width) pair once
     bound = localization._CACHED_RANKS
     assert bound >= 32
-    for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES), localization._sample_point):
+    for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES), localization._sample_point,
+                  localization._segre_table, localization._sample_tables):
         assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
@@ -264,20 +271,121 @@ def test_per_rank_caches_are_bounded():
     assert bundle_ring.cache_info().currsize == bound
     # rank 1 was evicted; the rebuilt table is a new object equal to the old
     assert bundle_ring(1) is not first and bundle_ring(1) == first
+    point = localization._sample_point(2)
+    for width in range(4, bound + 6):
+        localization._segre_series(2, width, 3)
+        localization._sample_memo(point, 2, width)
+    assert localization._segre_table.cache_info().currsize == bound
+    assert localization._sample_tables.cache_info().currsize == bound
 
 
 def test_closed_form_caches_are_read_only_and_unchanged_by_use():
-    # _closed_form caches nothing of its own: it expands each q-monomial once
-    # per call, so the module's only caches are the per-rank ones above, and
-    # a second round of pushes gives the first round's answers
+    # _closed_form keeps only the Segre table, per rank and width, whose
+    # terms are tuples: it expands each q-monomial once per call, so the
+    # module's only caches are the per-rank ones above, and a second round of
+    # pushes gives the first round's answers
     caches = {name for name, value in vars(localization).items() if hasattr(value, "cache_info")}
-    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point"}
+    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point", "_segre_table", "_sample_tables"}
     rank, cutoff = 4, 15
     texts = ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15", "q1^7 q3^2 c2")
     classes = [elaborate(parse_expression(text, rank), rank, cutoff).payload for text in texts]
     first = [localization._closed_form(phi, rank) for phi in classes]
     assert [localization._closed_form(phi, rank) for phi in classes] == first
     assert first[4] == segre_oracle(rank, 12).homogeneous_component(12)
+    series = localization._segre_table(rank, classes[0]._width)
+    assert len(series) == 13 and all(type(part) is tuple for s in series for part in s)
+    with pytest.raises(TypeError):
+        series[1][1][0] = 2
+
+
+def _pushes(cases) -> list:
+    return [(r.chern_form, dict(r.checks)) for r in (pushforward(ClassExpr(phi, cutoff), rank)
+                                                     for phi, rank, cutoff in cases)]
+
+
+def _table_classes():
+    # ranks 1-6 at widths 4, 5 and 6, two cutoffs each, the lower first, so
+    # a warm table is extended in place; x-, y-, c- and q-classes
+    cases = []
+    for cutoff in (9, 17, 33, 14, 24, 40):
+        for rank in range(1, 7):
+            texts = ["inv(1 - c1 x - x)", "c1^2 y^3 - 2/3 x^5 + c%d x^%d" % (rank, rank + 2)]
+            if rank > 1:
+                texts.append("q%d y^2 inv(1 + y) + q1 c1 x" % (rank - 1))
+            cases += [(elaborate(parse_expression(text, rank), rank, cutoff).payload, rank, cutoff) for text in texts]
+    return cases
+
+
+def test_warm_and_cold_tables_give_the_same_pushes():
+    # every push with the Segre and sample tables emptied first, against the
+    # same pushes interleaved across ranks and widths on tables kept warm
+    cases = _table_classes()
+    assert {phi._width for phi, _, _ in cases} == {4, 5, 6}
+    cold = []
+    for case in cases:
+        localization._segre_table.cache_clear()
+        localization._sample_tables.cache_clear()
+        cold += _pushes([case])
+    assert all(set(checks.values()) == {"pass"} for _, checks in cold)
+    assert _pushes(cases) == cold
+    assert _pushes(cases[::-1]) == cold[::-1]
+
+
+def test_a_perturbed_answer_fails_the_sample_on_warm_tables():
+    # the kept values and weights must not make the check pass a wrong answer:
+    # each answer shifted in one term of any degree, or by a new c-monomial,
+    # is refused after the right one passed on the same tables
+    for phi, rank, cutoff in _table_classes()[::5]:
+        answer = pushforward(ClassExpr(phi, cutoff), rank).chern_form
+        assert localization.fixed_point_sample(phi, rank, answer)
+        table = bundle_ring(rank)
+        for _, part in answer.graded_parts():
+            shift = Polynomial(table, {part.sorted_terms()[0][0]: Fraction(1, 3)})
+            assert not localization.fixed_point_sample(phi, rank, answer + shift)
+        assert not localization.fixed_point_sample(phi, rank, answer + table.var("c1").pow(cutoff - rank + 1))
+        assert localization.fixed_point_sample(phi, rank, answer)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 5])
+def test_a_wrong_segre_table_entry_fails_both_checks(monkeypatch, rank):
+    # neither check reads the evaluator's Segre table: with s_2 wrong in it,
+    # the push of an x-class fails both, while the oracle and the sample
+    # still agree with the right answer
+    cutoff = 12
+    phi = elaborate(parse_expression("inv(1 - c1 x - x)", rank), rank, cutoff).payload
+    right = pushforward(ClassExpr(phi, cutoff), rank).chern_form
+    wrong = list(localization._segre_series(rank, phi._width, cutoff - rank + 1))
+    keys, (c, *rest) = wrong[2]
+    wrong[2] = (keys, (c + 1, *rest))
+    monkeypatch.setattr(localization, "_segre_table", lambda rank, width: wrong)
+    result = pushforward(ClassExpr(phi, cutoff), rank)
+    assert result.chern_form != right
+    assert result.checks == {"fixed_point_sample": "fail", "presentation_oracle": "fail"}
+    assert presentation_oracle(ClassExpr(phi, cutoff), rank) == right
+    assert localization.fixed_point_sample(phi, rank, right)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_sample_tables_die_with_the_point_table_they_came_from(monkeypatch, rank):
+    # the kept values and weights belong to one _sample_point table: a push on
+    # another table (here with q1 wrong at the second fixed point) weighs
+    # afresh and fails, and the right table afterwards passes again
+    q = [bundle_ring(rank).one()] + [bundle_ring(rank).var(f"q{i}") for i in range(1, rank)]
+    x = bundle_ring(rank).var("x")
+    top = sum((q[i] * x.pow(rank - 1 - i) for i in range(rank)), bundle_ring(rank).zero())
+    assert pushforward(ClassExpr(top), rank).checks == {"fixed_point_sample": "pass"}
+    fixed_points = localization._fixed_points
+
+    def wrong(a, one):
+        points = fixed_points(a, one)
+        points[1][0]["q1"] += one
+        return points
+
+    with monkeypatch.context() as patch:
+        patch.setattr(localization, "_fixed_points", wrong)
+        patch.setattr(localization, "_sample_point", localization._sample_point.__wrapped__)  # uncached
+        assert pushforward(ClassExpr(top), rank).checks == {"fixed_point_sample": "fail"}
+    assert pushforward(ClassExpr(top), rank).checks == {"fixed_point_sample": "pass"}
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
