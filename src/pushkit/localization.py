@@ -16,11 +16,10 @@ the ring presentation.  Both run on one read of the class, on its own int
 keys, as sum_k a_k x^k, y = -x, each q_i in x by the Whitney relation
 (``_read_in_x``), and key their sums as the answer.  ``localize`` reads
 ``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample`` checks
-an answer against the sum itself at one integer point, from one read-only
-per-rank integer table (``_sample_point``), keeping each c/u-monomial's
-value and each fiber monomial's (its x, y and q_i) weight per rank and key
-width while that table lives (``_sample_tables``).  No check reads the
-Segre table.
+an answer against the sum itself at one integer point, from one per-rank
+integer table (``_sample_point``) that also keeps, by key width, each
+c/u-monomial's value and each fiber monomial's (its x, y and q_i) weight.
+No check reads the Segre table.
 ``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
 by r - 1) and the shared guards.  The symbolic charts, ``_vandermonde`` and
 ``_cofactors`` are references only: the test suite's literal sum and chart
@@ -326,14 +325,18 @@ _SAMPLE_BITS = 40  # sample coordinates lie in S = {1, ..., 2^40 - 1}
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
-def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """``fixed_point_sample``'s read-only table (a, columns, V, cofactors): a
-    is ``rank`` distinct integers in S, the same at every call, the top 40
-    bits of successive splitmix64 outputs seeded with the rank (Steele, Lea
-    and Flood, OOPSLA 2014), skipping 0 and repeats; ``columns[j]`` is the
-    image of key field j (from the bottom: u_r is 0, c1 2r - 1, x 3r) at each
-    fixed point, by ``_fixed_points`` at a; V = prod_(i < k) (a_i - a_k), and
-    per fixed point j the exact cofactor V / prod_(i != j) (a_i - a_j)."""
+def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, tuple[int, ...], dict]:
+    """``fixed_point_sample``'s table (a, columns, V, cofactors, memos): a is
+    ``rank`` distinct integers in S, the same at every call, the top 40 bits
+    of successive splitmix64 outputs seeded with the rank (Steele, Lea and
+    Flood, OOPSLA 2014), skipping 0 and repeats; ``columns[j]`` is the image
+    of key field j (from the bottom: u_r is 0, c1 2r - 1, x 3r) at each fixed
+    point, by ``_fixed_points`` at a; V = prod_(i < k) (a_i - a_k), and per
+    fixed point j the exact cofactor V / prod_(i != j) (a_i - a_j); all four
+    read-only.  ``memos`` maps a key width to the check's (values, weights)
+    at it: the value at a of the c and u fields of a key (a single field is a
+    power of one image), and one int W(f) = sum_j cofactor_j f|_j per fiber
+    monomial f, kept as long as this table."""
     mask = (1 << 64) - 1
     state, point = rank, []
     while len(point) < rank:
@@ -347,26 +350,7 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ..
     charts = _fixed_points(point, 1)
     columns = tuple(tuple(images[name] for images, _ in charts) for name in reversed(bundle_ring(rank).names))
     vandermonde = math.prod(ai - ak for ai, ak in itertools.combinations(point, 2))
-    return point, columns, vandermonde, tuple(vandermonde // euler for _, euler in charts)
-
-
-@lru_cache(maxsize=_CACHED_RANKS)
-def _sample_tables(rank: int, width: int) -> list:
-    """``fixed_point_sample``'s memo on keys of ``width`` bits a field,
-    [point, values, weights], filled by ``_sample_memo``: values maps the c
-    and u fields of a key (a single field is a power of one image) to their
-    value at the sample point, weights maps a fiber monomial f to the one
-    int W(f) = sum_j cofactor_j f|_j, and point is the ``_sample_point``
-    table both came from."""
-    return [None, {}, {}]
-
-
-def _sample_memo(point: tuple, rank: int, width: int) -> list:
-    """``_sample_tables(rank, width)``, emptied first unless it came from ``point`` itself."""
-    memo = _sample_tables(rank, width)
-    if memo[0] is not point:
-        memo[:] = point, {0: 1}, {}
-    return memo
+    return point, columns, vandermonde, tuple(vandermonde // euler for _, euler in charts), {}
 
 
 # The sample check's recursions are module functions: a nested function that
@@ -411,11 +395,11 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     The c_i and u_i restrict alike at every fixed point, so the terms are
     summed by degree and fiber monomial f (the x, y and q_i fields of a key)
     and each f is weighed by W(f) = sum_j cofactor_j f|_j.  The value of
-    each c/u-monomial and W(f) of each f are kept per rank and key width
-    (``_sample_tables``), for as long as the ``_sample_point`` table they
-    came from; the r-tuples of cofactor_j f|_j that W is built from live
-    only for the call.  Only the denominator clearing (``_integral``) is
-    shared with ``_closed_form``: no Whitney map, no Segre series.
+    each c/u-monomial and W(f) of each f are kept by key width in the
+    ``_sample_point`` table's memos, as long as that table lives; the
+    r-tuples of cofactor_j f|_j that W is built from live only for the
+    call.  Only the denominator clearing (``_integral``) is shared with
+    ``_closed_form``: no Whitney map, no Segre series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
     d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
@@ -430,8 +414,7 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
-    point = _sample_point(rank)
-    _, columns, vandermonde, cofactors = point
+    _, columns, vandermonde, cofactors, memos = _sample_point(rank)
     weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart, for this call; see _weigh
 
     def at_point(p: Polynomial, high: int, values: dict) -> dict:  # by key less its fields c1.. above bit high, at a
@@ -443,13 +426,13 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
         return out
 
     width = chern_form._width  # of the polynomial the helpers read
-    top, expected = _shift(chern_form.table, width, -1), {}
-    for key, c in at_point(chern_form, 1 << rank * width, _sample_memo(point, rank, width)[1]).items():  # u_i kept
+    (values, _), top, expected = memos.setdefault(width, ({0: 1}, {})), _shift(chern_form.table, width, -1), {}
+    for key, c in at_point(chern_form, 1 << rank * width, values).items():  # u_i kept
         if key & ((1 << top) - 1):
             return False  # a pushforward lives in c1..cr
         expected[(key >> top) + rank - 1] = c
     width = phi._width
-    (_, values, weights), top, sums = _sample_memo(point, rank, width), _shift(phi.table, width, -1), {}
+    (values, weights), top, sums = memos.setdefault(width, ({0: 1}, {})), _shift(phi.table, width, -1), {}
     for key, c in at_point(phi, 1, values).items():
         degree, fiber = key >> top, key & ((1 << top) - 1)
         w = weights.get(fiber)

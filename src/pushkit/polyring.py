@@ -491,14 +491,6 @@ class Polynomial:
         limit = (cutoff + 1) << _shift(self.table, self._width, -1)
         return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k < limit}, self._width)
 
-    def graded_parts(self) -> list[tuple[int, Polynomial]]:
-        """Homogeneous components as ``(degree, part)`` in increasing degree."""
-        shift = _shift(self.table, self._width, -1)
-        buckets: dict[int, dict[int, _Coeff]] = {}
-        for key, c in self._terms.items():
-            buckets.setdefault(key >> shift, {})[key] = c
-        return [(d, Polynomial._fit(self.table, terms, self._width)) for d, terms in sorted(buckets.items())]
-
     def homogeneous_component(self, degree: int) -> Polynomial:
         shift = _shift(self.table, self._width, -1)
         return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k >> shift == degree}, self._width)

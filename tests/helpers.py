@@ -248,6 +248,12 @@ def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
     return -value if rank % 2 == 0 else value
 
 
+def graded_parts(p: Polynomial) -> list[tuple[int, Polynomial]]:
+    """The nonzero homogeneous components of ``p`` as ``(degree, part)``, in increasing degree."""
+    parts = ((d, p.homogeneous_component(d)) for d in range(p.degree() + 1))
+    return [(d, part) for d, part in parts if part]
+
+
 def random_homogeneous(rng: random.Random, table: VariableTable, degree: int) -> Polynomial:
     """Random polynomial of one to three terms, each homogeneous of ``degree``:
     a coefficient times generators whose degrees add up to it (the table must

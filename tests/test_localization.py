@@ -41,7 +41,7 @@ from pushkit import (
 )
 from pushkit import gysin, localization, polyring
 
-from helpers import literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
+from helpers import graded_parts, literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
 from helpers import localize_divided_differences, random_coeff, relation_check, sample_by_charts, symmetrize
 
 SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
@@ -127,7 +127,7 @@ def test_sample_table_matches_the_combination_sums(rank):
 
     # column j is key field j from the bottom, so field 0 is u_r
     names = bundle_ring(rank).names
-    a, columns, vandermonde, cofactors = localization._sample_point(rank)
+    a, columns, vandermonde, cofactors = localization._sample_point(rank)[:4]
     assert len(columns) == len(names) and all(len(column) == rank for column in columns)
     image = {name: column for name, column in zip(reversed(names), columns)}
     for j in range(rank):
@@ -145,7 +145,7 @@ def test_sample_weights_are_the_exact_cofactors():
     # fixed_point_sample weighs chart j by V / prod_(i != j) (a_i - a_j),
     # kept per rank: an exact integer, so the division leaves no remainder
     for rank in range(1, 33):
-        a, _, vandermonde, cofactors = localization._sample_point(rank)
+        a, _, vandermonde, cofactors = localization._sample_point(rank)[:4]
         assert vandermonde == math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
         assert len(cofactors) == rank
         for j, cofactor in enumerate(cofactors):
@@ -203,7 +203,8 @@ def test_chart_maps_are_read_only():
 
 def test_sample_table_is_read_only():
     # the table is cached per rank, like the charts: a caller's write must not
-    # reach it, so it is tuples of ints all through
+    # reach its point data, so that is tuples of ints all through; the last
+    # entry is the check's own memo dict, by key width
     def entries(value):
         if isinstance(value, tuple):
             yield value
@@ -213,7 +214,9 @@ def test_sample_table_is_read_only():
             assert type(value) is int
 
     for rank in range(1, 7):
-        for entry in entries(localization._sample_point(rank)):
+        *point, memos = localization._sample_point(rank)
+        assert len(point) == 4 and type(memos) is dict
+        for entry in entries(tuple(point)):
             with pytest.raises(TypeError):
                 entry[0] = 0
 
@@ -227,7 +230,8 @@ def test_sample_check_keeps_no_weight_after_it_returns():
     phi = elaborate(parse_expression("inv(1 - x)", rank), rank, 40).payload
     answer = localization._closed_form(phi, rank)
     assert localization.fixed_point_sample(phi, rank, answer)  # the point table is built
-    localization._sample_tables.cache_clear()  # and the weights are not
+    memos = localization._sample_point(rank)[4]
+    memos.clear()  # and the weights are not
     gc.disable()
     tracemalloc.start()
     try:
@@ -237,7 +241,7 @@ def test_sample_check_keeps_no_weight_after_it_returns():
         tracemalloc.stop()
         gc.enable()
     assert peak > 1_000_000 and retained < peak // 20
-    weights = localization._sample_tables(rank, phi._width)[2]
+    weights = memos[phi._width][1]
     assert len(weights) == len(phi._terms) and all(type(w) is int for w in weights.values())
 
 
@@ -259,11 +263,12 @@ def test_sample_check_leaves_no_cyclic_garbage():
 
 def test_per_rank_caches_are_bounded():
     # one fixed bound for every per-rank cache, at least the 32 ranks the suite
-    # reads; the Segre and sample tables count each (rank, width) pair once
+    # reads; the Segre table counts each (rank, width) pair once, and the
+    # sample check's memos go with the rank's point table
     bound = localization._CACHED_RANKS
     assert bound >= 32
     for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES), localization._sample_point,
-                  localization._segre_table, localization._sample_tables):
+                  localization._segre_table):
         assert cache.cache_info().maxsize == bound
     first = bundle_ring(1)
     for rank in range(2, bound + 2):
@@ -271,12 +276,19 @@ def test_per_rank_caches_are_bounded():
     assert bundle_ring.cache_info().currsize == bound
     # rank 1 was evicted; the rebuilt table is a new object equal to the old
     assert bundle_ring(1) is not first and bundle_ring(1) == first
-    point = localization._sample_point(2)
     for width in range(4, bound + 6):
         localization._segre_series(2, width, 3)
-        localization._sample_memo(point, 2, width)
     assert localization._segre_table.cache_info().currsize == bound
-    assert localization._sample_tables.cache_info().currsize == bound
+    x, c1 = bundle_ring(1).var("x"), bundle_ring(1).var("c1")
+    assert localization.fixed_point_sample(x, 1, -c1)
+    memos = localization._sample_point(1)[4]
+    assert memos[x._width][1]  # the weights rank 1 kept, in its point table
+    for rank in range(2, bound + 2):
+        localization._sample_point(rank)
+    assert localization._sample_point.cache_info().currsize == bound
+    # rank 1 was evicted with its memos: the rebuilt table starts with none
+    rebuilt = localization._sample_point(1)[4]
+    assert rebuilt is not memos and rebuilt == {}
 
 
 def test_closed_form_caches_are_read_only_and_unchanged_by_use():
@@ -285,7 +297,7 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
     # module's only caches are the per-rank ones above, and a second round of
     # pushes gives the first round's answers
     caches = {name for name, value in vars(localization).items() if hasattr(value, "cache_info")}
-    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point", "_segre_table", "_sample_tables"}
+    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point", "_segre_table"}
     rank, cutoff = 4, 15
     texts = ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15", "q1^7 q3^2 c2")
     classes = [elaborate(parse_expression(text, rank), rank, cutoff).payload for text in texts]
@@ -324,7 +336,7 @@ def test_warm_and_cold_tables_give_the_same_pushes():
     cold = []
     for case in cases:
         localization._segre_table.cache_clear()
-        localization._sample_tables.cache_clear()
+        localization._sample_point.cache_clear()
         cold += _pushes([case])
     assert all(set(checks.values()) == {"pass"} for _, checks in cold)
     assert _pushes(cases) == cold
@@ -339,7 +351,7 @@ def test_a_perturbed_answer_fails_the_sample_on_warm_tables():
         answer = pushforward(ClassExpr(phi, cutoff), rank).chern_form
         assert localization.fixed_point_sample(phi, rank, answer)
         table = bundle_ring(rank)
-        for _, part in answer.graded_parts():
+        for _, part in graded_parts(answer):
             shift = Polynomial(table, {part.sorted_terms()[0][0]: Fraction(1, 3)})
             assert not localization.fixed_point_sample(phi, rank, answer + shift)
         assert not localization.fixed_point_sample(phi, rank, answer + table.var("c1").pow(cutoff - rank + 1))
@@ -390,9 +402,9 @@ def test_sample_tables_die_with_the_point_table_they_came_from(monkeypatch, rank
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_segre_sum_of_x_to_the_r_minus_1_plus_m_is_the_segre_class_s_m(rank):
-    # the closed form builds s_m = -sum c_i s_(m-i) on the read's keys as it
-    # goes, keeping r terms; on x^(r-1+m) it is s_m, here against series
-    # inversion
+    # the closed form reads s_m from the per-rank Segre table, which is
+    # extended in place by s_m = -sum c_i s_(m-i) on the read's keys; on
+    # x^(r-1+m) it is s_m, here against series inversion
     top, table = 10, bundle_ring(rank)
     inverse = segre_oracle(rank, top)
     for m in range(top + 1):
@@ -402,17 +414,18 @@ def test_segre_sum_of_x_to_the_r_minus_1_plus_m_is_the_segre_class_s_m(rank):
 
 
 _WINDOW_CLASSES = [
-    ("inv(1 + 2 x - c1 x^2)", 1, 12),  # a window of one term
+    ("inv(1 + 2 x - c1 x^2)", 1, 12),  # each s_m from one term below it
     ("x + c1 x^2 - 3 y^3", 5, 4),  # top power below r - 1: the sum is 0
-    ("x^3 + x^13", 4, 13),  # the window runs across ten empty buckets
+    ("x^3 + x^13", 4, 13),  # ten empty buckets between the two summed
     ("q1 q2 y^3 inv(1+y)", 4, 14),  # a q-class, whose push runs no fold
 ]
 
 
 @pytest.mark.parametrize("text,rank,cutoff", _WINDOW_CLASSES, ids=[case[0] for case in _WINDOW_CLASSES])
 def test_segre_window_edges_agree_with_the_fold(text, rank, cutoff):
-    # the closed form keeps only the newest r Segre terms; at the window's
-    # edges it must still give the fold's packed sum on the same read
+    # the closed form sums a_k s_(k-r+1) over the buckets present only, from
+    # the whole kept Segre series; at these edges it must still give the
+    # fold's packed sum on the same read
     phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
     buckets, d, width = localization._read_in_x(phi)
     packed = localization._segre_sum(buckets, rank, width)
@@ -444,7 +457,7 @@ def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
     answer = result.chern_form
     assert localization.fixed_point_sample(phi, rank, answer)
     table = bundle_ring(rank)
-    for _, part in answer.graded_parts():
+    for _, part in graded_parts(answer):
         shift = Polynomial(table, {part.sorted_terms()[0][0]: Fraction(1, denominator)})
         assert not localization.fixed_point_sample(phi, rank, answer + shift)
 
@@ -747,7 +760,7 @@ def test_reference_refuses_root_variables():
 def test_degree_shift_on_homogeneous_inputs(seed, rank):
     rng = random.Random(seed)
     phi = random_fiber_poly(rng, rank)
-    for d, part in phi.graded_parts():
+    for d, part in graded_parts(phi):
         value = localize(part, rank).value
         if d < rank - 1:
             assert value.is_zero()
