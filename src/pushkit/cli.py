@@ -10,6 +10,8 @@ Subcommands:
 Exit codes: 0 on success, 1 on a verification failure (a check recorded as
 "fail", such as ``fixed_point_sample``, or a ``localize`` value that is not
 symmetric in the roots) or an internal error, 2 on usage or parse errors.
+A --rank outside 1..64 exits 2 before EXPR is read: above 64 the sample
+check's integer point alone takes seconds (9 s at rank 300).
 When --max-degree is omitted it defaults to rank + 3; it must be at least
 rank - 1, the fiber dimension.  JSON output serializes every coefficient as
 a "p/q" string so arbitrary precision survives any JSON reader; no floats
@@ -148,6 +150,8 @@ def _validated_rank(args: argparse.Namespace) -> int:
     rank = args.rank
     if rank < 1:
         raise UsageError("rank must be >= 1")
+    if rank > 64:
+        raise UsageError("rank must be <= 64")
     return rank
 
 

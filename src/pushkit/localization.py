@@ -10,16 +10,18 @@ and the normal bundle has equivariant Euler class prod_{i != j} (u_i - u_j).
 at the roots, and ``fixed_point_sample``'s integer table at one point.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
-over the Segre series (``_segre_sum``), whose terms are kept per rank and
-key width and extended in place (``_segre_table``); ``_fold`` gets it from
-the ring presentation.  Both run on one read of the class, on its own int
-keys, as sum_k a_k x^k, y = -x, each q_i in x by the Whitney relation
-(``_read_in_x``), and key their sums as the answer.  ``localize`` reads
-``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample`` checks
-an answer against the sum itself at one integer point, from one per-rank
-integer table (``_sample_point``) that also keeps, by key width, each
-c/u-monomial's value and each fiber monomial's (its x, y and q_i) weight.
-No check reads the Segre table.
+over the Segre series (``_segre_sum``, from ``_segre_table``); ``_fold``
+gets it from the ring presentation.  Both run on one read of the class, on
+its own int keys, as sum_k a_k x^k, y = -x, each q_i in x by the Whitney
+relation (``_read_in_x``), and key their sums as the answer.  ``localize``
+reads ``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample``
+checks an answer against the sum itself at one integer point, from one
+integer table (``_sample_point``).  No check reads the Segre table.  Every
+cache here is an ``lru_cache`` keyed by the rank alone, keeping
+``_CACHED_RANKS`` ranks; what also depends on the key width is a dict by
+width in the rank's entry, grown only by its one reader: the Segre series
+by ``_segre_sum``, the c/u-monomial values and fiber weights by
+``fixed_point_sample``.
 ``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
 by r - 1) and the shared guards.  The symbolic charts, ``_vandermonde`` and
 ``_cofactors`` are references only: the test suite's literal sum and chart
@@ -88,9 +90,6 @@ class FixedPointChart(_Value):
 
     def __reduce__(self) -> tuple:  # a mappingproxy neither pickles nor copies
         return type(self), (self.index, dict(self.restriction), self.euler)
-
-    def restrict(self, p: Polynomial) -> Polynomial:
-        return p.substitute(self.restriction)
 
 
 def _fixed_points(a: tuple, one) -> list[tuple[dict, object]]:
@@ -225,19 +224,24 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
-def _segre_table(rank: int, width: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The Segre series s_0, s_1, ... of rank ``rank`` on keys of ``width``
-    bits a field, each s_m as its keys in c1..cr, with no degree field, and
-    its coefficients, in two tuples (no tuple per term), as far as a read
-    has needed it; ``_segre_series`` extends it in place.  Only
-    ``_segre_sum`` reads it: neither check does."""
-    return [((0,), (1,))]
+def _segre_table(rank: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The Segre series s_0, s_1, ... of rank ``rank`` by key width, each s_m
+    as its keys in c1..cr at that width, with no degree field, and its
+    coefficients, in two tuples (no tuple per term), as far as a read has
+    needed it.  Only ``_segre_sum`` grows and reads it: neither check does."""
+    return {}
 
 
-def _segre_series(rank: int, width: int, top: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``_segre_table(rank, width)`` through s_top, each missing s_m built by
-    s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i) and appended."""
-    series = _segre_table(rank, width)
+def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int, int]:
+    """The closed form on a ``_read_in_x`` read, sum_k a_k s_(k-r+1) in
+    integers on its keys, zeros dropped: at the fixed points, sum_j u_j^k /
+    prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange
+    interpolation), so f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
+    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  The s_m come from the
+    rank's ``_segre_table`` at the read's width, each missing one up to the
+    top bucket's appended as s_m = -sum_(1 <= i <= min(m, r)) c_i s_(m-i);
+    only the buckets present are summed, in increasing k."""
+    series, top = _segre_table(rank).setdefault(width, [((0,), (1,))]), max(buckets, default=0) - rank + 1
     if len(series) <= top:
         steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i
         for m in range(len(series), top + 1):
@@ -247,18 +251,7 @@ def _segre_series(rank: int, width: int, top: int) -> list[tuple[tuple[int, ...]
                     key += step
                     s[key] = s.get(key, 0) - c
             series.append((tuple(s), tuple(s.values())))
-    return series
-
-
-def _segre_sum(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int, int]:
-    """The closed form on a ``_read_in_x`` read, sum_k a_k s_(k-r+1) in
-    integers on its keys, zeros dropped: at the fixed points, sum_j u_j^k /
-    prod_(i != j) (u_i - u_j) = (-1)^(r-1) h_(k-r+1)(u) (Lagrange
-    interpolation), so f_*(x^k) = s_(k-r+1), s = 1/c(V) the Segre series
-    (Fulton, *Intersection Theory*, Prop. 3.1(a)).  The s_m come from the
-    per-rank ``_segre_table`` at the read's width; only the buckets present
-    are summed, in increasing k."""
-    series, total = _segre_series(rank, width, max(buckets, default=0) - rank + 1), {}
+    total: dict[int, int] = {}
     get = total.get
     for k in sorted(buckets):
         keys, coeffs = series[k - rank + 1]

@@ -118,7 +118,7 @@ def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polyno
     table = bundle_ring(rank)
     value = table.zero()
     for chart, cofactor in zip(fixed_point_charts(rank), localization._cofactors(rank)):
-        value = value + chart.restrict(phi) * cofactor
+        value = value + phi.substitute(chart.restriction) * cofactor
     for a, b in localization._vandermonde(rank):
         value = divide_exact_linear(value, table.var(a) - table.var(b))
     return value if cutoff is None else value.truncate(cutoff - (rank - 1))
@@ -241,7 +241,7 @@ def localize_divided_differences(phi: Polynomial, rank: int) -> Polynomial:
     if any(name[0] == "u" for name in phi.variables()):
         raise UnsupportedVariableError("root variables u_i cannot be pushed forward; use localize for those")
     table = bundle_ring(rank)
-    value = fixed_point_charts(rank)[0].restrict(phi)
+    value = phi.substitute(fixed_point_charts(rank)[0].restriction)
     for i in range(1, rank):
         swapped = permute_roots(value, _swap(rank, i))
         value = divide_exact_linear(value - swapped, table.var(f"u{i}") - table.var(f"u{i + 1}"))

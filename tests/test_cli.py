@@ -556,6 +556,15 @@ def test_input_in_both_x_and_y_prints_pinned_bytes(capsys, args, stdout):
     assert capsys.readouterr() == (stdout, "")
 
 
+@pytest.mark.parametrize("command", [["push", "q65"], ["localize", "y"], ["table", "--from", "0", "--to", "1"],
+                                     ["verify"]])
+def test_rank_above_sixty_four_exits_two(capsys, command):
+    # refused before the expression is read (q65 is out of range at rank
+    # 65): the integer sample point alone takes seconds at a few hundred
+    assert run([command[0], "--rank", "65", *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "usage error: rank must be <= 64\n")
+
+
 def test_max_degree_below_fiber_dimension_exits_two(capsys):
     for command in (["push", "x^2"], ["localize", "y^2"], ["verify"]):
         assert run([command[0], "--rank", "5", "--max-degree", "2", *command[1:]]) == 2

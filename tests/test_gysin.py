@@ -500,18 +500,24 @@ def test_gauss_bonnet_the_fiber_euler_class_pushes_forward_to_r(rank):
     assert set(result.checks.values()) == {"pass"}
 
 
-@pytest.mark.parametrize("rank, text", [(4, "q1 q2 y^3"), (8, "q3 q5 y^8 + c2 x^9"), (20, "q3 q5 y^8 x^12")])
+@pytest.mark.parametrize("rank, text", [(4, "q1 q2 y^3"), (8, "q3 q5 y^8 + c2 x^9"), (20, "q3 q5 y^8 x^12"),
+                                        *(pytest.param(rank, None, id=f"drawn-{rank}") for rank in range(1, 21))])
 def test_projection_formula_through_the_whitney_relation(rank, text):
     # (1 + y)(1 + q1 + ... + q(r-1)) = c(V) in the fiber ring, so
     # f_*((1 + y)(1 + sum q_i) phi) = c(V) f_*(phi): the reader's Whitney map
-    # on the left, a product after the push on the right
+    # on the left, a product after the push on the right; on three fixed
+    # classes and on one class per rank drawn in its q_i, y and c_i
     table = bundle_ring(rank)
-    phi = elaborate(parse_expression(text, rank), rank, 40).payload
+    if text is None:
+        phi = random_class(random.Random(rank), rank, "y")
+    else:
+        phi = elaborate(parse_expression(text, rank), rank, 40).payload
     whitney = (1 + table.var("y")) * sum((table.var(f"q{i}") for i in range(1, rank)), table.one())
     total = sum((table.var(f"c{i}") for i in range(1, rank + 1)), table.one())
     lhs = pushforward(ClassExpr(whitney * phi), rank)
     assert lhs.chern_form == total * pushforward(ClassExpr(phi), rank).chern_form
-    assert lhs.checks == {"fixed_point_sample": "pass"}
+    # at rank 1 there is no q_i, so the left side gets the oracle as well
+    assert lhs.checks == {"fixed_point_sample": "pass", **({"presentation_oracle": "pass"} if rank == 1 else {})}
 
 
 def test_effective_cutoff_is_minimum():

@@ -263,8 +263,8 @@ def test_sample_check_leaves_no_cyclic_garbage():
 
 def test_per_rank_caches_are_bounded():
     # one fixed bound for every per-rank cache, at least the 32 ranks the suite
-    # reads; the Segre table counts each (rank, width) pair once, and the
-    # sample check's memos go with the rank's point table
+    # reads; what a rank keeps by key width (its Segre series, the sample
+    # check's memos) goes with that rank's entry
     bound = localization._CACHED_RANKS
     assert bound >= 32
     for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES), localization._sample_point,
@@ -276,9 +276,6 @@ def test_per_rank_caches_are_bounded():
     assert bundle_ring.cache_info().currsize == bound
     # rank 1 was evicted; the rebuilt table is a new object equal to the old
     assert bundle_ring(1) is not first and bundle_ring(1) == first
-    for width in range(4, bound + 6):
-        localization._segre_series(2, width, 3)
-    assert localization._segre_table.cache_info().currsize == bound
     x, c1 = bundle_ring(1).var("x"), bundle_ring(1).var("c1")
     assert localization.fixed_point_sample(x, 1, -c1)
     memos = localization._sample_point(1)[4]
@@ -289,11 +286,20 @@ def test_per_rank_caches_are_bounded():
     # rank 1 was evicted with its memos: the rebuilt table starts with none
     rebuilt = localization._sample_point(1)[4]
     assert rebuilt is not memos and rebuilt == {}
+    for width in (4, 5):
+        localization._segre_sum({k: {0: 1} for k in range(4)}, 1, width)
+    series = localization._segre_table(1)
+    assert all(len(series[width]) >= 4 for width in (4, 5))
+    for rank in range(2, bound + 2):
+        localization._segre_table(rank)
+    assert localization._segre_table.cache_info().currsize == bound
+    rebuilt = localization._segre_table(1)
+    assert rebuilt is not series and rebuilt == {}
 
 
 def test_closed_form_caches_are_read_only_and_unchanged_by_use():
-    # _closed_form keeps only the Segre table, per rank and width, whose
-    # terms are tuples: it expands each q-monomial once per call, so the
+    # _closed_form keeps only the Segre table, per rank and by width in it,
+    # whose terms are tuples: it expands each q-monomial once per call, so the
     # module's only caches are the per-rank ones above, and a second round of
     # pushes gives the first round's answers
     caches = {name for name, value in vars(localization).items() if hasattr(value, "cache_info")}
@@ -304,7 +310,7 @@ def test_closed_form_caches_are_read_only_and_unchanged_by_use():
     first = [localization._closed_form(phi, rank) for phi in classes]
     assert [localization._closed_form(phi, rank) for phi in classes] == first
     assert first[4] == segre_oracle(rank, 12).homogeneous_component(12)
-    series = localization._segre_table(rank, classes[0]._width)
+    series = localization._segre_table(rank)[classes[0]._width]
     assert len(series) == 13 and all(type(part) is tuple for s in series for part in s)
     with pytest.raises(TypeError):
         series[1][1][0] = 2
@@ -366,10 +372,10 @@ def test_a_wrong_segre_table_entry_fails_both_checks(monkeypatch, rank):
     cutoff = 12
     phi = elaborate(parse_expression("inv(1 - c1 x - x)", rank), rank, cutoff).payload
     right = pushforward(ClassExpr(phi, cutoff), rank).chern_form
-    wrong = list(localization._segre_series(rank, phi._width, cutoff - rank + 1))
+    wrong = list(localization._segre_table(rank)[phi._width])
     keys, (c, *rest) = wrong[2]
     wrong[2] = (keys, (c + 1, *rest))
-    monkeypatch.setattr(localization, "_segre_table", lambda rank, width: wrong)
+    monkeypatch.setattr(localization, "_segre_table", lambda rank: {phi._width: wrong})
     result = pushforward(ClassExpr(phi, cutoff), rank)
     assert result.chern_form != right
     assert result.checks == {"fixed_point_sample": "fail", "presentation_oracle": "fail"}
