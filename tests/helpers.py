@@ -1,14 +1,22 @@
 """Shared random generators and symbolic references for the test suite
-(seeded, deterministic)."""
+(seeded, deterministic).  This module owns every access to pushkit's private
+per-rank caches: the tests empty, list, read and perturb them through the
+functions below, so a change to how a cache is stored edits only these."""
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
+import pytest
+
+import pushkit
 from pushkit import (
     Monomial,
     Polynomial,
@@ -24,6 +32,96 @@ from pushkit.errors import NotInvertibleError
 from pushkit.expressions import ExprAst, Inv, Neg, Num, Pow, Product, Sum, Var
 from pushkit.gysin import ClassExpr
 from pushkit.polyring import _integral, _lead, _pairs, _shift, series_inverse
+
+
+# Every lru_cache in pushkit by name; the suite checks that the scan of
+# per_rank_caches finds these and no other, so cold_caches empties them all.
+CACHES = frozenset({"bundle_ring", "_charts", "_vandermonde", "_cofactors", "_segre_table", "_sample_point"})
+
+
+def per_rank_caches() -> dict[str, Callable]:
+    """Every ``lru_cache`` defined in ``pushkit``, by name, found by its
+    ``cache_clear`` rather than by name.  Each is keyed by the rank alone."""
+    modules = [pushkit] + [importlib.import_module(f"pushkit.{info.name}")
+                           for info in pkgutil.iter_modules(pushkit.__path__) if info.name != "__main__"]
+    return {name: value for module in modules for name, value in vars(module).items()
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module.__name__}
+
+
+def cache_sizes() -> dict[str, tuple]:
+    """Each cache's ``(hits, misses, maxsize, currsize)``, by name."""
+    return {name: cache.cache_info() for name, cache in per_rank_caches().items()}
+
+
+@contextlib.contextmanager
+def cold_caches():
+    """Every cache emptied on entry and on exit: the body fills them itself."""
+    for cache in per_rank_caches().values():
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        for cache in per_rank_caches().values():
+            cache.cache_clear()
+
+
+class FreshRank(int):
+    """A rank equal only to itself: a new entry in any cache, built as its int."""
+    __hash__, __eq__ = object.__hash__, object.__eq__
+
+
+def reference_setup(rank: int) -> tuple[tuple, tuple, tuple]:
+    """The cached symbolic set-up: the charts, the Vandermonde's linear factors
+    (u_a, u_b), a < b, and per chart the Vandermonde over its Euler class."""
+    return localization._charts(rank), localization._vandermonde(rank), localization._cofactors(rank)
+
+
+def sample_table(rank: int) -> tuple:
+    """``fixed_point_sample``'s cached point data: the point a, the columns (each
+    key field's images at the fixed points, from the bottom), V, the cofactors."""
+    return localization._sample_point(rank)[:4]
+
+
+def sample_memos(rank: int, width: int) -> tuple[dict, dict] | None:
+    """The kept (c/u-monomial values, fiber weights W(f)) of the sample check
+    at ``rank`` and key ``width``; None before a check there."""
+    return localization._sample_point(rank)[4].get(width)
+
+
+def segre_series(rank: int, width: int) -> list:
+    """The kept Segre series s_0, s_1, ... at ``rank`` and key ``width``, each
+    s_m as (keys, coefficients); empty before a push there."""
+    return localization._segre_table(rank).get(width, [])
+
+
+@contextlib.contextmanager
+def perturbed_segre(rank: int, width: int, m: int):
+    """For the body, every rank's Segre table holds at ``width`` a copy of the
+    series kept at ``rank`` with the first coefficient of s_m one more."""
+    wrong = list(segre_series(rank, width))
+    keys, (c, *rest) = wrong[m]
+    wrong[m] = (keys, (c + 1, *rest))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localization, "_segre_table", lambda rank: {width: wrong})
+        yield
+
+
+@contextlib.contextmanager
+def wrong_q1_at_second_point():
+    """For the body, q1's image at the second fixed point is one more, at any root
+    values; the charts and the sample table are built from it past their caches."""
+    fixed_points = localization._fixed_points
+
+    def wrong(a, one):
+        points = fixed_points(a, one)
+        points[1][0]["q1"] += one
+        return points
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localization, "_fixed_points", wrong)
+        for name in ("_charts", "_sample_point"):
+            patch.setattr(localization, name, getattr(localization, name).__wrapped__)
+        yield
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -115,11 +213,11 @@ def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polyno
     given.  The numerator grows like rank!, so ranks above 6 are refused."""
     if rank > 6:
         raise ValueError("the literal sum is too slow above rank 6")
-    table = bundle_ring(rank)
+    table, (charts, factors, cofactors) = bundle_ring(rank), reference_setup(rank)
     value = table.zero()
-    for chart, cofactor in zip(fixed_point_charts(rank), localization._cofactors(rank)):
+    for chart, cofactor in zip(charts, cofactors):
         value = value + phi.substitute(chart.restriction) * cofactor
-    for a, b in localization._vandermonde(rank):
+    for a, b in factors:
         value = divide_exact_linear(value, table.var(a) - table.var(b))
     return value if cutoff is None else value.truncate(cutoff - (rank - 1))
 
@@ -168,12 +266,12 @@ def sample_by_charts(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool
     chart by chart: each chart restricts every term of ``phi`` on its own,
     sums the numbers by degree and multiplies each sum by its cofactor,
     rebuilding the Vandermonde and dividing it by the Euler class at every
-    call.  It takes only the point from ``_sample_point``, builds the charts
+    call.  It takes only the point from ``sample_table``, builds the charts
     there with ``_fixed_points`` and gives the same bool."""
     localization._valid_through(phi, rank, None)
     localization._valid_through(chern_form, rank, None)
     (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
-    a, index = localization._sample_point(rank)[0], phi.table.index
+    a, index = sample_table(rank)[0], phi.table.index
     charts = [({index(n): v for n, v in images.items()}, euler) for images, euler in localization._fixed_points(a, 1)]
     shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}
 

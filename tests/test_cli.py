@@ -18,7 +18,7 @@ from pushkit import ClassExpr, Polynomial, series_inverse
 from pushkit.cli import run
 from pushkit.errors import UsageError
 
-from helpers import literal_sum
+from helpers import cold_caches, literal_sum, wrong_q1_at_second_point
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MUTANTS = Path(__file__).resolve().parents[1] / "tools" / "mutants.json"
@@ -197,14 +197,14 @@ def test_verify_at_rank_twenty_passes_every_check(capsys):
     assert "PASS gauss_bonnet: f_*(sum_(i=0..19) q_i x^(19-i)) = 20 = chi(P^19)" in lines
 
 
-def test_verify_builds_no_symbolic_chart(capsys):
+def test_verify_builds_no_symbolic_chart(capsys, monkeypatch):
     from pushkit import localization
 
-    before = localization._charts.cache_info()
-    for rank in (1, 2, 3, 4, 5, 6, 20):
-        assert run(["verify", "--rank", str(rank), "--max-degree", str(rank + 3)]) == 0
+    with cold_caches():  # so a chart that verify read would be built here, and fail
+        monkeypatch.setattr(localization, "FixedPointChart", None)
+        for rank in (1, 2, 3, 4, 5, 6, 20):
+            assert run(["verify", "--rank", str(rank), "--max-degree", str(rank + 3)]) == 0
     capsys.readouterr()
-    assert localization._charts.cache_info() == before
 
 
 def _mutated(fn, name: str):
@@ -225,20 +225,10 @@ def _assert_gauss_bonnet_alone_fails(capsys, rank):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 6])
-def test_wrong_q_image_at_a_fixed_point_fails_gauss_bonnet(capsys, monkeypatch, rank):
+def test_wrong_q_image_at_a_fixed_point_fails_gauss_bonnet(capsys, rank):
     # the q1 image at the second fixed point shifted by 1, in the table the sample reads
-    from pushkit import localization
-
-    fixed_points = localization._fixed_points
-
-    def wrong(a, one):
-        points = fixed_points(a, one)
-        points[1][0]["q1"] += one
-        return points
-
-    monkeypatch.setattr(localization, "_fixed_points", wrong)
-    monkeypatch.setattr(localization, "_sample_point", localization._sample_point.__wrapped__)  # uncached
-    _assert_gauss_bonnet_alone_fails(capsys, rank)
+    with wrong_q1_at_second_point():
+        _assert_gauss_bonnet_alone_fails(capsys, rank)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 6])

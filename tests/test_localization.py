@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from pushkit import (
     ArityError,
     ClassExpr,
-    FixedPointChart,
     Polynomial,
     SymmetryError,
     UnsupportedVariableError,
@@ -41,22 +40,12 @@ from pushkit import (
 )
 from pushkit import gysin, localization, polyring
 
-from helpers import graded_parts, literal_sum, random_chern_poly, random_class, random_fiber_poly, random_poly
-from helpers import localize_divided_differences, random_coeff, relation_check, sample_by_charts, symmetrize
+from helpers import CACHES, FreshRank, cache_sizes, cold_caches, graded_parts, literal_sum, per_rank_caches
+from helpers import perturbed_segre, random_chern_poly, random_class, random_coeff, random_fiber_poly, random_poly
+from helpers import localize_divided_differences, reference_setup, relation_check, sample_by_charts, sample_memos
+from helpers import sample_table, segre_series, symmetrize, wrong_q1_at_second_point
 
-SETUP_CACHES = ("_charts", "_vandermonde", "_cofactors")
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-@pytest.fixture
-def fresh_setup_caches():
-    """Empty the per-rank set-up caches before and after the test, so the
-    test fills them itself and leaves nothing it built behind."""
-    for name in SETUP_CACHES:
-        getattr(localization, name).cache_clear()
-    yield
-    for name in SETUP_CACHES:
-        getattr(localization, name).cache_clear()
 
 
 def test_bundle_ring_layout():
@@ -69,41 +58,16 @@ def test_bundle_ring_layout():
         bundle_ring(0)
 
 
-def test_charts_rank_three_euler_classes():
-    table = bundle_ring(3)
-    u1, u2, u3 = root_generators(table)
-    charts = fixed_point_charts(3)
-    assert charts[0].euler == (u2 - u1) * (u3 - u1)
-    assert charts[1].euler == (u1 - u2) * (u3 - u2)
-    assert charts[2].euler == (u1 - u3) * (u2 - u3)
-    for chart in charts:
-        assert chart.euler.is_homogeneous_of_degree(2)
-        assert not chart.euler.is_zero()
-
-
-def test_charts_restriction_maps():
-    table = bundle_ring(3)
-    u = root_generators(table)
-    charts = fixed_point_charts(3)
-    for j, chart in enumerate(charts, start=1):
-        assert chart.restriction["y"] == u[j - 1]
-        assert chart.restriction["x"] == -u[j - 1]
-    # quotient classes restrict to elementary symmetric functions of the others
-    assert charts[0].restriction["q1"] == u[1] + u[2]
-    assert charts[0].restriction["q2"] == u[1] * u[2]
-    assert charts[2].restriction["q1"] == u[0] + u[1]
-    # base Chern classes restrict uniformly
-    assert charts[1].restriction["c1"] == u[0] + u[1] + u[2]
-    assert charts[1].restriction["c3"] == u[0] * u[1] * u[2]
-
-
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_charts_match_the_combination_sums(rank):
     # the charts come from recursions in _fixed_points; here each image is
-    # summed over combinations and each Euler class multiplied out instead
+    # summed over combinations and each Euler class multiplied out instead:
+    # q_i restricts to e_i of the other roots, c_i to e_i of all of them
     table = bundle_ring(rank)
     roots = root_generators(table)
-    for j, chart in enumerate(fixed_point_charts(rank)):
+    charts = fixed_point_charts(rank)
+    assert len(charts) == rank and [chart.index for chart in charts] == list(range(1, rank + 1))
+    for j, chart in enumerate(charts):
         complement = roots[:j] + roots[j + 1:]
         assert chart.restriction["x"] == -roots[j] and chart.restriction["y"] == roots[j]
         for i in range(1, rank):
@@ -114,8 +78,10 @@ def test_charts_match_the_combination_sums(rank):
         euler = table.one()
         for u in complement:
             euler = euler * (u - roots[j])
-        assert chart.euler == euler
+        assert chart.euler == euler and euler.is_homogeneous_of_degree(rank - 1)
         assert len(chart.restriction) == len(table.names)
+        with pytest.raises(TypeError):  # the charts are cached per rank: a write must not reach them
+            chart.restriction["y"] = table.one()
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
@@ -127,7 +93,7 @@ def test_sample_table_matches_the_combination_sums(rank):
 
     # column j is key field j from the bottom, so field 0 is u_r
     names = bundle_ring(rank).names
-    a, columns, vandermonde, cofactors = localization._sample_point(rank)[:4]
+    a, columns, vandermonde, cofactors = sample_table(rank)
     assert len(columns) == len(names) and all(len(column) == rank for column in columns)
     image = {name: column for name, column in zip(reversed(names), columns)}
     for j in range(rank):
@@ -141,26 +107,20 @@ def test_sample_table_matches_the_combination_sums(rank):
         assert cofactors[j] * math.prod(ai - a[j] for ai in complement) == vandermonde
 
 
-def test_sample_weights_are_the_exact_cofactors():
-    # fixed_point_sample weighs chart j by V / prod_(i != j) (a_i - a_j),
-    # kept per rank: an exact integer, so the division leaves no remainder
-    for rank in range(1, 33):
-        a, _, vandermonde, cofactors = localization._sample_point(rank)[:4]
-        assert vandermonde == math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
-        assert len(cofactors) == rank
-        for j, cofactor in enumerate(cofactors):
-            assert cofactor * math.prod(ai - a[j] for i, ai in enumerate(a) if i != j) == vandermonde
-
-
 def test_sample_point_is_distinct_in_range_and_repeatable():
     # the Schwartz-Zippel bound of fixed_point_sample needs r distinct
-    # coordinates in S = {1, ..., 2^40 - 1}, the same point at every call
-    points = {rank: localization._sample_point(rank)[0] for rank in range(1, 33)}
-    localization._sample_point.cache_clear()
-    for rank, point in points.items():
-        assert len(point) == len(set(point)) == rank
-        assert all(type(a) is int and 1 <= a <= 2**40 - 1 for a in point)
-        assert localization._sample_point(rank)[0] == point
+    # coordinates in S = {1, ..., 2^40 - 1}, the same point at every call;
+    # chart j is weighed by V / prod_(i != j) (a_i - a_j), an exact integer
+    points = {rank: sample_table(rank)[0] for rank in range(1, 33)}
+    with cold_caches():
+        for rank, point in points.items():
+            assert len(point) == len(set(point)) == rank
+            assert all(type(a) is int and 1 <= a <= 2**40 - 1 for a in point)
+            a, _, vandermonde, cofactors = sample_table(rank)
+            assert a == point and len(cofactors) == rank
+            assert vandermonde == math.prod(ai - ak for ai, ak in itertools.combinations(a, 2))
+            for j, cofactor in enumerate(cofactors):
+                assert cofactor * math.prod(ai - a[j] for i, ai in enumerate(a) if i != j) == vandermonde
 
 
 def test_fixed_point_sample_refuses_another_ranks_ring():
@@ -190,21 +150,9 @@ def test_fixed_point_sample_refuses_an_answer_in_the_roots():
     assert not localization.fixed_point_sample(y.pow(3), 2, answer - c2 + u1 * u2)
 
 
-def test_chart_maps_are_read_only():
-    # the charts are cached per rank: a caller's write must not reach them
-    with pytest.raises(TypeError):
-        fixed_point_charts(3)[0].restriction["y"] = bundle_ring(3).var("u2")
-    # localize reads no chart; the test-side reference and relation check do, and
-    # fixed_point_sample reads the same builder's table at an integer point
-    y = bundle_ring(3).var("y")
-    assert localize_divided_differences(y * y, 3) == 1
-    assert relation_check(3)
-
-
 def test_sample_table_is_read_only():
     # the table is cached per rank, like the charts: a caller's write must not
-    # reach its point data, so that is tuples of ints all through; the last
-    # entry is the check's own memo dict, by key width
+    # reach its point data, so that is tuples of ints all through
     def entries(value):
         if isinstance(value, tuple):
             yield value
@@ -214,9 +162,7 @@ def test_sample_table_is_read_only():
             assert type(value) is int
 
     for rank in range(1, 7):
-        *point, memos = localization._sample_point(rank)
-        assert len(point) == 4 and type(memos) is dict
-        for entry in entries(tuple(point)):
+        for entry in entries(sample_table(rank)):
             with pytest.raises(TypeError):
                 entry[0] = 0
 
@@ -227,22 +173,21 @@ def test_sample_check_keeps_no_weight_after_it_returns():
     # powers of x through tuples of 32 integers of about 20,000 bits, and the
     # call measured weighs them all, on a warm point table
     rank = 32
-    phi = elaborate(parse_expression("inv(1 - x)", rank), rank, 40).payload
-    answer = localization._closed_form(phi, rank)
-    assert localization.fixed_point_sample(phi, rank, answer)  # the point table is built
-    memos = localization._sample_point(rank)[4]
-    memos.clear()  # and the weights are not
-    gc.disable()
-    tracemalloc.start()
-    try:
-        assert localization.fixed_point_sample(phi, rank, answer)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak > 1_000_000 and retained < peak // 20
-    weights = memos[phi._width][1]
-    assert len(weights) == len(phi._terms) and all(type(w) is int for w in weights.values())
+    with cold_caches():
+        phi = elaborate(parse_expression("inv(1 - x)", rank), rank, 40).payload
+        answer = localization._closed_form(phi, rank)
+        sample_table(rank)  # the point table is built, and no weight is kept yet
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert localization.fixed_point_sample(phi, rank, answer)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak > 1_000_000 and retained < peak // 20
+        weights = sample_memos(rank, phi._width)[1]
+        assert len(weights) == len(phi._terms) and all(type(w) is int for w in weights.values())
 
 
 def test_sample_check_leaves_no_cyclic_garbage():
@@ -261,56 +206,56 @@ def test_sample_check_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_cold_caches_empties_every_cache_the_scan_finds():
+    # the scan finds every cache without a list of names, and helpers.CACHES
+    # pins the names: a cache added later is emptied by cold_caches or fails here
+    assert set(per_rank_caches()) == CACHES
+    for cache in per_rank_caches().values():
+        cache(2)
+    assert all(info.currsize for info in cache_sizes().values())
+    with cold_caches():
+        assert not any(info.currsize for info in cache_sizes().values())
+        for cache in per_rank_caches().values():
+            cache(3)
+    assert not any(info.currsize for info in cache_sizes().values())
+
+
 def test_per_rank_caches_are_bounded():
     # one fixed bound for every per-rank cache, at least the 32 ranks the suite
-    # reads; what a rank keeps by key width (its Segre series, the sample
-    # check's memos) goes with that rank's entry
-    bound = localization._CACHED_RANKS
-    assert bound >= 32
-    for cache in (bundle_ring, *(getattr(localization, name) for name in SETUP_CACHES), localization._sample_point,
-                  localization._segre_table):
-        assert cache.cache_info().maxsize == bound
-    first = bundle_ring(1)
-    for rank in range(2, bound + 2):
-        bundle_ring(rank)
-    assert bundle_ring.cache_info().currsize == bound
-    # rank 1 was evicted; the rebuilt table is a new object equal to the old
-    assert bundle_ring(1) is not first and bundle_ring(1) == first
-    x, c1 = bundle_ring(1).var("x"), bundle_ring(1).var("c1")
-    assert localization.fixed_point_sample(x, 1, -c1)
-    memos = localization._sample_point(1)[4]
-    assert memos[x._width][1]  # the weights rank 1 kept, in its point table
-    for rank in range(2, bound + 2):
-        localization._sample_point(rank)
-    assert localization._sample_point.cache_info().currsize == bound
-    # rank 1 was evicted with its memos: the rebuilt table starts with none
-    rebuilt = localization._sample_point(1)[4]
-    assert rebuilt is not memos and rebuilt == {}
-    for width in (4, 5):
-        localization._segre_sum({k: {0: 1} for k in range(4)}, 1, width)
-    series = localization._segre_table(1)
-    assert all(len(series[width]) >= 4 for width in (4, 5))
-    for rank in range(2, bound + 2):
-        localization._segre_table(rank)
-    assert localization._segre_table.cache_info().currsize == bound
-    rebuilt = localization._segre_table(1)
-    assert rebuilt is not series and rebuilt == {}
+    # reads: a rank is evicted after `bound` others and rebuilt as a new
+    # object, and what it kept by key width (its Segre series, the sample
+    # check's memos) went with its entry
+    with cold_caches():
+        table = bundle_ring(2)
+        phi = series_inverse(1 - table.var("x"), 8)
+        assert set(pushforward(ClassExpr(phi, 8), 2).checks.values()) == {"pass"}
+        assert segre_series(2, phi._width) and sample_memos(2, phi._width)[1]
+        point = sample_table(2)
+        bound, = {info.maxsize for info in cache_sizes().values()}
+        assert bound >= 32
+        for name, cache in per_rank_caches().items():
+            first = cache(2)
+            for _ in range(bound):
+                cache(FreshRank(1))
+            assert cache_sizes()[name].currsize == bound
+            assert cache(2) is not first
+        assert bundle_ring(2) is not table and bundle_ring(2) == table
+        assert segre_series(2, phi._width) == [] and sample_memos(2, phi._width) is None
+        assert sample_table(2) == point
 
 
 def test_closed_form_caches_are_read_only_and_unchanged_by_use():
     # _closed_form keeps only the Segre table, per rank and by width in it,
     # whose terms are tuples: it expands each q-monomial once per call, so the
-    # module's only caches are the per-rank ones above, and a second round of
+    # only caches are the per-rank ones the scan finds, and a second round of
     # pushes gives the first round's answers
-    caches = {name for name, value in vars(localization).items() if hasattr(value, "cache_info")}
-    assert caches == {"bundle_ring", *SETUP_CACHES, "_sample_point", "_segre_table"}
     rank, cutoff = 4, 15
     texts = ("inv(1 - x)", "(q1 q2 y^3) inv(1 + y)", "q3 y^2 + c1 x^4", "y^3", "x^15", "q1^7 q3^2 c2")
     classes = [elaborate(parse_expression(text, rank), rank, cutoff).payload for text in texts]
     first = [localization._closed_form(phi, rank) for phi in classes]
     assert [localization._closed_form(phi, rank) for phi in classes] == first
     assert first[4] == segre_oracle(rank, 12).homogeneous_component(12)
-    series = localization._segre_table(rank)[classes[0]._width]
+    series = segre_series(rank, classes[0]._width)
     assert len(series) == 13 and all(type(part) is tuple for s in series for part in s)
     with pytest.raises(TypeError):
         series[1][1][0] = 2
@@ -341,9 +286,8 @@ def test_warm_and_cold_tables_give_the_same_pushes():
     assert {phi._width for phi, _, _ in cases} == {4, 5, 6}
     cold = []
     for case in cases:
-        localization._segre_table.cache_clear()
-        localization._sample_point.cache_clear()
-        cold += _pushes([case])
+        with cold_caches():
+            cold += _pushes([case])
     assert all(set(checks.values()) == {"pass"} for _, checks in cold)
     assert _pushes(cases) == cold
     assert _pushes(cases[::-1]) == cold[::-1]
@@ -365,43 +309,31 @@ def test_a_perturbed_answer_fails_the_sample_on_warm_tables():
 
 
 @pytest.mark.parametrize("rank", [2, 3, 5])
-def test_a_wrong_segre_table_entry_fails_both_checks(monkeypatch, rank):
+def test_a_wrong_segre_table_entry_fails_both_checks(rank):
     # neither check reads the evaluator's Segre table: with s_2 wrong in it,
     # the push of an x-class fails both, while the oracle and the sample
     # still agree with the right answer
     cutoff = 12
     phi = elaborate(parse_expression("inv(1 - c1 x - x)", rank), rank, cutoff).payload
     right = pushforward(ClassExpr(phi, cutoff), rank).chern_form
-    wrong = list(localization._segre_table(rank)[phi._width])
-    keys, (c, *rest) = wrong[2]
-    wrong[2] = (keys, (c + 1, *rest))
-    monkeypatch.setattr(localization, "_segre_table", lambda rank: {phi._width: wrong})
-    result = pushforward(ClassExpr(phi, cutoff), rank)
-    assert result.chern_form != right
-    assert result.checks == {"fixed_point_sample": "fail", "presentation_oracle": "fail"}
-    assert presentation_oracle(ClassExpr(phi, cutoff), rank) == right
-    assert localization.fixed_point_sample(phi, rank, right)
+    with perturbed_segre(rank, phi._width, 2):
+        result = pushforward(ClassExpr(phi, cutoff), rank)
+        assert result.chern_form != right
+        assert result.checks == {"fixed_point_sample": "fail", "presentation_oracle": "fail"}
+        assert presentation_oracle(ClassExpr(phi, cutoff), rank) == right
+        assert localization.fixed_point_sample(phi, rank, right)
 
 
 @pytest.mark.parametrize("rank", [2, 4])
-def test_sample_tables_die_with_the_point_table_they_came_from(monkeypatch, rank):
-    # the kept values and weights belong to one _sample_point table: a push on
+def test_sample_tables_die_with_the_point_table_they_came_from(rank):
+    # the kept values and weights belong to one point table: a push on
     # another table (here with q1 wrong at the second fixed point) weighs
     # afresh and fails, and the right table afterwards passes again
     q = [bundle_ring(rank).one()] + [bundle_ring(rank).var(f"q{i}") for i in range(1, rank)]
     x = bundle_ring(rank).var("x")
     top = sum((q[i] * x.pow(rank - 1 - i) for i in range(rank)), bundle_ring(rank).zero())
     assert pushforward(ClassExpr(top), rank).checks == {"fixed_point_sample": "pass"}
-    fixed_points = localization._fixed_points
-
-    def wrong(a, one):
-        points = fixed_points(a, one)
-        points[1][0]["q1"] += one
-        return points
-
-    with monkeypatch.context() as patch:
-        patch.setattr(localization, "_fixed_points", wrong)
-        patch.setattr(localization, "_sample_point", localization._sample_point.__wrapped__)  # uncached
+    with wrong_q1_at_second_point():
         assert pushforward(ClassExpr(top), rank).checks == {"fixed_point_sample": "fail"}
     assert pushforward(ClassExpr(top), rank).checks == {"fixed_point_sample": "pass"}
 
@@ -517,63 +449,43 @@ def test_closed_form_multiplies_no_polynomials_without_q(monkeypatch):
     assert calls
 
 
-def test_rank_one_chart_is_trivial():
-    charts = fixed_point_charts(1)
-    assert len(charts) == 1
-    assert charts[0].euler == bundle_ring(1).one()
-
-
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
-def test_cofactor_times_euler_class_is_the_vandermonde(rank):
-    u = root_generators(bundle_ring(rank))
-    vandermonde = bundle_ring(rank).one()
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            vandermonde = vandermonde * (u[a] - u[b])
-    charts, cofactors = fixed_point_charts(rank), localization._cofactors(rank)
-    assert len(cofactors) == rank
+def test_cofactor_times_euler_class_is_the_vandermonde(monkeypatch, rank):
+    # the set-up multiplies root differences out and divides nothing: it is
+    # built here, from cold caches, with a division raising
+    monkeypatch.setattr(polyring, "divide_exact_linear", None)
+    with cold_caches():
+        table, (charts, factors, cofactors) = bundle_ring(rank), reference_setup(rank)
+    assert factors == tuple(itertools.combinations([f"u{i}" for i in range(1, rank + 1)], 2))
+    u = root_generators(table)
+    vandermonde = math.prod((u[a] - u[b] for a, b in itertools.combinations(range(rank), 2)), start=table.one())
+    assert len(charts) == len(cofactors) == rank
     for chart, cofactor in zip(charts, cofactors):
         assert cofactor * chart.euler == vandermonde
 
 
-def test_setup_makes_no_exact_division(monkeypatch, fresh_setup_caches):
-    def refuse(*args, **kwargs):
-        raise AssertionError("set-up divided")
-
-    monkeypatch.setattr(polyring, "divide_exact_linear", refuse)
-    assert len(localization._charts(5)) == 5
-    assert len(localization._cofactors(5)) == 5
-    assert localization._vandermonde(5) == tuple(
-        (f"u{a}", f"u{b}") for a in range(1, 6) for b in range(a + 1, 6)
-    )
-    for name in SETUP_CACHES:
-        assert getattr(localization, name).cache_info().currsize == 1
-
-
-def test_benchmark_tracer_wraps_the_pipeline(monkeypatch, fresh_setup_caches):
+def test_benchmark_tracer_wraps_the_pipeline(monkeypatch):
     # perfbench/spans.py finds the set-up caches and pipeline functions by
     # name; a rename or a lost lru_cache must fail here, not only there.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    originals = {name: getattr(localization, name) for name in SETUP_CACHES}
-    originals["localize"] = localization.localize
-    push = gysin.pushforward
+    caches, localize_fn, push = per_rank_caches(), localization.localize, gysin.pushforward
     tracer = spans.Tracer()
-    tracer.install()
-    try:
-        y = bundle_ring(2).var("y")
-        gysin.pushforward(ClassExpr(y.pow(3)), 2)
-        localization.localize(y.pow(3), 2)  # the closed form in the roots; pushforward skips it
-        fixed_point_charts(2)  # the test-side references' set-up; the pipeline reads no chart
-    finally:
-        tracer.uninstall()
+    with cold_caches():  # so the set-up misses its caches and leaves a span
+        tracer.install()
+        try:
+            y = bundle_ring(2).var("y")
+            gysin.pushforward(ClassExpr(y.pow(3)), 2)
+            localization.localize(y.pow(3), 2)  # the closed form in the roots; pushforward skips it
+            fixed_point_charts(2)  # the test-side references' set-up; the pipeline reads no chart
+        finally:
+            tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"gysin.pushforward", "localization.localize", "localization.setup"} <= names
-    assert gysin.pushforward is push
-    for name, fn in originals.items():
-        assert getattr(localization, name) is fn
+    assert gysin.pushforward is push and localization.localize is localize_fn
+    assert per_rank_caches() == caches
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
@@ -581,14 +493,11 @@ def test_relation_check(rank):
     assert relation_check(rank)
 
 
-def test_relation_check_fails_on_a_perturbed_chart(monkeypatch):
+def test_relation_check_fails_on_a_perturbed_chart():
     # the q1 image at the second fixed point shifted by 1: the reference must see it
-    charts = list(fixed_point_charts(3))
-    images = dict(charts[1].restriction)
-    images["q1"] = images["q1"] + 1
-    charts[1] = FixedPointChart(2, images, charts[1].euler)
-    monkeypatch.setattr(localization, "_charts", lambda rank: tuple(charts))
-    assert not relation_check(3)
+    with wrong_q1_at_second_point():
+        assert not relation_check(3)
+    assert relation_check(3)
 
 
 def test_localize_point_class_rank_three():
