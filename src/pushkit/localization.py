@@ -11,7 +11,9 @@ at the roots, and ``fixed_point_sample``'s integer table at one point.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_segre_sum``, from ``_segre_table``); ``_fold``
-gets it from the ring presentation.  Both run on one read of the class, on
+gets it from the ring presentation, by Horner's descent or, when every power
+of x has one term, by one power's division summed against those terms, which
+carries no term's series down.  Both run on one read of the class, on
 its own int keys, as sum_k a_k x^k, y = -x, each q_i in x by the Whitney
 relation (``_read_in_x``), and key their sums as the answer.  ``localize``
 reads ``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample``
@@ -269,17 +271,27 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
     ... + cr.  Long division from the top power down gives it as t_(r-1),
     t_k = a_k - sum_(1 <= i <= r) c_i t_(k+i), t_k = 0 above the top; on the
     read's keys a product by c_i adds one int and never carries, the relation
-    being homogeneous.  Zeros are dropped, and the read is left as it is."""
+    being homogeneous.  Zeros are dropped, and the read is left as it is.
+    With one term in every bucket (``inv(1-x)``, x^k) that descent would
+    carry every level it has built down each step; the division being
+    linear and shift-invariant, the loop then divides x^top alone, from
+    t_top = 1, so level k is T_(top-k) = f_*(x^(top-k+r-1)), and bucket
+    top - k + r - 1 adds its one term times that level into the sum."""
     steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i, degree kept
-    upper = [{}]  # t_(k+1), t_(k+2), ...
-    for k in range(max(buckets, default=0), rank - 2, -1):
-        t = dict(buckets.get(k, ()))
+    top, upper, total = max(buckets, default=0), [{}], {}  # upper: t_(k+1), t_(k+2), ...
+    walk, get = all(len(terms) == 1 for terms in buckets.values()), total.get
+    for k in range(top, rank - 2, -1):
+        t = ({0: 1} if k == top else {}) if walk else dict(buckets.get(k, ()))
         for step, above in zip(steps, upper):
             for key, c in above.items():
                 key += step
                 t[key] = t.get(key, 0) - c
         upper = [t, *upper[: rank - 1]]
-    return {key: c for key, c in upper[0].items() if c}
+        for a, ca in buckets.get(top - k + rank - 1, {}).items() if walk else ():
+            for key, c in t.items():
+                key += a
+                total[key] = get(key, 0) + ca * c
+    return {key: c for key, c in (total if walk else upper[0]).items() if c}
 
 
 def _result(table: VariableTable, packed: dict[int, int], d: int, width: int) -> Polynomial:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -352,14 +353,12 @@ def _outcome(elaborator, ast, rank: int, cutoff: int) -> tuple:
     return payload, payload._width
 
 
-@st.composite
-def _drawn_trees(draw):
-    """(tree, rank, cutoff): sums, products, powers, inverses and negations of
-    fractions and at most two of x, y, q_i and c_i, so that a cutoff of 40
-    stays cheap."""
-    rank, cutoff = draw(st.integers(1, 7)), draw(st.integers(0, 40))
-    pool = ["x", "y", *(f"q{i}" for i in range(1, rank)), *(f"c{i}" for i in range(1, rank + 1))]
-    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+@lru_cache(maxsize=None)
+def _trees_over(names: tuple[str, ...]):
+    """Sums, products, powers, inverses and negations of fractions and the
+    generators ``names``, a whole series of such a tree, or the product of
+    the two: built once per tuple of names, since hypothesis validates each
+    new strategy object when it first draws from it."""
     var = st.builds(Var, st.sampled_from(names), st.just(0))
     leaves = st.one_of(var, st.builds(Num, st.fractions(-3, 3, max_denominator=4)), var)
     def one_plus(node):
@@ -374,7 +373,17 @@ def _drawn_trees(draw):
         st.builds(Inv, kids.map(one_plus) | kids, st.integers(0, 9)),
     ), max_leaves=6)
     series = st.builds(Inv, tree.map(one_plus), st.just(0))  # a whole series, up to the cutoff
-    return draw(st.one_of(tree, series, st.builds(lambda a, b: Product((a, b)), tree, series))), rank, cutoff
+    return st.one_of(tree, series, st.builds(lambda a, b: Product((a, b)), tree, series))
+
+
+@st.composite
+def _drawn_trees(draw):
+    """(tree, rank, cutoff): a draw of ``_trees_over`` on one or two of x, y,
+    q_i and c_i, so that a cutoff of 40 stays cheap."""
+    rank, cutoff = draw(st.integers(1, 7)), draw(st.integers(0, 40))
+    pool = ["x", "y", *(f"q{i}" for i in range(1, rank)), *(f"c{i}" for i in range(1, rank + 1))]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    return draw(_trees_over(tuple(names))), rank, cutoff
 
 
 @settings(max_examples=150, deadline=None)

@@ -373,6 +373,47 @@ def test_segre_window_edges_agree_with_the_fold(text, rank, cutoff):
     assert (packed == {}) == (not buckets)  # the read keeps no power below r - 1
 
 
+@st.composite
+def _one_term_per_power(draw):
+    """(rank, class, j): sum_k alpha_k m_k f^k over up to five distinct
+    powers k <= 40 of one fiber variable f (x or y), |alpha_k| <= 3 and m_k
+    a monomial in up to two c_i, so that every bucket of the read holds one
+    term; and a power r - 1 <= j <= 40, whose bucket the read keeps."""
+    rank = draw(st.integers(1, 8))
+    table, cutoff = bundle_ring(rank), draw(st.integers(rank - 1, 40))
+    fiber = table.var(draw(st.sampled_from(("x", "y"))))
+    chern = st.lists(st.sampled_from([table.var(f"c{i}") for i in range(1, rank + 1)]), max_size=2)
+    phi = table.zero()
+    for k in draw(st.sets(st.integers(0, cutoff), min_size=1, max_size=5)):
+        m = math.prod(draw(chern), start=table.one())
+        phi = phi + draw(st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))) * m * fiber.pow(k)
+    return rank, phi, draw(st.integers(rank - 1, cutoff))
+
+
+# the degrees through which the literal sum is checked: every drawn class at
+# ranks 1-3 (degree at most 46), but at rank 5, degree 40, expand_elementary
+# alone takes seconds (about 90,000 terms)
+_LITERAL_DEGREE = {1: 60, 2: 60, 3: 60, 4: 24, 5: 16}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_term_per_power())
+def test_the_fold_walks_one_power_for_one_term_buckets(drawn):
+    # a read with one term in every bucket folds x^top alone and sums its
+    # levels against the buckets; one two-term bucket sends it back to the
+    # Horner descent.  Both give the closed form's sum, and the literal sum
+    rank, phi, j = drawn
+    table = bundle_ring(rank)
+    two_terms = 5 * (1 + table.var("c1")) * table.var("x").pow(j)  # no alpha_k cancels a 5
+    for cls, walk in ((phi, True), (phi + two_terms, False)):
+        buckets, d, width = localization._read_in_x(cls)
+        assert all(len(terms) == 1 for terms in buckets.values()) == walk
+        folded = localization._fold(buckets, rank, width)
+        assert folded == localization._segre_sum(buckets, rank, width)
+        if cls.degree() <= _LITERAL_DEGREE.get(rank, -1):
+            assert expand_elementary(localization._result(table, folded, d, width)) == literal_sum(cls, rank)
+
+
 _DENOMINATOR_CLASSES = [  # coprime denominators; the q-class has 1/4 coefficients
     ("(1/3) x^5 + (2/7) c1 x^4", 5, 5, 21),
     ("inv(1 + 4/3 y)", 3, 26, 3**26),
@@ -401,7 +442,8 @@ def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
 
 
 @pytest.mark.parametrize("text,rank,cutoff",
-                         [("inv(1 + 2/3 x - c1 x^2)", 3, 14), ("inv(1 - c1 y + c3 x^3)", 4, 12)])
+                         [("inv(1 + 2/3 x - c1 x^2)", 3, 14), ("inv(1 - c1 y + c3 x^3)", 4, 12),
+                          ("inv(1 - 2/3 y)", 3, 14)])  # one term a bucket: the fold walks one power
 def test_both_evaluators_leave_the_shared_read_as_it_is(text, rank, cutoff):
     # pushforward hands one read to the closed form and then to the fold; the
     # fold runs last, so only this test sees a fold that writes into the read
@@ -486,11 +528,6 @@ def test_benchmark_tracer_wraps_the_pipeline(monkeypatch):
     assert {"gysin.pushforward", "localization.localize", "localization.setup"} <= names
     assert gysin.pushforward is push and localization.localize is localize_fn
     assert per_rank_caches() == caches
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
-def test_relation_check(rank):
-    assert relation_check(rank)
 
 
 def test_relation_check_fails_on_a_perturbed_chart():

@@ -1,0 +1,73 @@
+"""Write the golden corpus that ``tests/test_golden.py`` replays.
+
+    python3 tools/golden.py
+
+Runs each command of the corpus through ``pushkit.cli.run`` in this
+process, from the checkout's ``src/``, and writes ``tests/golden.json``:
+per command its argv, its exit code and the sha256 of its standard output
+and of its standard error, each as UTF-8 text.  The commands are the
+benchmark's ``cli_mixed`` commands of seeds 1, 7 and 42 (93 in all, read
+from ``perfbench/workloads.py``), ``verify`` at ranks 16 and 32, and one
+refusal per exit path of ``cli.run``: a rank above 64, a parse error, a
+coefficient too long to print, and a ``localize`` whose answer is not
+symmetric in the roots.  The heavy JSON pushes of the ROADMAP Baseline and
+``verify`` at rank 64 take about 0.4-1.3 s each, over the corpus test's
+budget of 1.5 s, and are left out.  The argv lists are written out literally, so the test reads only
+the data file.  A change that alters printed output regenerates the file,
+and names each command whose bytes changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "golden.json"
+SEEDS = (1, 7, 42)
+EXTRA = [
+    ["verify", "--rank", "16"],
+    ["verify", "--rank", "32", "--max-degree", "35"],
+    ["push", "--rank", "65", "x"],  # a usage error
+    ["push", "--rank", "3", "--", "x +"],  # a parse error
+    ["push", "--rank", "2", "--", "2^14000 2^14000 x"],  # an unprintable coefficient
+    ["localize", "--rank", "2", "--", "u1 x"],  # not symmetric in the roots
+]
+
+
+def record(run, argv: list[str]) -> dict:
+    """One command's entry: argv, exit code and the sha256 of each stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }
+
+
+def commands() -> list[list[str]]:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import cli_mixed
+
+    return [op.cli_args() for seed in SEEDS for op in cli_mixed(seed)] + EXTRA
+
+
+def main() -> int:
+    argvs = commands()
+    from pushkit.cli import run
+
+    entries = [json.dumps(record(run, argv)) for argv in argvs]
+    DATA.write_text("[\n" + ",\n".join(entries) + "\n]\n")  # one command a line
+    print(f"wrote {len(argvs)} commands to {DATA.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
