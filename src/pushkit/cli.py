@@ -104,7 +104,8 @@ def _tex_power(base: str, e: int) -> str:
 
 def _refuse_unprinted(*polys: Polynomial) -> None:
     """The print-time check: ``polyring._refuse_unprintable`` on every coefficient printed."""
-    _refuse_unprintable(c for p in polys for c in p._terms.values())
+    for p in polys:
+        _refuse_unprintable(p._terms.values(), den=p._den)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -25,8 +25,8 @@ from typing import Union
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
 from .localization import bundle_ring
-from .polyring import (Polynomial, VariableTable, _Value, _accumulate, _key, _power, _product, _relaid, _shift,
-                       _width, series_inverse)
+from .polyring import (Polynomial, VariableTable, _Value, _add, _key, _power, _product, _relaid, _shift, _width,
+                       series_inverse)
 
 __all__ = [
     "ExprAst",
@@ -249,42 +249,47 @@ def elaborate(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:
 
     inv(...) becomes a truncated series inverse; it and X^N refuse their first
     unprintable coefficient.  The class is returned as evaluated: x and y stay
-    apart, and the evaluators read y as -x.  Each node is a term dict keyed at
-    the cutoff's width, which no node exceeds, and the class is fitted once.
+    apart, and the evaluators read y as -x.  Each node is int numerators over
+    one denominator, keyed at the cutoff's width, which no node exceeds, and
+    the class is reduced and fitted once.
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
     table, width = bundle_ring(rank), _width(cutoff)
-    return ClassExpr(Polynomial._fit(table, _evaluate(ast, table, width, cutoff), width), cutoff)
+    return ClassExpr(Polynomial._fit(table, *_evaluate(ast, table, width, cutoff)), cutoff)
 
 
-def _evaluate(node: ExprAst, table: VariableTable, width: int, cutoff: int) -> dict:
-    """``elaborate``'s terms of ``node``, a new dict; a module function, as a nested one calling itself is a cycle."""
+def _evaluate(node: ExprAst, table: VariableTable, width: int, cutoff: int) -> tuple[dict[int, int], int, int]:
+    """``elaborate``'s (numerators, width, denominator) of ``node``, a new
+    dict, not reduced; a module function, as a nested one calling itself is a cycle."""
     if isinstance(node, Num):
-        return table.const(node.value)._terms
+        value = node.value
+        return {0: value.numerator} if value else {}, width, value.denominator
     if isinstance(node, Var):
         i = table.index(node.name)
-        return {_key(table, width, ((i, 1),)): 1} if table.degrees[i] <= cutoff else {}
+        return {_key(table, width, ((i, 1),)): 1} if table.degrees[i] <= cutoff else {}, width, 1
     if isinstance(node, Neg):
-        return {key: -c for key, c in _evaluate(node.operand, table, width, cutoff).items()}
+        terms, _, den = _evaluate(node.operand, table, width, cutoff)
+        return {key: -c for key, c in terms.items()}, width, den
     if isinstance(node, Sum):
-        value = _evaluate(node.terms[0][1], table, width, cutoff)
+        terms, _, den = _evaluate(node.terms[0][1], table, width, cutoff)
         for sign, term in node.terms[1:]:
-            _accumulate(value, _evaluate(term, table, width, cutoff).items(), sign)
-        return value
+            more, _, other = _evaluate(term, table, width, cutoff)
+            terms, den = _add(terms, den, more, other, sign)
+        return terms, width, den
     if isinstance(node, Product):
-        value = _evaluate(node.factors[0], table, width, cutoff)
+        terms, _, den = _evaluate(node.factors[0], table, width, cutoff)
         for factor in node.factors[1:]:
-            value = _product(_shift(table, width, -1), value, _evaluate(factor, table, width, cutoff), cutoff)
-        return value
+            more, _, other = _evaluate(factor, table, width, cutoff)
+            terms, den = _product(_shift(table, width, -1), terms, more, cutoff), den * other
+        return terms, width, den
     if isinstance(node, Pow):
-        base = Polynomial._raw(table, _evaluate(node.base, table, width, cutoff), width)
-        return _power(base, node.exponent, cutoff)[0]
+        return _power(Polynomial._raw(table, *_evaluate(node.base, table, width, cutoff)), node.exponent, cutoff)
     if isinstance(node, Inv):
-        inner = Polynomial._raw(table, _evaluate(node.operand, table, width, cutoff), width)
+        inner = Polynomial._raw(table, *_evaluate(node.operand, table, width, cutoff))
         try:
             inverse = series_inverse(inner, cutoff)
         except NotInvertibleError as exc:
             raise NotInvertibleError(str(exc), offset=node.offset) from None
-        return _relaid(table, inverse._terms, inverse._width, width)
+        return _relaid(table, inverse._terms, inverse._width, width), width, inverse._den
     raise TypeError(f"unknown node {node!r}")

@@ -11,19 +11,19 @@ at the roots, and ``fixed_point_sample``'s integer table at one point.
 
 The sum over fixed points of (restriction / Euler class) has a closed form
 over the Segre series (``_segre_sum``, from ``_segre_table``); ``_fold``
-gets it from the ring presentation, by Horner's descent or, when every power
-of x has one term, by one power's division summed against those terms, which
-carries no term's series down.  Both run on one read of the class, on
-its own int keys, as sum_k a_k x^k, y = -x, each q_i in x by the Whitney
-relation (``_read_in_x``), and key their sums as the answer.  ``localize``
-reads ``_closed_form`` in the roots (c_i -> e_i(u)); ``fixed_point_sample``
-checks an answer against the sum itself at one integer point, from one
-integer table (``_sample_point``).  No check reads the Segre table.  Every
-cache here is an ``lru_cache`` keyed by the rank alone, keeping
-``_CACHED_RANKS`` ranks; what also depends on the key width is a dict by
-width in the rank's entry, grown only by its one reader: the Segre series
-by ``_segre_sum``, the c/u-monomial values and fiber weights by
-``fixed_point_sample``.
+gets it from the ring presentation, by Horner's descent or, when two or
+more powers of x have one term each, by one power's division summed against
+them, which carries no term's series down.  Both run on one read of the
+class, on its own int keys, as sum_k a_k x^k, y = -x, each q_i in x by the
+Whitney relation (``_read_in_x``), and key their sums as the answer.
+``localize`` reads ``_closed_form`` in the roots (c_i -> e_i(u));
+``fixed_point_sample`` checks an answer against the sum itself at one
+integer point, from one integer table (``_sample_point``).  No check reads
+the Segre table.  Every cache here is an ``lru_cache`` keyed by the rank
+alone, keeping ``_CACHED_RANKS`` ranks; what also depends on the key width
+is a dict by width in the rank's entry, grown only by its one reader: the
+Segre series by ``_segre_sum``, the c/u-monomial values and fiber weights
+by ``fixed_point_sample``.
 ``_valid_through`` holds the one cutoff rule (every evaluator lowers degree
 by r - 1) and the shared guards.  The symbolic charts, ``_vandermonde`` and
 ``_cofactors`` are references only: the test suite's literal sum and chart
@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
 
 from .errors import ArityError, SymmetryError
-from .polyring import Polynomial, VariableTable, _Value, _as_coeff, _integral, _shift
+from .polyring import Polynomial, VariableTable, _Value, _integral, _shift
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -272,14 +271,14 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
     t_k = a_k - sum_(1 <= i <= r) c_i t_(k+i), t_k = 0 above the top; on the
     read's keys a product by c_i adds one int and never carries, the relation
     being homogeneous.  Zeros are dropped, and the read is left as it is.
-    With one term in every bucket (``inv(1-x)``, x^k) that descent would
-    carry every level it has built down each step; the division being
+    With one term in each of two or more buckets (``inv(1-x)``) that descent
+    would carry every level it has built down each step; the division being
     linear and shift-invariant, the loop then divides x^top alone, from
     t_top = 1, so level k is T_(top-k) = f_*(x^(top-k+r-1)), and bucket
     top - k + r - 1 adds its one term times that level into the sum."""
     steps = [1 << _shift(bundle_ring(rank), width, rank + i) for i in range(1, rank + 1)]  # times c_i, degree kept
     top, upper, total = max(buckets, default=0), [{}], {}  # upper: t_(k+1), t_(k+2), ...
-    walk, get = all(len(terms) == 1 for terms in buckets.values()), total.get
+    walk, get = len(buckets) > 1 and all(len(terms) == 1 for terms in buckets.values()), total.get
     for k in range(top, rank - 2, -1):
         t = ({0: 1} if k == top else {}) if walk else dict(buckets.get(k, ()))
         for step, above in zip(steps, upper):
@@ -295,10 +294,9 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
 
 
 def _result(table: VariableTable, packed: dict[int, int], d: int, width: int) -> Polynomial:
-    """The polynomial that a sum on ``_read_in_x`` keys over the denominator ``d`` stands for."""
-    if d != 1:
-        packed = {key: _as_coeff(Fraction(c, d)) for key, c in packed.items()}
-    return Polynomial._fit(table, packed, width)
+    """The polynomial that a sum on ``_read_in_x`` keys over the denominator
+    ``d`` stands for, reduced by one gcd over the sum."""
+    return Polynomial._fit(table, packed, width, d)
 
 
 def _closed_form(payload: Polynomial, rank: int) -> Polynomial:

@@ -3,8 +3,10 @@
 Generators are registered in a :class:`VariableTable` together with a
 positive integer degree (complex-degree convention: a class of topological
 degree ``2k`` has degree ``k`` here).  Polynomials are sparse maps from
-monomials to nonzero rational coefficients, kept in canonical form, so
-equality is structural equality.  A coefficient is an ``int`` when it is
+monomials to nonzero rational coefficients, stored as nonzero ``int``
+numerators over one ``int`` denominator > 0 with gcd 1 over them all, as
+FLINT's ``fmpq_poly`` (Hart, ICMS 2010), so equality is structural and every
+kernel runs in ints.  A coefficient read out is an ``int`` when it is
 integral and a :class:`fractions.Fraction` otherwise, never a float:
 arithmetic is exact and floats are rejected everywhere.
 
@@ -59,15 +61,21 @@ def _as_coeff(value) -> _Coeff:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _refuse_unprintable(coeffs: Iterable[_Coeff] = (), log10: float = 0.0) -> None:
-    """Raise UsageError if a coefficient in ``coeffs``, or a number of size
-    10^``log10``, has more digits than Python prints
-    (``sys.get_int_max_str_digits()``); never where there is no limit."""
+def _coefficient(numerator: int, den: int) -> _Coeff:
+    """The coefficient ``numerator / den`` in lowest terms, an ``int`` when integral."""
+    return numerator if den == 1 else _as_coeff(Fraction(numerator, den))
+
+
+def _refuse_unprintable(numerators: Iterable[int] = (), log10: float = 0.0, den: int = 1) -> None:
+    """Raise UsageError if a coefficient n / ``den`` (n in ``numerators``) in
+    lowest terms, or a number of size 10^``log10``, has more digits than
+    Python prints (``sys.get_int_max_str_digits()``); never where there is
+    no limit.  Only a part longer than the limit in bits is reduced."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
     bits = 3.32 * limit  # 10^limit has more bits, so a shorter int prints
-    for c in coeffs if limit else ():
-        if (c.numerator.bit_length() > bits or c.denominator.bit_length() > bits) and (
-                max(abs(c.numerator), c.denominator) >= 10**limit):
+    for n in numerators if limit else ():
+        if (n.bit_length() > bits or den.bit_length() > bits) and (
+                max(abs(n), den) // math.gcd(n, den) >= 10**limit):
             log10 = limit
             break
     if limit and log10 >= limit:
@@ -172,7 +180,7 @@ class VariableTable:
 
     def const(self, value) -> Polynomial:
         c = _as_coeff(value)
-        return Polynomial._raw(self, {0: c} if c else {}, _width(0))
+        return Polynomial._raw(self, {0: c.numerator} if c else {}, _width(0), c.denominator)
 
     def zero(self) -> Polynomial:
         return Polynomial._raw(self, {}, _width(0))
@@ -236,7 +244,7 @@ def _pairs(table: VariableTable, width: int, key: int) -> list[tuple[int, int]]:
     return out
 
 
-def _relaid(table: VariableTable, terms: dict[int, _Coeff], old: int, new: int) -> dict[int, _Coeff]:
+def _relaid(table: VariableTable, terms: dict[int, int], old: int, new: int) -> dict[int, int]:
     """``terms`` keyed at ``old`` bits a field, keyed at ``new`` bits instead."""
     if old == new:
         return terms
@@ -298,13 +306,14 @@ class Polynomial:
     """Sparse polynomial over a :class:`VariableTable` with exact coefficients:
     ``int`` when integral, :class:`fractions.Fraction` otherwise.
 
-    Canonical form: no zero coefficients are stored and the keys are laid
-    out at the width of the degree, so ``==`` is exact mathematical equality.
-    Supports ``+ - * **`` with other polynomials over the same table and
-    with exact scalars (int, Fraction).
+    Canonical form: ``_terms`` maps each key to a nonzero ``int`` numerator
+    over the one denominator ``_den`` > 0, with gcd 1 over ``_den`` and the
+    numerators, and the keys are laid out at the width of the degree, so
+    ``==`` is exact mathematical equality.  Supports ``+ - * **`` with other
+    polynomials over the same table and with exact scalars (int, Fraction).
     """
 
-    __slots__ = ("table", "_terms", "_width")
+    __slots__ = ("table", "_terms", "_width", "_den")
 
     def __init__(self, table: VariableTable, terms: Mapping[Monomial, object] | None = None):
         cleaned: list[tuple[Monomial, _Coeff]] = []
@@ -318,21 +327,26 @@ class Polynomial:
             if c:
                 cleaned.append((mon, c))
         width = _width(max((sum(e * degrees[i] for i, e in mon) for mon, _ in cleaned), default=0))
-        self.table, self._terms, self._width = table, {_key(table, width, mon): c for mon, c in cleaned}, width
+        den = math.lcm(*(c.denominator for _, c in cleaned))  # the least, so gcd 1 with the numerators
+        self.table, self._width, self._den, self._terms = table, width, den, {
+            _key(table, width, mon): c.numerator * (den // c.denominator) for mon, c in cleaned}
 
     @classmethod
-    def _raw(cls, table: VariableTable, terms: dict[int, _Coeff], width: int) -> Polynomial:
-        """Wrap an already-canonical term dict, keyed at ``width``, without re-validating it."""
+    def _raw(cls, table: VariableTable, terms: dict[int, int], width: int, den: int = 1) -> Polynomial:
+        """Wrap already-canonical numerators over ``den``, keyed at ``width``, without re-validating them."""
         p = object.__new__(cls)
-        p.table, p._terms, p._width = table, terms, width
+        p.table, p._terms, p._width, p._den = table, terms, width, den
         return p
 
     @classmethod
-    def _fit(cls, table: VariableTable, terms: dict[int, _Coeff], width: int) -> Polynomial:
-        """Wrap a zero-free term dict keyed at ``width``, at least the width of
-        its degree; its keys are laid out again if that width is narrower."""
+    def _fit(cls, table: VariableTable, terms: dict[int, int], width: int, den: int = 1) -> Polynomial:
+        """Wrap zero-free numerators over ``den`` > 0 keyed at ``width``, at
+        least the width of their degree: reduced by their gcd with ``den``,
+        and laid out again if that width is narrower."""
+        if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
+            terms, den = {key: c // g for key, c in terms.items()}, den // g
         fit = _width(max(terms, default=0) >> _shift(table, width, -1))
-        return cls._raw(table, _relaid(table, terms, width, fit), fit)
+        return cls._raw(table, _relaid(table, terms, width, fit), fit, den)
 
     # -- inspection --------------------------------------------------------
 
@@ -343,7 +357,7 @@ class Polynomial:
         return bool(self._terms)
 
     def constant_term(self) -> _Coeff:
-        return self._terms.get(0, 0)
+        return _coefficient(self._terms.get(0, 0), self._den)
 
     def degree(self) -> int:
         """Largest weighted total degree of a term; -1 for the zero polynomial."""
@@ -362,8 +376,8 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, _Coeff]]:
         """Terms in decreasing graded-lex order (the canonical print order)."""
-        terms = self._terms
-        return [(self._monomial(key), terms[key]) for key in sorted(terms, reverse=True)]
+        terms, den = self._terms, self._den
+        return [(self._monomial(key), _coefficient(terms[key], den)) for key in sorted(terms, reverse=True)]
 
     def is_homogeneous_of_degree(self, degree: int) -> bool:
         """True if every term has the given degree (vacuously true for zero)."""
@@ -387,9 +401,9 @@ class Polynomial:
 
     def _plus(self, other: Polynomial, sign: int) -> Polynomial:
         width = max(self._width, other._width)
-        terms = _accumulate(dict(_relaid(self.table, self._terms, self._width, width)),
-                            _relaid(self.table, other._terms, other._width, width).items(), sign)
-        return Polynomial._fit(self.table, terms, width)
+        terms, den = _add(dict(_relaid(self.table, self._terms, self._width, width)), self._den,
+                          _relaid(self.table, other._terms, other._width, width), other._den, sign)
+        return Polynomial._fit(self.table, terms, width, den)
 
     def __add__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -412,7 +426,7 @@ class Polynomial:
         return rhs - self
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(self.table, {k: -c for k, c in self._terms.items()}, self._width)
+        return Polynomial._raw(self.table, {k: -c for k, c in self._terms.items()}, self._width, self._den)
 
     def __mul__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -443,7 +457,7 @@ class Polynomial:
         width = _width(top)
         terms = _product(_shift(table, width, -1), _relaid(table, self._terms, self._width, width),
                          _relaid(table, other._terms, other._width, width), top)
-        return Polynomial._fit(table, terms, width)
+        return Polynomial._fit(table, terms, width, self._den * other._den)
 
     def mul_trunc(self, other: Polynomial, cutoff: int) -> Polynomial:
         """Product with every term of degree above ``cutoff`` dropped."""
@@ -467,18 +481,18 @@ class Polynomial:
         return self.pow(exponent)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            other = self.table.const(other)
         if isinstance(other, Polynomial):
             if self.table is not other.table and self.table != other.table:
                 return False
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._terms == self.table.const(other)._terms
+            return self._terms == other._terms and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._terms.keys() <= {0}:
             return hash(self.constant_term())  # it equals that number, so hash alike
-        return hash((self.table, frozenset(self._terms.items())))
+        return hash((self.table, self._den, frozenset(self._terms.items())))
 
     # -- grading -----------------------------------------------------------
 
@@ -489,11 +503,12 @@ class Polynomial:
         if self.degree() <= cutoff:
             return self
         limit = (cutoff + 1) << _shift(self.table, self._width, -1)
-        return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k < limit}, self._width)
+        return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k < limit}, self._width, self._den)
 
     def homogeneous_component(self, degree: int) -> Polynomial:
         shift = _shift(self.table, self._width, -1)
-        return Polynomial._fit(self.table, {k: c for k, c in self._terms.items() if k >> shift == degree}, self._width)
+        terms = {k: c for k, c in self._terms.items() if k >> shift == degree}
+        return Polynomial._fit(self.table, terms, self._width, self._den)
 
     # -- substitution ------------------------------------------------------
 
@@ -504,8 +519,8 @@ class Polynomial:
         Every image, used or not, must be a polynomial of this table,
         homogeneous of the degree of the generator it replaces, so grading
         is preserved.  Evaluated by ``_horner``, one moved generator at a
-        time in table order; a generator sent to itself stays in the keys
-        and is never split on.
+        time in table order, on the numerators, then divided by ``_den``; a
+        generator sent to itself stays in the keys and is never split on.
         """
         table = self.table
         for name, img in images.items():
@@ -526,7 +541,8 @@ class Polynomial:
                 cache.append(cache[-1] * images[table.names[i]])
             return cache[e]
 
-        return _horner(table, self._width, self._terms, moved, power, 0)
+        value = _horner(table, self._width, self._terms, moved, power, 0)
+        return value if self._den == 1 else Polynomial._fit(table, value._terms, value._width, value._den * self._den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -542,14 +558,14 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _product(shift: int, a: dict[int, _Coeff], b: dict[int, _Coeff], top: int) -> dict[int, _Coeff]:
+def _product(shift: int, a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
     """``a`` times ``b`` through degree ``top``, keyed at one width that holds
     it, the degree field at ``shift``: a product of terms adds their keys.  One
     comparison skips each group of ``b``'s terms, by degree, past the top."""
     groups: dict[int, list] = {}
     for kb, cb in b.items():
         groups.setdefault(kb >> shift, []).append((kb, cb))
-    terms: dict[int, _Coeff] = {}
+    terms: dict[int, int] = {}
     get = terms.get
     for ka, ca in a.items():
         room = top - (ka >> shift)
@@ -558,61 +574,75 @@ def _product(shift: int, a: dict[int, _Coeff], b: dict[int, _Coeff], top: int) -
                 for kb, cb in group:
                     kb += ka
                     terms[kb] = get(kb, 0) + ca * cb
-    return {key: c if c.__class__ is int else _as_coeff(c) for key, c in terms.items() if c}
+    return {key: c for key, c in terms.items() if c}
 
 
-def _power(base: Polynomial, exponent: int, cutoff: int | None) -> tuple[dict[int, _Coeff], int]:
+def _power(base: Polynomial, exponent: int, cutoff: int | None) -> tuple[dict[int, int], int, int]:
     """``Polynomial.pow`` of ``base``, keyed at any width and none above
-    ``cutoff``: the terms and their width, at least the base's, not fitted."""
-    if cutoff is not None and base.constant_term():
+    ``cutoff``: the numerators, their width, at least the base's, and their
+    denominator, neither fitted nor reduced."""
+    if cutoff is not None and 0 in base._terms:
         return _series_power(base, exponent, cutoff)
     table, high = base.table, max(base.degree(), 0)
     low = min(base._terms, default=0) >> _shift(table, base._width, -1)
     top = exponent * high if cutoff is None else min(cutoff, exponent * high)
     if exponent * low > top:
-        return {}, base._width
+        return {}, base._width, 1
     width = max(base._width, _width(top))
     terms, shift = _relaid(table, base._terms, base._width, width), _shift(table, width, -1)
-    result, n = {0: 1}, exponent
+    result, n, den, step = {0: 1}, exponent, 1, base._den
     while n:
         if n & 1:
-            result = _product(shift, result, terms, top)
-            _refuse_unprintable(result.values())
+            result, den = _product(shift, result, terms, top), den * step
+            _refuse_unprintable(result.values(), den=den)
         n >>= 1
         if n:
-            terms = _product(shift, terms, terms, top)
-            _refuse_unprintable(terms.values())
-    return result, width
+            terms, step = _product(shift, terms, terms, top), step * step
+            _refuse_unprintable(terms.values(), den=step)
+    return result, width, den
 
 
-def _accumulate(out: dict[int, _Coeff], items: Iterable, sign: int = 1) -> dict:
-    """Add ``sign`` (1 or -1) times each ``(key, coefficient)`` pair into
+def _accumulate(out: dict[int, int], items: Iterable, sign: int = 1) -> dict:
+    """Add ``sign`` (1 or -1) times each ``(key, numerator)`` pair into
     ``out`` in place and return it; terms that cancel are deleted, so a
-    zero-free ``out`` stays zero-free, and integral sums are stored as ``int``."""
+    zero-free ``out`` stays zero-free."""
     add = sign > 0
     get = out.get
     for key, c in items:
         s = get(key, 0) + c if add else get(key, 0) - c
         if s:
-            out[key] = s if s.__class__ is int else _as_coeff(s)
+            out[key] = s
         elif key in out:
             del out[key]
     return out
 
 
-def _split(table: VariableTable, width: int, terms: dict[int, _Coeff], idx: int) -> dict[int, dict[int, _Coeff]]:
+def _add(out: dict[int, int], den: int, terms: dict[int, int], other: int, sign: int) -> tuple[dict[int, int], int]:
+    """``out`` / ``den`` plus ``sign`` times ``terms`` / ``other``, into
+    ``out`` in place by ``_accumulate``, over the lcm of the denominators:
+    (numerators, lcm), not reduced."""
+    lcm = math.lcm(den, other)
+    if lcm != den:
+        scale = lcm // den
+        for key in out:
+            out[key] *= scale
+    scale = lcm // other
+    return _accumulate(out, terms.items() if scale == 1 else ((k, c * scale) for k, c in terms.items()), sign), lcm
+
+
+def _split(table: VariableTable, width: int, terms: dict[int, int], idx: int) -> dict[int, dict[int, int]]:
     """``terms``, keyed at ``width``, grouped by their exponent of generator
     ``idx``, which each key loses together with its share of the degree."""
     shift, mask = _shift(table, width, idx), (1 << width) - 1
     unit = (1 << shift) + (table.degrees[idx] << _shift(table, width, -1))
-    buckets: dict[int, dict[int, _Coeff]] = {}
+    buckets: dict[int, dict[int, int]] = {}
     for key, coeff in terms.items():
         e = key >> shift & mask
         buckets.setdefault(e, {})[key - e * unit] = coeff
     return buckets
 
 
-def _horner(table: VariableTable, width: int, terms: dict[int, _Coeff], moved: list[int],
+def _horner(table: VariableTable, width: int, terms: dict[int, int], moved: list[int],
             power: Callable[[int, int], Polynomial], level: int) -> Polynomial:
     """``terms``, keyed at ``width``, with generators ``moved[level:]`` sent to
     their images, ``power(i, e)`` being image i to the e: split by the
@@ -633,12 +663,8 @@ def _horner(table: VariableTable, width: int, terms: dict[int, _Coeff], moved: l
 
 def _integral(p: Polynomial) -> tuple[Polynomial, int]:
     """(D p, D), D the least common denominator of the coefficients of ``p``,
-    so D p has ``int`` coefficients; (p, 1) when ``p`` has them already."""
-    d = math.lcm(*(c.denominator for c in p._terms.values() if c.__class__ is not int))
-    if d == 1:
-        return p, 1
-    terms = {k: c.numerator * (d // c.denominator) for k, c in p._terms.items()}
-    return Polynomial._raw(p.table, terms, p._width), d
+    its ``_den``, so D p is its numerators; (p, 1) when ``p`` has no other."""
+    return (p, 1) if p._den == 1 else (Polynomial._raw(p.table, p._terms, p._width), p._den)
 
 
 def _render_terms(
@@ -653,11 +679,12 @@ def _render_terms(
     ``power`` a formatted generator raised to an exponent above 1."""
     if p.is_zero():
         return "0"
-    names = p.table.names
+    names, terms, den = p.table.names, p._terms, p._den
     pieces: list[str] = []
-    for k, (mon, c) in enumerate(p.sorted_terms()):
-        neg = c < 0
-        mag = -c if neg else c
+    for k, key in enumerate(sorted(terms, reverse=True)):
+        mon, n = p._monomial(key), terms[key]
+        neg = n < 0
+        mag = _coefficient(-n if neg else n, den)
         factors: list[str] = []
         if not mon or mag != 1:
             factors.append(coeff(mag))
@@ -683,7 +710,7 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     p._check_table(factor)
     table, width = p.table, p._width
     pos = neg = None
-    if len(factor._terms) != 2:
+    if len(factor._terms) != 2 or factor._den != 1:
         raise ValueError("factor must be a difference of two generators")
     for key, coeff in factor._terms.items():
         mon = factor._monomial(key)
@@ -705,8 +732,8 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
     a, b = pos, neg
     buckets = _split(table, width, p._terms, a)
     a_key, b_key = _key(table, width, ((a, 1),)), _key(table, width, ((b, 1),))
-    carry: dict[int, _Coeff] = {}
-    quotient: dict[int, _Coeff] = {}
+    carry: dict[int, int] = {}
+    quotient: dict[int, int] = {}
     for k in range(max(buckets, default=0), 0, -1):
         cur = _accumulate(buckets.pop(k, {}), carry.items())
         for key, c in cur.items():
@@ -716,7 +743,7 @@ def divide_exact_linear(p: Polynomial, factor: Polynomial) -> Polynomial:
         raise NotDivisibleError(
             f"{table.names[a]} - {table.names[b]} does not divide the given polynomial"
         )
-    return Polynomial._fit(table, quotient, width)
+    return Polynomial._fit(table, quotient, width, p._den)
 
 
 def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
@@ -727,43 +754,45 @@ def series_inverse(p: Polynomial, cutoff: int) -> Polynomial:
     """
     if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
         raise ValueError("cutoff must be a non-negative integer")
-    if not p.constant_term():
+    if 0 not in p._terms:
         raise NotInvertibleError("cannot invert a series with zero constant term")
     return Polynomial._fit(p.table, *_series_power(p, -1, cutoff))
 
 
-def _series_power(p: Polynomial, n: int, cutoff: int) -> tuple[dict[int, _Coeff], int]:
+def _series_power(p: Polynomial, n: int, cutoff: int) -> tuple[dict[int, int], int, int]:
     """``p^n`` truncated at ``cutoff >= 0`` for an integer n >= -1 and a
     constant term c0 != 0, by J. C. P. Miller's recurrence (Knuth, TAOCP
     vol. 2, sec. 4.7): d c0 P_d = sum_(1 <= i <= d) ((n + 1) i - d) p_i P_(d-i).
-    Returns the terms and their width, at least that of ``p``, not fitted.
+    Returns the numerators, their width, at least that of ``p``, and their
+    denominator, neither fitted nor reduced.
 
     It runs in integers on t_d = M^d P_d / c0^n, t_0 = 1, M = L c0 with L the
-    least common denominator of ``p``: d t_d = sum_i (d - (n + 1) i)
-    (-L p_i M^(i-1)) t_(d-i), divided by d exactly; at n = -1 the weight d
+    denominator of ``p``, so L p is its numerators: d t_d = sum_i (d - (n + 1)
+    i) (-L p_i M^(i-1)) t_(d-i), divided by d exactly; at n = -1 the weight d
     cancels and nothing is divided.  Each product adds the keys of ``p``,
-    laid out at the width of the top degree built, and each t_d is scaled by
-    c0^n / M^d once, as soon as it is built.  UsageError is raised at c0^n
-    by its size (n clamped to 10^300) and at the first degree Python cannot
-    print (``_refuse_unprintable``); it stops at degree n deg p for n >= 0,
-    at 0 for a constant p.
+    laid out at the width of the top degree built, last, and the series is
+    returned over one denominator, P_d = c0^n M^(last-d) t_d / M^last.
+    UsageError is raised at c0^n by its size (n clamped to 10^300) and at
+    the first degree Python cannot print (``_refuse_unprintable``); it stops
+    at degree n deg p for n >= 0, at 0 for a constant p.
     """
-    table, c0 = p.table, p.constant_term()
-    _refuse_unprintable(log10=min(n, 10**300) * math.log10(max(abs(c0.numerator), c0.denominator)))
-    num, den = (c0.numerator ** n, c0.denominator ** n) if n >= 0 else (c0.denominator, c0.numerator)
-    p, _ = _integral(p.truncate(cutoff))
+    table, p = p.table, p.truncate(cutoff)
+    m = p._terms[0]  # M = L c0, the constant term of L p
+    g = math.gcd(m, p._den)
+    a, b = m // g, p._den // g  # c0 = a / b in lowest terms
+    _refuse_unprintable(log10=min(n, 10**300) * math.log10(max(abs(a), b)))
+    num, den = (a ** n, b ** n) if n >= 0 else (b, a)  # c0^n = num / den
     top = p.degree()
     last = cutoff if n == -1 and top else min(cutoff, n * top)  # deg p^n <= n deg p
     width = max(p._width, _width(last))
     shift = _shift(table, width, -1)
-    m = p.constant_term()  # M = L c0, the constant term of L p
     parts: dict[int, list[tuple[int, int]]] = {}  # i -> the terms of -L p_i M^(i-1)
     for key, c in _relaid(table, p._terms, p._width, width).items():
         if key:
             i = key >> shift
             parts.setdefault(i, []).append((key, -c * m ** (i - 1)))
     series: list[dict[int, int]] = []  # t_0, t_1, ...
-    packed: dict[int, _Coeff] = {}
+    below = den  # den M^d, so P_d = num t_d / below
     for d in range(last + 1):
         t: dict[int, int] = {} if d else {0: 1}
         for i, part in parts.items():
@@ -776,9 +805,13 @@ def _series_power(p: Polynomial, n: int, cutoff: int) -> tuple[dict[int, _Coeff]
                         t[kg + ks] = t.get(kg + ks, 0) + cg * cs
         t = {key: c if n == -1 or not d else c // d for key, c in t.items() if c}
         series.append(t)
-        if den != 1 or num != 1:  # P_d = c0^n t_d / M^d
-            t = {key: _as_coeff(Fraction(num * c, den)) for key, c in t.items()}
-        _refuse_unprintable(t.values())
-        packed.update(t)
-        den *= m
-    return packed, width
+        _refuse_unprintable(t.values() if num == 1 else (num * c for c in t.values()), den=abs(below))
+        below *= m
+    common = den * m ** last
+    if common < 0:
+        common, num = -common, -num
+    packed: dict[int, int] = {}
+    for t in reversed(series):  # c0^n M^(last-d) t_d, over den M^last
+        packed.update(t if num == 1 else {key: num * c for key, c in t.items()})
+        num *= m
+    return packed, width, common

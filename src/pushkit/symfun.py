@@ -19,7 +19,7 @@ from collections import Counter
 from typing import Iterable
 
 from .errors import SymmetryError
-from .polyring import Monomial, Polynomial, VariableTable, _Coeff
+from .polyring import Monomial, Polynomial, VariableTable, _Coeff, _coefficient
 
 __all__ = [
     "root_generators",
@@ -171,7 +171,7 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
     out: dict[Monomial, _Coeff] = {}
     while p:
         top = max(p._terms)  # the graded-lex leading term
-        mon, coeff = p._monomial(top), p._terms[top]
+        mon, coeff = p._monomial(top), _coefficient(p._terms[top], p._den)
         lam = [dict(mon).get(i, 0) for i in root_idx] + [0]
         mults = enumerate(zip(lam, lam[1:]))
         c_mon = Monomial._raw(tuple((chern_idx[k], a - b) for k, (a, b) in mults if a > b))

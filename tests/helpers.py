@@ -31,7 +31,7 @@ from pushkit import localization
 from pushkit.errors import NotInvertibleError
 from pushkit.expressions import ExprAst, Inv, Neg, Num, Pow, Product, Sum, Var
 from pushkit.gysin import ClassExpr
-from pushkit.polyring import _integral, _lead, _pairs, _shift, series_inverse
+from pushkit.polyring import _integral, _key, _lead, _pairs, _shift, series_inverse
 
 
 # Every lru_cache in pushkit by name; the suite checks that the scan of
@@ -253,7 +253,8 @@ def _by_degree(p: Polynomial, values: dict[int, int]) -> dict[tuple[int, int], o
         return found
 
     out: dict[int, object] = {}  # keyed by the key without the fields of values
-    for key, value in p._terms.items():
+    for mon, value in p.sorted_terms():
+        key = _key(table, width, mon)
         below = key % low
         factor, rest = parts.get(below) or read(below)
         key += rest - below
@@ -401,6 +402,76 @@ def series_inverse_by_powers(p: Polynomial, cutoff: int) -> Polynomial:
             break
         acc = acc + power
     return acc / c0
+
+
+# A plain reference for Polynomial: a dict from Monomial to nonzero Fraction,
+# with no packed keys and no common denominator.
+Reference = dict[Monomial, Fraction]
+
+
+def reference_degree(table: VariableTable, mon: Monomial) -> int:
+    return sum(e * table.degrees[i] for i, e in mon)
+
+
+def reference_sum(a: Reference, b: Reference, sign: int = 1) -> Reference:
+    out = dict(a)
+    for mon, c in b.items():
+        out[mon] = out.get(mon, 0) + sign * c
+    return {mon: c for mon, c in out.items() if c}
+
+
+def reference_product(table: VariableTable, a: Reference, b: Reference, cutoff: int | None = None) -> Reference:
+    """``a`` times ``b``, every term above ``cutoff`` dropped."""
+    out: Reference = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            exps = dict(ma)
+            for i, e in mb:
+                exps[i] = exps.get(i, 0) + e
+            mon = Monomial(exps)
+            if cutoff is None or reference_degree(table, mon) <= cutoff:
+                out[mon] = out.get(mon, 0) + ca * cb
+    return {mon: c for mon, c in out.items() if c}
+
+
+def reference_power(table: VariableTable, a: Reference, n: int, cutoff: int | None = None) -> Reference:
+    out = {Monomial(): Fraction(1)}
+    for _ in range(n):
+        out = reference_product(table, out, a, cutoff)
+    return out
+
+
+def reference_inverse(table: VariableTable, a: Reference, cutoff: int) -> Reference:
+    """1/a through ``cutoff`` as (1/c0) sum_k g^k, g = 1 - a/c0, which has no constant term."""
+    c0 = a[Monomial()]
+    g = {mon: -c / c0 for mon, c in a.items() if mon and reference_degree(table, mon) <= cutoff}
+    out, power = {Monomial(): 1 / c0}, {Monomial(): Fraction(1)}
+    for _ in range(cutoff):
+        power = reference_product(table, power, g, cutoff)
+        out = reference_sum(out, {mon: c / c0 for mon, c in power.items()})
+    return out
+
+
+def reference_substitute(table: VariableTable, a: Reference, images: dict[int, Reference]) -> Reference:
+    """``a`` with each generator index in ``images`` sent to its image, term by term."""
+    out: Reference = {}
+    for mon, c in a.items():
+        term = {Monomial([(i, e) for i, e in mon if i not in images]): c}
+        for i, e in mon:
+            if i in images:
+                term = reference_product(table, term, reference_power(table, images[i], e))
+        out = reference_sum(out, term)
+    return out
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """``p`` is stored in its one canonical form: nonzero int numerators over
+    a positive int denominator, gcd 1 over them all; a constant hashes as its number."""
+    assert type(p._den) is int and p._den > 0, p._den
+    assert all(type(c) is int and c for c in p._terms.values())
+    assert math.gcd(p._den, *p._terms.values()) == 1
+    if p.degree() <= 0:
+        assert hash(p) == hash(p.constant_term())
 
 
 def elaborate_by_polynomials(ast: ExprAst, rank: int, cutoff: int) -> ClassExpr:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pushkit import (
     ArityError,
     ClassExpr,
+    Monomial,
     Polynomial,
     UnsupportedVariableError,
     bundle_ring,
@@ -135,6 +136,46 @@ def test_elaborate_and_pushforward_make_no_public_substitute_call(monkeypatch):
         calls.update(_read_in_x=0, variables=0)
         pushforward(expr, rank)
         assert calls["substitute"] == 0 and calls["_read_in_x"] == 1 and calls["variables"] <= 1, text
+
+
+def test_a_rational_class_is_pushed_forward_without_building_a_fraction(monkeypatch):
+    # a polynomial is int numerators over one denominator, so elaborate and
+    # pushforward build no Fraction; the Fraction name of every pushkit
+    # module counts the ones it builds.  The answer read out afterwards has
+    # the coefficients, Fraction or int alike, of the representation that
+    # built one Fraction per term (the sha256 of its sorted_terms repr)
+    import hashlib
+    import importlib
+    import pkgutil
+
+    import pushkit
+
+    built = []
+
+    class Meta(type(Fraction)):
+        def __instancecheck__(cls, value):
+            return isinstance(value, Fraction)
+
+    class Counted(Fraction, metaclass=Meta):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    modules = [pushkit] + [importlib.import_module(f"pushkit.{info.name}")
+                           for info in pkgutil.iter_modules(pushkit.__path__) if info.name != "__main__"]
+    wrapped = [module for module in modules if getattr(module, "Fraction", None) is Fraction]
+    assert {module.__name__ for module in wrapped} >= {"pushkit.polyring", "pushkit.cli"}
+    ast = parse_expression("(1/4 q1 c2^3 + 5/4 - 6 q1 c1) inv(1 + 4/3 y)", 2)
+    with monkeypatch.context() as patch:
+        for module in wrapped:
+            patch.setattr(module, "Fraction", Counted)
+        result = pushforward(elaborate(ast, 2, 26), 2)
+        assert built == [] and set(result.checks.values()) == {"pass"}
+        terms = result.chern_form.sorted_terms()
+        assert built  # the read-out does build them, through the wrapped name
+    assert len(terms) == 182 and terms[-1] == (Monomial(), Fraction(5, 3))
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+        "f6fa49383efbee9889f38926404b8165b0603e396320e94515080f8110fcf3c8")
 
 
 def test_pushforward_runs_no_symmetry_guard(monkeypatch):

@@ -34,6 +34,8 @@ from pushkit import ClassExpr, polyring, pushforward
 
 from helpers import graded_parts, random_coeff, random_homogeneous, random_poly, series_inverse_by_powers
 from helpers import substitute_by_powers
+from helpers import (assert_canonical, reference_degree, reference_inverse, reference_power, reference_product,
+                     reference_substitute, reference_sum)
 
 
 @pytest.fixture
@@ -415,6 +417,8 @@ def test_divide_rejects_bad_factors(roots3, chern3):
         divide_exact_linear(u1, u1 + u2)
     with pytest.raises(ValueError):
         divide_exact_linear(u1, 2 * u1 - u2)
+    with pytest.raises(ValueError):
+        divide_exact_linear(u1, (u1 - u2) / 2)  # numerators 1 and -1, over 2
     c1, c2, _ = chern3.gens()
     with pytest.raises(ValueError):
         divide_exact_linear(c1, c1 - c2)  # c2 has degree 2
@@ -695,9 +699,9 @@ def test_integral_clears_the_least_common_denominator(a, b, s):
     p = a * s + b
     scaled, d = polyring._integral(p)
     assert scaled == p * d
-    assert all(type(c) is int for c in scaled._terms.values())
+    assert all(type(c) is int for _, c in scaled.sorted_terms())
     for r in _prime_factors(d):
-        assert any((Fraction(c) * (d // r)).denominator != 1 for c in p._terms.values())
+        assert any((Fraction(c) * (d // r)).denominator != 1 for _, c in p.sorted_terms())
     if d == 1:
         assert scaled is p
 
@@ -714,6 +718,67 @@ def test_constant_polynomial_hashes_like_its_number(value):
     constant = bundle_ring(2).const(value)
     assert constant == value and hash(constant) == hash(value)
     assert value in {constant} and constant in {value}
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def _rational_case(draw):
+    """(table, a, b, s, n, cutoff, images): two rational classes of a rank
+    1-5 working ring as references, a nonzero scalar, an exponent, a cutoff
+    and images of some degree-1 generators, each a rational linear form."""
+    table = bundle_ring(draw(st.integers(1, 5)))
+    names = st.sampled_from(table.names)
+
+    def reference():
+        out = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = {}
+            for name in draw(st.lists(names, max_size=3)):
+                exps[table.index(name)] = exps.get(table.index(name), 0) + draw(st.integers(1, 2))
+            out[Monomial(exps)] = out.get(Monomial(exps), 0) + draw(_fractions)
+        return {mon: c for mon, c in out.items() if c}
+
+    linear = [i for i, d in enumerate(table.degrees) if d == 1]
+    images = {i: {Monomial({j: 1}): draw(_fractions) for j in draw(st.lists(st.sampled_from(linear), max_size=3))}
+              for i in draw(st.lists(st.sampled_from(linear), max_size=3, unique=True))}
+    return table, reference(), reference(), draw(_fractions), draw(st.integers(0, 3)), draw(st.integers(0, 6)), images
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_case())
+def test_rational_arithmetic_matches_a_plain_fraction_reference(case):
+    # every operation on numerators over one denominator gives the value a
+    # plain {Monomial: Fraction} reference gives, in the one canonical form:
+    # int numerators, a positive denominator, gcd 1, no zero numerator
+    table, a, b, s, n, cutoff, images = case
+    pa, pb = Polynomial(table, a), Polynomial(table, b)
+    unit = {**a, Monomial(): s}  # a with its constant term set to s
+    graded = lambda keep: {mon: c for mon, c in a.items() if keep(reference_degree(table, mon))}
+    checks = [
+        (pa + pb, reference_sum(a, b)),
+        (pa - pb, reference_sum(a, b, -1)),
+        (pa * pb, reference_product(table, a, b)),
+        (pa / s, {mon: c / s for mon, c in a.items()}),
+        (pa * s + pb / s, reference_sum({mon: c * s for mon, c in a.items()}, {mon: c / s for mon, c in b.items()})),
+        (pa.pow(n), reference_power(table, a, n)),
+        (pa.pow(n, cutoff), reference_power(table, a, n, cutoff)),
+        (Polynomial(table, unit).pow(n + 1, cutoff), reference_power(table, unit, n + 1, cutoff)),
+        (series_inverse(Polynomial(table, unit), cutoff), reference_inverse(table, unit, cutoff)),
+        (pa.truncate(cutoff), graded(lambda d: d <= cutoff)),
+        (pa.homogeneous_component(cutoff), graded(lambda d: d == cutoff)),
+        (pa.substitute({table.names[i]: Polynomial(table, image) for i, image in images.items()}),
+         reference_substitute(table, a, images)),
+    ]
+    for k, (got, want) in enumerate(checks):
+        assert_canonical(got)
+        assert got == Polynomial(table, want), k
+        assert dict(got.sorted_terms()) == want, k
+        _assert_exact(got)
+    half = pa + Fraction(1, 2) - pa
+    assert_canonical(half)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
 
 
 def test_localized_integral_coefficients_are_ints():

@@ -10,11 +10,15 @@ benchmark's ``cli_mixed`` commands of seeds 1, 7 and 42 (93 in all, read
 from ``perfbench/workloads.py``), ``verify`` at ranks 16 and 32, and one
 refusal per exit path of ``cli.run``: a rank above 64, a parse error, a
 coefficient too long to print, and a ``localize`` whose answer is not
-symmetric in the roots.  The heavy JSON pushes of the ROADMAP Baseline and
-``verify`` at rank 64 take about 0.4-1.3 s each, over the corpus test's
-budget of 1.5 s, and are left out.  The argv lists are written out literally, so the test reads only
-the data file.  A change that alters printed output regenerates the file,
-and names each command whose bytes changed.
+symmetric in the roots.  Rational coefficients get their own commands: the
+six random classes of ``deep_series`` seed 1 as JSON pushes, two rational
+classes at ranks 3 and 4 in every format, a rational ``localize`` and a
+rational series refused as unprintable.  The heavy JSON pushes of the
+ROADMAP Baseline and ``verify`` at rank 64 take about 0.4-1.3 s each, over
+the corpus test's budget of 1.5 s, and are left out.  The argv lists are
+written out literally, so the test reads only the data file.  A change that
+alters printed output regenerates the file, and names each command whose
+bytes changed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -36,6 +41,10 @@ EXTRA = [
     ["push", "--rank", "3", "--", "x +"],  # a parse error
     ["push", "--rank", "2", "--", "2^14000 2^14000 x"],  # an unprintable coefficient
     ["localize", "--rank", "2", "--", "u1 x"],  # not symmetric in the roots
+    *(["push", "--rank", str(rank), "--format", fmt, "--", text]
+      for text in ("1/2 x^4 - 3/4 q1 y^2", "inv(3 + 2 x)") for rank in (3, 4) for fmt in ("text", "json", "tex")),
+    ["localize", "--rank", "3", "--max-degree", "8", "--", "inv(1 + 4/3 y)"],
+    ["push", "--rank", "2", "--", "inv(1 - 1/10^1000 x)"],  # an unprintable rational coefficient
 ]
 
 
@@ -54,9 +63,13 @@ def record(run, argv: list[str]) -> dict:
 
 def commands() -> list[list[str]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from workloads import cli_mixed
+    import model
+    from workloads import DEEP_RANDOM, Op, cli_mixed
 
-    return [op.cli_args() for seed in SEEDS for op in cli_mixed(seed)] + EXTRA
+    rng = random.Random(1)  # deep_series(1) draws its random classes so, in this order
+    rational = [Op(rank, cutoff, model.random_series_class(rng, rank, cutoff, band), "push", "json")
+                for rank, cutoff, band in DEEP_RANDOM]
+    return [op.cli_args() for seed in SEEDS for op in cli_mixed(seed)] + [op.cli_args() for op in rational] + EXTRA
 
 
 def main() -> int:
