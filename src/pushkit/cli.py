@@ -53,23 +53,15 @@ class OutputRecord(_Value):
                  checks: tuple[tuple[str, str], ...] = (), label: str = "chern_form") -> None:
         _Value.__init__(self, rank, cutoff, valid_through, input_echo, polynomial, checks, label)
 
-    def term_triples(self) -> list[tuple[int, int, dict[str, int]]]:
-        names = self.polynomial.table.names
-        out = []
-        for mon, coeff in self.polynomial.sorted_terms():
-            out.append(
-                (coeff.numerator, coeff.denominator, {names[i]: e for i, e in mon})
-            )
-        return out
-
     def to_json_dict(self) -> dict:
+        names = self.polynomial.table.names
         return {
             "rank": self.rank,
             "cutoff": self.cutoff,
             "valid_through": self.valid_through,
             "terms": [
-                {"coeff": f"{num}/{den}", "exps": exps}
-                for num, den, exps in self.term_triples()
+                {"coeff": f"{coeff.numerator}/{coeff.denominator}", "exps": {names[i]: e for i, e in mon}}
+                for mon, coeff in self.polynomial.sorted_terms()
             ],
             "checks": dict(self.checks),
         }

@@ -95,13 +95,13 @@ def pushforward(expr: ClassExpr, rank: int) -> PushforwardResult:
     kinds = {name[0] for name in expr.payload.variables()}
     if "u" in kinds:
         raise UnsupportedVariableError("root variables u_i cannot be pushed forward; use localize for those")
-    buckets, d, width = _read_in_x(expr.payload)
-    packed = _segre_sum(buckets, rank, width)
-    chern_form = _result(expr.payload.table, packed, d, width)
+    buckets = _read_in_x(expr.payload)
+    packed = _segre_sum(buckets, rank, expr.payload._width)
+    chern_form = _result(expr.payload, packed)
     sample = fixed_point_sample(expr.payload, rank, chern_form)
     checks = {"fixed_point_sample": "pass" if sample else "fail"}
     if "q" not in kinds:
-        checks["presentation_oracle"] = "pass" if _fold(buckets, rank, width) == packed else "fail"
+        checks["presentation_oracle"] = "pass" if _fold(buckets, rank, expr.payload._width) == packed else "fail"
     return PushforwardResult(chern_form=chern_form, valid_through=valid_through, checks=checks)
 
 
@@ -133,8 +133,7 @@ def presentation_oracle(expr: ClassExpr, rank: int) -> Polynomial:
         raise UnsupportedVariableError(
             f"presentation oracle accepts only x, y and c1..c{rank}; got {sorted(extra)}"
         )
-    buckets, d, width = _read_in_x(payload)
-    return _result(payload.table, _fold(buckets, rank, width), d, width)
+    return _result(payload, _fold(_read_in_x(payload), rank, payload._width))
 
 
 class VerificationCheck(_Value):

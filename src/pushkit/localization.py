@@ -36,11 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import mul
 from types import MappingProxyType
 
 from .errors import ArityError, SymmetryError
-from .polyring import Polynomial, VariableTable, _Value, _integral, _shift
+from .polyring import Polynomial, VariableTable, _Value, _shift
 from .symfun import is_symmetric
 from .symfun import _chern_to_roots, root_generators
 
@@ -167,19 +166,18 @@ class LocalizationResult(_Value):
     __slots__ = ("value", "valid_through")
 
 
-def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int]:
+def _read_in_x(payload: Polynomial) -> dict[int, dict[int, int]]:
     """``payload`` as sum_k a_k x^k with y = -x, in one pass over its keys:
     a term c x^a y^b q^beta m adds (-1)^b c times q^beta, written in x by the
     Whitney relation (1 + y)(1 + q1 + ... + q(r-1)) = c(V), to the a_k with
-    k >= a + b.  Returns (buckets, D, width): bucket k >= r - 1 is D a_k, D
-    the least common denominator of ``payload``, in ints on its keys
-    (``width`` bits a field) with x, y and the q_i cleared and the degree
-    lowered by r - 1, as f_* lowers it, so each evaluator's sum is keyed as
-    its answer; lower buckets push forward to 0.  With y = -x, q_i =
+    k >= a + b.  Returns the buckets: bucket k >= r - 1 is D a_k, D the
+    ``_den`` of ``payload``, in ints on its keys (``payload._width`` bits a
+    field) with x, y and the q_i cleared and the degree lowered by r - 1, as
+    f_* lowers it, so each evaluator's sum is keyed as its answer; lower
+    buckets push forward to 0.  With y = -x, q_i =
     sum_(m <= i) x^m c_(i-m), c_0 = 1, each distinct q^beta expanded once.
     """
     table, width = payload.table, payload._width
-    payload, d = _integral(payload)
     first = table.index("c1")
     rank, x, y = first - 1, _shift(table, width, 0), _shift(table, width, 1)
     low = 1 << _shift(table, width, first - 1)  # the fields of c1.. and the roots lie below
@@ -221,7 +219,7 @@ def _read_in_x(payload: Polynomial) -> tuple[dict[int, dict[int, int]], int, int
         k = key >> x & mask
         if c and k >= rank - 1:
             buckets.setdefault(k, {})[key - (k << x) - drop] = c
-    return buckets, d, width
+    return buckets
 
 
 @lru_cache(maxsize=_CACHED_RANKS)
@@ -293,16 +291,15 @@ def _fold(buckets: dict[int, dict[int, int]], rank: int, width: int) -> dict[int
     return {key: c for key, c in (total if walk else upper[0]).items() if c}
 
 
-def _result(table: VariableTable, packed: dict[int, int], d: int, width: int) -> Polynomial:
-    """The polynomial that a sum on ``_read_in_x`` keys over the denominator
-    ``d`` stands for, reduced by one gcd over the sum."""
-    return Polynomial._fit(table, packed, width, d)
+def _result(payload: Polynomial, packed: dict[int, int]) -> Polynomial:
+    """The polynomial that a sum on the keys of ``_read_in_x(payload)`` stands
+    for, over the denominator of ``payload``, reduced by one gcd over the sum."""
+    return Polynomial._fit(payload.table, packed, payload._width, payload._den)
 
 
 def _closed_form(payload: Polynomial, rank: int) -> Polynomial:
     """The fixed-point sum in c1..cr (and the roots) by ``_segre_sum`` on one read."""
-    buckets, d, width = _read_in_x(payload)
-    return _result(payload.table, _segre_sum(buckets, rank, width), d, width)
+    return _result(payload, _segre_sum(_read_in_x(payload), rank, payload._width))
 
 
 def _valid_through(phi: Polynomial, rank: int, cutoff: int | None) -> int | None:
@@ -356,29 +353,33 @@ def _sample_point(rank: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ..
     return point, columns, vandermonde, tuple(vandermonde // euler for _, euler in charts), {}
 
 
-# The sample check's recursions are module functions: a nested function that
+# The sample check's recursion is a module function: a nested function that
 # calls itself is a reference cycle, which only the garbage collector frees.
-def _sample_value(base: int, values: dict[int, int], columns: tuple, width: int) -> int:
-    """The c and u fields ``base`` of a key at the sample point: the top one times the rest."""
+def _sample_value(base: int, values: dict[int, int], columns: tuple, width: int, chart: int = 0) -> int:
+    """The fields ``base`` of a key at fixed point ``chart`` of the sample
+    point, the top one times the rest; the c and u fields restrict alike at
+    every fixed point."""
     j = (base.bit_length() - 1) // width
     e = base >> width * j
     field = e << width * j
     rest = base - field
-    power = values.get(field) or values.setdefault(field, columns[j][0] ** e)
-    found = values[base] = power * (values.get(rest) or _sample_value(rest, values, columns, width))
+    power = values.get(field) or values.setdefault(field, columns[j][chart] ** e)
+    found = values[base] = power * (values.get(rest) or _sample_value(rest, values, columns, width, chart))
     return found
 
 
-def _weigh(f: int, weighted: dict, columns: tuple, width: int) -> tuple:
-    """W(f) for the fiber fields ``f`` of a key, from f with one power less of its top field, or else without it."""
-    j = (f.bit_length() - 1) // width
-    e = f >> width * j
-    column, rest = columns[j], f - (e << width * j)
-    lower = weighted.get(f - (1 << width * j))
-    if lower is None:
-        lower, column = weighted.get(rest) or _weigh(rest, weighted, columns, width), [a ** e for a in column]
-    found = weighted[f] = tuple(map(mul, lower, column))
-    return found
+def _weigh(fibers: list[int], columns: tuple, cofactors: tuple, width: int) -> list[int]:
+    """W(f) = sum_j cofactor_j f|_j for each fiber monomial f of ``fibers``,
+    fixed point by fixed point: f|_j, the small product of f's field images
+    at fixed point j, is read by ``_sample_value`` from that point's images,
+    each suffix and field power built once and dropped with the point, so
+    each cofactor is multiplied once per f."""
+    weights = [0] * len(fibers)
+    for chart, cofactor in enumerate(cofactors):
+        images = {0: 1}
+        weights = [w + cofactor * (images.get(f) or _sample_value(f, images, columns, width, chart))
+                   for w, f in zip(weights, fibers)]
+    return weights
 
 
 def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool:
@@ -397,12 +398,14 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     the images by key field, V and the cofactors are ``_sample_point``'s.
     The c_i and u_i restrict alike at every fixed point, so the terms are
     summed by degree and fiber monomial f (the x, y and q_i fields of a key)
-    and each f is weighed by W(f) = sum_j cofactor_j f|_j.  The value of
-    each c/u-monomial and W(f) of each f are kept by key width in the
-    ``_sample_point`` table's memos, as long as that table lives; the
-    r-tuples of cofactor_j f|_j that W is built from live only for the
-    call.  Only the denominator clearing (``_integral``) is shared with
-    ``_closed_form``: no Whitney map, no Segre series.
+    and each f is weighed by W(f) = sum_j cofactor_j f|_j, f|_j the small
+    product of its fields' images at fixed point j: ``_weigh`` takes the f
+    not yet weighed at the key width together, fixed point by fixed point.
+    The value of each c/u-monomial and W(f) of each f are kept by key width
+    in the ``_sample_point`` table's memos, as long as that table lives, and
+    nothing else outlives the call.  Each side is read on its numerators and
+    scaled by its ``_den``; nothing is shared with ``_closed_form``: no
+    Whitney map, no Segre series.
 
     A wrong ``chern_form`` passes only where its error Delta_d in some degree
     d vanishes at c_i = e_i(a).  Delta_d(e(u)) is a nonzero polynomial of
@@ -416,9 +419,7 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
     """
     _valid_through(phi, rank, None)
     _valid_through(chern_form, rank, None)
-    (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
     _, columns, vandermonde, cofactors, memos = _sample_point(rank)
-    weighted = {0: cofactors}  # by fiber monomial f: cofactor_j f|_j, chart by chart, for this call; see _weigh
 
     def at_point(p: Polynomial, high: int, values: dict) -> dict:  # by key less its fields c1.. above bit high, at a
         mask, out = (1 << 2 * rank * width) - high, {}
@@ -436,14 +437,15 @@ def fixed_point_sample(phi: Polynomial, rank: int, chern_form: Polynomial) -> bo
         expected[(key >> top) + rank - 1] = c
     width = phi._width
     (values, weights), top, sums = memos.setdefault(width, ({0: 1}, {})), _shift(phi.table, width, -1), {}
-    for key, c in at_point(phi, 1, values).items():
-        degree, fiber = key >> top, key & ((1 << top) - 1)
-        w = weights.get(fiber)
-        if w is None:
-            w = weights[fiber] = sum(weighted.get(fiber) or _weigh(fiber, weighted, columns, width))
-        sums[degree] = sums.get(degree, 0) + c * w
-    scale *= vandermonde
-    return all(chern_scale * sums.get(d, 0) == scale * expected.get(d, 0) for d in sums.keys() | expected)
+    terms, fiber = at_point(phi, 1, values), (1 << top) - 1  # the fiber fields of a key
+    new = list(set(map(fiber.__and__, terms)).difference(weights))
+    if new:
+        weights.update(zip(new, _weigh(new, columns, cofactors, width)))
+    for key, c in terms.items():
+        degree = key >> top
+        sums[degree] = sums.get(degree, 0) + c * weights[key & fiber]
+    scale = phi._den * vandermonde
+    return all(chern_form._den * sums.get(d, 0) == scale * expected.get(d, 0) for d in sums.keys() | expected)
 
 
 def localize(phi: Polynomial, rank: int, cutoff: int | None = None) -> LocalizationResult:

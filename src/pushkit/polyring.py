@@ -5,10 +5,12 @@ positive integer degree (complex-degree convention: a class of topological
 degree ``2k`` has degree ``k`` here).  Polynomials are sparse maps from
 monomials to nonzero rational coefficients, stored as nonzero ``int``
 numerators over one ``int`` denominator > 0 with gcd 1 over them all, as
-FLINT's ``fmpq_poly`` (Hart, ICMS 2010), so equality is structural and every
-kernel runs in ints.  A coefficient read out is an ``int`` when it is
-integral and a :class:`fractions.Fraction` otherwise, never a float:
-arithmetic is exact and floats are rejected everywhere.
+FLINT's ``fmpq_poly`` (Hart, ICMS 2010), so equality is structural, every
+kernel runs in ints and the f_* evaluators and the sample check of
+``localization`` read the numerators and ``_den`` as stored.  A coefficient
+read out is an ``int`` when it is integral and a
+:class:`fractions.Fraction` otherwise, never a float: arithmetic is exact
+and floats are rejected everywhere.
 
 A monomial is stored as one int, a packed exponent vector (Monagan and
 Pearce, CASC 2007), laid out here alone (``_shift``): the weighted degree
@@ -659,12 +661,6 @@ def _horner(table: VariableTable, width: int, terms: dict[int, int], moved: list
     for prev, k in zip(exps, exps[1:]):
         acc = acc._mul(power(i, prev - k), None) + _horner(table, width, buckets[k], moved, power, level + 1)
     return acc._mul(power(i, exps[-1]), None) if exps[-1] else acc
-
-
-def _integral(p: Polynomial) -> tuple[Polynomial, int]:
-    """(D p, D), D the least common denominator of the coefficients of ``p``,
-    its ``_den``, so D p is its numerators; (p, 1) when ``p`` has no other."""
-    return (p, 1) if p._den == 1 else (Polynomial._raw(p.table, p._terms, p._width), p._den)
 
 
 def _render_terms(

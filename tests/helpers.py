@@ -31,7 +31,7 @@ from pushkit import localization
 from pushkit.errors import NotInvertibleError
 from pushkit.expressions import ExprAst, Inv, Neg, Num, Pow, Product, Sum, Var
 from pushkit.gysin import ClassExpr
-from pushkit.polyring import _integral, _key, _lead, _pairs, _shift, series_inverse
+from pushkit.polyring import _key, _lead, _pairs, _shift, series_inverse
 
 
 # Every lru_cache in pushkit by name; the suite checks that the scan of
@@ -271,7 +271,9 @@ def sample_by_charts(phi: Polynomial, rank: int, chern_form: Polynomial) -> bool
     there with ``_fixed_points`` and gives the same bool."""
     localization._valid_through(phi, rank, None)
     localization._valid_through(chern_form, rank, None)
-    (phi, scale), (chern_form, chern_scale) = _integral(phi), _integral(chern_form)
+    scale, chern_scale = (math.lcm(*(Fraction(c).denominator for _, c in p.sorted_terms()))
+                          for p in (phi, chern_form))
+    phi, chern_form = phi * scale, chern_form * chern_scale
     a, index = sample_table(rank)[0], phi.table.index
     charts = [({index(n): v for n, v in images.items()}, euler) for images, euler in localization._fixed_points(a, 1)]
     shared = {i: value for i, value in charts[0][0].items() if phi.table.names[i][0] in "cu"}

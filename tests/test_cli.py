@@ -397,8 +397,8 @@ def _shift_top_coefficient(monkeypatch):
 
     result = pushkit.gysin._result
 
-    def shifted(table, packed, d, width):
-        value = result(table, packed, d, width)
+    def shifted(payload, packed):
+        value = result(payload, packed)
         mon, _ = value.sorted_terms()[0]
         return value + Polynomial(value.table, {mon: 1})
 

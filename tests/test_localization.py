@@ -37,6 +37,7 @@ from pushkit import (
     root_generators,
     segre_oracle,
     series_inverse,
+    verify_classical,
 )
 from pushkit import gysin, localization, polyring
 
@@ -168,26 +169,42 @@ def test_sample_table_is_read_only():
 
 
 def test_sample_check_keeps_no_weight_after_it_returns():
-    # a push keeps one int W(f) per fiber monomial f, not the r-tuples of
-    # cofactor_j f|_j that W is summed from: inv(1 - x) at rank 32 weighs 41
-    # powers of x through tuples of 32 integers of about 20,000 bits, and the
-    # call measured weighs them all, on a warm point table
+    # a push keeps one int W(f) per fiber monomial f and no product of a
+    # cofactor by an image: inv(1 - x) at rank 32 weighs 41 powers of x
+    # against 32 cofactors of about 20,000 bits, and the call measured weighs
+    # them all, on a warm point table
     rank = 32
     with cold_caches():
         phi = elaborate(parse_expression("inv(1 - x)", rank), rank, 40).payload
         answer = localization._closed_form(phi, rank)
         sample_table(rank)  # the point table is built, and no weight is kept yet
+        assert sample_memos(rank, phi._width) is None
         gc.disable()
         tracemalloc.start()
         try:
             assert localization.fixed_point_sample(phi, rank, answer)
-            retained, peak = tracemalloc.get_traced_memory()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert peak > 1_000_000 and retained < peak // 20
+        assert peak < 500_000
         weights = sample_memos(rank, phi._width)[1]
         assert len(weights) == len(phi._terms) and all(type(w) is int for w in weights.values())
+
+
+def test_verify_at_rank_32_stays_small():
+    # every power x^k of verify's hyperplane_powers is a new fiber monomial,
+    # weighed once against the rank's 32 cofactors of about 20,000 bits
+    with cold_caches():
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert verify_classical(32, 35).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert peak < 1_000_000
 
 
 def test_sample_check_leaves_no_cyclic_garbage():
@@ -346,9 +363,9 @@ def test_segre_sum_of_x_to_the_r_minus_1_plus_m_is_the_segre_class_s_m(rank):
     top, table = 10, bundle_ring(rank)
     inverse = segre_oracle(rank, top)
     for m in range(top + 1):
-        buckets, d, width = localization._read_in_x(table.var("x").pow(rank - 1 + m))
-        packed = localization._segre_sum(buckets, rank, width)
-        assert localization._result(table, packed, d, width) == inverse.homogeneous_component(m)
+        phi = table.var("x").pow(rank - 1 + m)
+        packed = localization._segre_sum(localization._read_in_x(phi), rank, phi._width)
+        assert localization._result(phi, packed) == inverse.homogeneous_component(m)
 
 
 _WINDOW_CLASSES = [
@@ -365,10 +382,10 @@ def test_segre_window_edges_agree_with_the_fold(text, rank, cutoff):
     # the whole kept Segre series; at these edges it must still give the
     # fold's packed sum on the same read
     phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
-    buckets, d, width = localization._read_in_x(phi)
+    buckets, width = localization._read_in_x(phi), phi._width
     packed = localization._segre_sum(buckets, rank, width)
     assert packed == localization._fold(buckets, rank, width)
-    answer = localization._result(phi.table, packed, d, width)
+    answer = localization._result(phi, packed)
     assert expand_elementary(answer) == literal_sum(phi, rank, cutoff)
     assert (packed == {}) == (not buckets)  # the read keeps no power below r - 1
 
@@ -406,12 +423,12 @@ def test_the_fold_walks_one_power_for_one_term_buckets(drawn):
     table = bundle_ring(rank)
     two_terms = 5 * (1 + table.var("c1")) * table.var("x").pow(j)  # no alpha_k cancels a 5
     for cls, walk in ((phi, True), (phi + two_terms, False)):
-        buckets, d, width = localization._read_in_x(cls)
+        buckets, width = localization._read_in_x(cls), cls._width
         assert all(len(terms) == 1 for terms in buckets.values()) == walk
         folded = localization._fold(buckets, rank, width)
         assert folded == localization._segre_sum(buckets, rank, width)
         if cls.degree() <= _LITERAL_DEGREE.get(rank, -1):
-            assert expand_elementary(localization._result(table, folded, d, width)) == literal_sum(cls, rank)
+            assert expand_elementary(localization._result(cls, folded)) == literal_sum(cls, rank)
 
 
 _DENOMINATOR_CLASSES = [  # coprime denominators; the q-class has 1/4 coefficients
@@ -429,7 +446,7 @@ def test_closed_form_clears_denominators_once(text, rank, cutoff, denominator):
     # and divides by D once; the fixed-point sample, which clears D on each
     # side, refuses the answer shifted by 1/D in one coefficient of any degree
     phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
-    assert polyring._integral(phi)[1] == denominator
+    assert phi._den == denominator
     assert localize(phi, rank, cutoff).value == literal_sum(phi, rank, cutoff)
     result = pushforward(ClassExpr(phi, cutoff), rank)
     assert set(result.checks.values()) == {"pass"}
@@ -448,8 +465,9 @@ def test_both_evaluators_leave_the_shared_read_as_it_is(text, rank, cutoff):
     # pushforward hands one read to the closed form and then to the fold; the
     # fold runs last, so only this test sees a fold that writes into the read
     phi = elaborate(parse_expression(text, rank), rank, cutoff).payload
-    buckets, d, width = localization._read_in_x(phi)
-    assert d == polyring._integral(phi)[1] and width == cutoff.bit_length()
+    buckets, width = localization._read_in_x(phi), phi._width
+    assert phi._den == math.lcm(*(Fraction(c).denominator for _, c in phi.sorted_terms()))
+    assert width == cutoff.bit_length()
     assert all(c.__class__ is int for terms in buckets.values() for c in terms.values())
     before = {k: dict(terms) for k, terms in buckets.items()}
     folded = localization._fold(buckets, rank, width)

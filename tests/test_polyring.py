@@ -694,16 +694,17 @@ def _prime_factors(n: int) -> set[int]:
 @settings(max_examples=60, deadline=None)
 @given(_poly_strategy(_T, _NAMES), _poly_strategy(_T, _NAMES), st.fractions(max_denominator=60))
 def test_integral_clears_the_least_common_denominator(a, b, s):
-    # _integral(p) = (D p, D) with int coefficients and D minimal: for no
-    # prime r dividing D is (D / r) p integral; an integral p comes back as is
+    # p's numerators are D p with D = p._den: int coefficients, and D minimal:
+    # for no prime r dividing D is (D / r) p integral; an integral p has D = 1
     p = a * s + b
-    scaled, d = polyring._integral(p)
-    assert scaled == p * d
+    d = p._den
+    scaled = p * d
     assert all(type(c) is int for _, c in scaled.sorted_terms())
+    assert scaled == Polynomial._raw(p.table, p._terms, p._width)
     for r in _prime_factors(d):
         assert any((Fraction(c) * (d // r)).denominator != 1 for _, c in p.sorted_terms())
-    if d == 1:
-        assert scaled is p
+    if all(type(c) is int for _, c in p.sorted_terms()):
+        assert d == 1
 
 
 def test_integral_fraction_constant_is_the_int_constant():

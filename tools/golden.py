@@ -13,12 +13,14 @@ coefficient too long to print, and a ``localize`` whose answer is not
 symmetric in the roots.  Rational coefficients get their own commands: the
 six random classes of ``deep_series`` seed 1 as JSON pushes, two rational
 classes at ranks 3 and 4 in every format, a rational ``localize`` and a
-rational series refused as unprintable.  The heavy JSON pushes of the
-ROADMAP Baseline and ``verify`` at rank 64 take about 0.4-1.3 s each, over
-the corpus test's budget of 1.5 s, and are left out.  The argv lists are
-written out literally, so the test reads only the data file.  A change that
-alters printed output regenerates the file, and names each command whose
-bytes changed.
+rational series refused as unprintable.  Five more commands show the
+degree recursion of a truncated power, a generator above the cutoff and a
+``localize`` whose answer mixes roots with substituted c_i.  The heavy JSON
+pushes of the ROADMAP Baseline and ``verify`` at rank 64 take about
+0.4-1.3 s each, over the corpus test's budget of 1.5 s, and are left out.
+The argv lists are written out literally, so the test reads only the data
+file.  A change that alters printed output regenerates the file, and names
+each command whose bytes changed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ EXTRA = [
       for text in ("1/2 x^4 - 3/4 q1 y^2", "inv(3 + 2 x)") for rank in (3, 4) for fmt in ("text", "json", "tex")),
     ["localize", "--rank", "3", "--max-degree", "8", "--", "inv(1 + 4/3 y)"],
     ["push", "--rank", "2", "--", "inv(1 - 1/10^1000 x)"],  # an unprintable rational coefficient
+    # truncated powers through the degree recursion: n > 0, c0 != 1, c0 < 0
+    ["push", "--rank", "4", "--max-degree", "20", "--format", "json", "--", "(1 + x + c1)^12"],
+    ["push", "--rank", "3", "--max-degree", "12", "--format", "json", "--", "(1/3 + x)^5"],
+    ["push", "--rank", "2", "--max-degree", "6", "--", "(-2 + x)^3"],
+    ["push", "--rank", "3", "--max-degree", "2", "--format", "json", "--", "c3 + x^2"],  # c3 above the cutoff
+    ["localize", "--rank", "2", "--max-degree", "3", "--", "(u1^2 + u2^2) x + c1^2 x"],  # roots beside c_i
 ]
 
 
