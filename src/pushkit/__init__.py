@@ -30,7 +30,6 @@ from .polyring import (
     series_inverse,
 )
 from .symfun import (
-    complete_homogeneous,
     elementary_symmetric,
     expand_elementary,
     is_symmetric,
@@ -81,7 +80,6 @@ __all__ = [
     "VerificationCheck",
     "VerificationReport",
     "bundle_ring",
-    "complete_homogeneous",
     "divide_exact_linear",
     "elaborate",
     "elementary_symmetric",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     ArityError,

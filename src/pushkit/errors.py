@@ -23,24 +23,24 @@ class NotDivisibleError(PushkitError):
     """Exact division left a nonzero remainder."""
 
 
-class NotInvertibleError(PushkitError):
-    """Series inversion was applied to a polynomial with zero constant term."""
+class _PositionedError(PushkitError):
+    """An error whose ``offset`` is the byte offset of its cause in the input, or None."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
+
+
+class NotInvertibleError(_PositionedError):
+    """Series inversion was applied to a polynomial with zero constant term."""
 
 
 class SymmetryError(PushkitError):
     """A value that must be invariant under permuting the Chern roots is not."""
 
 
-class ArityError(PushkitError):
+class ArityError(_PositionedError):
     """A generator subscript is out of range for the working rank."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
-        self.offset = offset
 
 
 class UnsupportedVariableError(PushkitError):

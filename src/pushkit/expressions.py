@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
 from .errors import ArityError, ExponentError, NotInvertibleError, ParseError
 from .gysin import ClassExpr
@@ -81,7 +80,7 @@ class Inv(_Value):
     __slots__ = ("operand", "offset")
 
 
-ExprAst = Union[Num, Var, Neg, Sum, Product, Pow, Inv]
+ExprAst = Num | Var | Neg | Sum | Product | Pow | Inv
 
 
 class _Token:  # the parser's own, never compared or hashed: plain slots

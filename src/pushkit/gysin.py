@@ -16,8 +16,8 @@ read of the class, which ``pushforward`` makes once; ``localization``'s
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .errors import UnsupportedVariableError
 from .localization import _fold, _read_in_x, _result, _segre_sum, _valid_through, bundle_ring

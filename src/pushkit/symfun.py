@@ -1,8 +1,8 @@
 """Symmetric-polynomial machinery over the Chern-root generators u1..ur.
 
-Provides elementary and complete homogeneous symmetric polynomials, a
-symmetry test, the rewriting of a symmetric polynomial into the elementary
-basis (that is, into the Chern classes c1..cr), and its inverse.
+Provides the elementary symmetric polynomials, a symmetry test, the
+rewriting of a symmetric polynomial into the elementary basis (that is, into
+the Chern classes c1..cr), and its inverse.
 
 The symmetry test works on orbits of monomials under permuting the roots.
 The rewriting is classical leading-term subtraction (Macdonald, *Symmetric
@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import SymmetryError
 from .polyring import Monomial, Polynomial, VariableTable, _Coeff, _coefficient
@@ -24,7 +23,6 @@ from .polyring import Monomial, Polynomial, VariableTable, _Coeff, _coefficient
 __all__ = [
     "root_generators",
     "elementary_symmetric",
-    "complete_homogeneous",
     "is_symmetric",
     "reduce_to_elementary",
     "expand_elementary",
@@ -89,19 +87,6 @@ def elementary_symmetric(k: int, gens: Iterable[Polynomial]) -> Polynomial:
     terms = {
         Monomial(tuple((i, 1) for i in combo)): 1
         for combo in itertools.combinations(indices, k)
-    }
-    return Polynomial(table, terms)
-
-
-def complete_homogeneous(k: int, gens: Iterable[Polynomial]) -> Polynomial:
-    """h_k of the given degree-1 generators: the sum of all monomials of
-    total degree k; h_0 = 1."""
-    table, indices = _resolve_gens(gens)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be a non-negative integer")
-    terms = {
-        Monomial(Counter(combo)): 1
-        for combo in itertools.combinations_with_replacement(indices, k)
     }
     return Polynomial(table, terms)
 

@@ -222,6 +222,14 @@ def literal_sum(phi: Polynomial, rank: int, cutoff: int | None = None) -> Polyno
     return value if cutoff is None else value.truncate(cutoff - (rank - 1))
 
 
+def complete_homogeneous(k: int, gens: Sequence[Polynomial]) -> Polynomial:
+    """Reference h_k of the degree-1 generators ``gens``: the sum of every
+    product of k of them, repetitions allowed, each monomial once; h_0 = 1."""
+    table = gens[0].table
+    return sum((math.prod(combo, start=table.one())
+                for combo in itertools.combinations_with_replacement(gens, k)), table.zero())
+
+
 def relation_check(rank: int) -> bool:
     """Reference for the symbolic charts: True when the defining relation of
     the fiber ring restricts to a true identity at every fixed point, (1 +

@@ -14,7 +14,6 @@ from pushkit import (
     ClassExpr,
     PushkitError,
     bundle_ring,
-    complete_homogeneous,
     elaborate,
     expand_elementary,
     fixed_point_charts,
@@ -31,7 +30,7 @@ from pushkit import (
 from pushkit.cli import run
 
 from helpers import localize_divided_differences, random_chern_poly, random_fiber_poly, relation_check
-from helpers import graded_parts, random_poly, random_x_class
+from helpers import complete_homogeneous, graded_parts, random_poly, random_x_class
 
 
 @contextmanager

@@ -557,8 +557,9 @@ def test_rank_above_sixty_four_exits_two(capsys, command):
 
 def test_max_degree_below_fiber_dimension_exits_two(capsys):
     for command in (["push", "x^2"], ["localize", "y^2"], ["verify"]):
-        assert run([command[0], "--rank", "5", "--max-degree", "2", *command[1:]]) == 2
-        assert "max degree must be at least rank - 1" in capsys.readouterr().err
+        for degree in ("2", "3"):  # 3 is rank - 2, one below the floor
+            assert run([command[0], "--rank", "5", "--max-degree", degree, *command[1:]]) == 2
+            assert "max degree must be at least rank - 1" in capsys.readouterr().err
     assert run(["push", "--rank", "5", "--max-degree", "4", "x^4"]) == 0
     assert "valid_through = 0" in capsys.readouterr().out
 
@@ -592,12 +593,21 @@ def test_front_end_import_loads_no_json():
     assert proc.stdout.strip() == "True"
 
 
+def test_front_end_loads_no_typing():
+    # pushkit annotates from collections.abc; -S keeps site-packages from loading typing first
+    code = ("import sys, pushkit.cli as cli; imported = 'typing' in sys.modules; "
+            "cli.run(['push', '--rank', '3', '--', 'x^4']); print(imported, 'typing' in sys.modules)")
+    proc = _python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
 PUBLIC_API = [
     "ArityError", "ClassExpr", "ExponentError", "ExprAst", "FixedPointChart", "GradingError",
     "LocalizationResult", "Monomial", "NotDivisibleError", "NotInvertibleError", "ParseError",
     "Polynomial", "PushforwardResult", "PushkitError", "SymmetryError", "TableMismatchError",
     "UnboundVariableError", "UnsupportedVariableError", "VariableTable", "VerificationCheck",
-    "VerificationReport", "bundle_ring", "complete_homogeneous", "divide_exact_linear",
+    "VerificationReport", "bundle_ring", "divide_exact_linear",
     "elaborate", "elementary_symmetric", "expand_elementary", "fixed_point_charts",
     "is_symmetric", "localize", "parse_expression", "presentation_oracle", "pushforward",
     "reduce_to_elementary", "root_generators", "segre_oracle",

@@ -23,7 +23,6 @@ from pushkit import (
     SymmetryError,
     UnsupportedVariableError,
     bundle_ring,
-    complete_homogeneous,
     elaborate,
     elementary_symmetric,
     expand_elementary,
@@ -41,10 +40,10 @@ from pushkit import (
 )
 from pushkit import gysin, localization, polyring
 
-from helpers import CACHES, FreshRank, cache_sizes, cold_caches, graded_parts, literal_sum, per_rank_caches
+from helpers import CACHES, FreshRank, cache_sizes, cold_caches, complete_homogeneous, graded_parts, literal_sum
 from helpers import perturbed_segre, random_chern_poly, random_class, random_coeff, random_fiber_poly, random_poly
 from helpers import localize_divided_differences, reference_setup, relation_check, sample_by_charts, sample_memos
-from helpers import sample_table, segre_series, symmetrize, wrong_q1_at_second_point
+from helpers import per_rank_caches, sample_table, segre_series, symmetrize, wrong_q1_at_second_point
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -590,12 +589,13 @@ def test_localize_requires_pretruncated_input():
 def test_cutoff_below_the_fiber_dimension_is_refused():
     x = bundle_ring(5).var("x")
     message = "cutoff must be at least rank - 1 = 4, the fiber dimension"
-    with pytest.raises(ValueError, match=message):
-        localize(x.pow(2), 5, 2)
-    with pytest.raises(ValueError, match=message):
-        gysin.pushforward(ClassExpr(x.pow(2), 2), 5)
-    with pytest.raises(ValueError, match=message):
-        gysin.presentation_oracle(ClassExpr(x.pow(2), 2), 5)
+    for cutoff in (2, 3):  # 3 is rank - 2, one below the floor
+        with pytest.raises(ValueError, match=message):
+            localize(x.pow(2), 5, cutoff)
+        with pytest.raises(ValueError, match=message):
+            gysin.pushforward(ClassExpr(x.pow(2), cutoff), 5)
+        with pytest.raises(ValueError, match=message):
+            gysin.presentation_oracle(ClassExpr(x.pow(2), cutoff), 5)
 
 
 def test_localize_rejects_asymmetric_output():

@@ -15,7 +15,6 @@ from pushkit import (
     SymmetryError,
     VariableTable,
     bundle_ring,
-    complete_homogeneous,
     elementary_symmetric,
     expand_elementary,
     is_symmetric,
@@ -24,6 +23,7 @@ from pushkit import (
 )
 
 from helpers import (
+    complete_homogeneous,
     random_chern_poly,
     permute_roots,
     random_poly,
@@ -93,6 +93,8 @@ def test_is_symmetric_examples(ring3):
     assert is_symmetric(u1 + u2 + u3)
     assert not is_symmetric(u1 - u2)
     assert not is_symmetric((u2 - u1) * (u3 - u1))  # a single Euler class
+    # the whole orbit of u1^2 u2, one member with another coefficient
+    assert not is_symmetric(symmetrize(u1.pow(2) * u2) + u3.pow(2) * u1)
 
 
 # -- reduction into the elementary basis --------------------------------------

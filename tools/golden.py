@@ -8,10 +8,10 @@ per command its argv, its exit code and the sha256 of its standard output
 and of its standard error, each as UTF-8 text.  The commands are the
 benchmark's ``cli_mixed`` commands of seeds 1, 7 and 42 (93 in all, read
 from ``perfbench/workloads.py``), ``verify`` at ranks 16 and 32, and one
-refusal per exit path of ``cli.run``: a rank above 64, a parse error, a
-coefficient too long to print, and a ``localize`` whose answer is not
-symmetric in the roots.  Rational coefficients get their own commands: the
-six random classes of ``deep_series`` seed 1 as JSON pushes, two rational
+refusal per exit path of ``cli.run``: a rank above 64, a --max-degree one
+below the fiber dimension, a parse error, a coefficient too long to print,
+and a ``localize`` whose answer is not symmetric in the roots.  Rational
+coefficients get their own commands: the six random classes of ``deep_series`` seed 1 as JSON pushes, two rational
 classes at ranks 3 and 4 in every format, a rational ``localize`` and a
 rational series refused as unprintable.  Five more commands show the
 degree recursion of a truncated power, a generator above the cutoff and a
@@ -40,6 +40,7 @@ EXTRA = [
     ["verify", "--rank", "16"],
     ["verify", "--rank", "32", "--max-degree", "35"],
     ["push", "--rank", "65", "x"],  # a usage error
+    ["push", "--rank", "3", "--max-degree", "1", "--", "x"],  # a usage error: one below the fiber dimension
     ["push", "--rank", "3", "--", "x +"],  # a parse error
     ["push", "--rank", "2", "--", "2^14000 2^14000 x"],  # an unprintable coefficient
     ["localize", "--rank", "2", "--", "u1 x"],  # not symmetric in the roots
