@@ -40,8 +40,7 @@ from types import MappingProxyType
 
 from .errors import ArityError, SymmetryError
 from .polyring import Polynomial, VariableTable, _Value, _shift
-from .symfun import is_symmetric
-from .symfun import _chern_to_roots, root_generators
+from .symfun import _chern_to_roots, _elementary, is_symmetric, root_generators
 
 __all__ = [
     "bundle_ring",
@@ -97,10 +96,9 @@ def _fixed_points(a: tuple, one) -> list[tuple[dict, object]]:
     at root values ``a`` = a_1..a_r: Python ints or ``Polynomial``s, with
     ``one`` their unit.  x -> -a_j, y -> a_j, q_i -> e_i(a without a_j),
     c_i -> e_i(a), u_i -> a_i; the Euler class is prod_(i != j) (a_i - a_j).
+    The e_i(a) are ``symfun._elementary``'s, and the q_i images recur from them.
     """
-    total = [one]  # e_0(a)..e_r(a), the coefficients of prod (1 + a_i z)
-    for ai in a:
-        total = [one] + [total[i] + ai * total[i - 1] for i in range(1, len(total))] + [ai * total[-1]]
+    total = _elementary(a, len(a), one)
     points = []
     for j, aj in enumerate(a):
         images = {"x": -aj, "y": aj}

@@ -4,10 +4,12 @@ Provides the elementary symmetric polynomials, a symmetry test, the
 rewriting of a symmetric polynomial into the elementary basis (that is, into
 the Chern classes c1..cr), and its inverse.
 
-The symmetry test works on orbits of monomials under permuting the roots.
-The rewriting is classical leading-term subtraction (Macdonald, *Symmetric
-Functions*, I.2); nothing in the pushforward calls it, and the test suite
-uses it as a reference.
+Every e_k, of ints or polynomials, is read off one expansion of
+prod (1 + v t), ``_elementary``.  The symmetry test reads the orbits of
+monomials under permuting the roots off the packed keys.  The rewriting is
+classical leading-term subtraction (Macdonald, *Symmetric Functions*, I.2),
+the only code here that builds a ``Monomial``; nothing in the pushforward
+calls it, and the test suite uses it as a reference.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from collections.abc import Iterable
 
 from .errors import SymmetryError
-from .polyring import Monomial, Polynomial, VariableTable, _Coeff, _coefficient
+from .polyring import Monomial, Polynomial, VariableTable, _Coeff, _coefficient, _shift
 
 __all__ = [
     "root_generators",
@@ -52,68 +54,47 @@ def root_generators(table: VariableTable) -> tuple[Polynomial, ...]:
     return tuple(table.var(table.names[i]) for i in _root_indices(table))
 
 
-def _generator_index(gen: Polynomial) -> int:
-    terms = gen.sorted_terms()
-    if len(terms) != 1:
-        raise ValueError("expected a single generator")
-    mon, coeff = terms[0]
-    if coeff != 1 or len(mon) != 1 or mon[0][1] != 1:
-        raise ValueError("expected a single generator")
-    idx = mon[0][0]
-    if gen.table.degrees[idx] != 1:
-        raise ValueError("expected a degree-1 generator")
-    return idx
-
-
-def _resolve_gens(gens: Iterable[Polynomial]) -> tuple[VariableTable, tuple[int, ...]]:
-    gens = tuple(gens)
-    resolved = gens[0].table
-    indices = []
-    for g in gens:
-        if g.table is not resolved and g.table != resolved:
-            raise ValueError("generators must share one table")
-        indices.append(_generator_index(g))
-    if len(set(indices)) != len(indices):
-        raise ValueError("generators must be distinct")
-    return resolved, tuple(indices)
+def _elementary(values: Iterable, top: int, one) -> list:
+    """e_0..e_top of ``values`` (ints or polynomials of one table, ``one``
+    their unit), fewer when there are fewer values: the coefficients of
+    prod (1 + v t), one factor at a time, none above t^top built."""
+    e = [one]
+    for v in values:
+        e = [one] + [e[i] + v * e[i - 1] for i in range(1, len(e))] + ([v * e[-1]] if len(e) <= top else [])
+    return e
 
 
 def elementary_symmetric(k: int, gens: Iterable[Polynomial]) -> Polynomial:
-    """e_k of the given degree-1 generators: the sum of all k-fold products
-    of distinct generators; e_0 = 1."""
-    table, indices = _resolve_gens(gens)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > len(indices):
-        raise ValueError(f"k must satisfy 0 <= k <= {len(indices)}")
-    terms = {
-        Monomial(tuple((i, 1) for i in combo)): 1
-        for combo in itertools.combinations(indices, k)
-    }
-    return Polynomial(table, terms)
+    """e_k of a non-empty sequence of polynomials of one table: the sum of
+    all products of k of them at distinct positions; e_0 = 1."""
+    gens = tuple(gens)
+    if not gens:
+        raise ValueError("gens must be a non-empty sequence of polynomials")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > len(gens):
+        raise ValueError(f"k must satisfy 0 <= k <= {len(gens)}")
+    return _elementary(gens, k, gens[0].table.one())[k]
 
 
 def is_symmetric(p: Polynomial) -> bool:
     """True when p is invariant under every permutation of the roots.
 
-    One pass over the terms groups them by orbit, keyed by the non-root part
-    of the monomial and its sorted root exponents.  p is symmetric exactly
-    when every orbit carries a single coefficient and is complete.
+    One pass over the packed keys groups the terms by orbit, keyed by the key
+    with its root fields cleared and its sorted root fields, zeros included.
+    p is symmetric exactly when every orbit carries a single coefficient and
+    is complete: n members, n * prod(mult!) = r! over its root exponents.
     """
-    roots = set(_root_indices(p.table))
+    field = (1 << p._width) - 1
+    shifts = [_shift(p.table, p._width, i) for i in _root_indices(p.table)]
+    roots = sum(field << s for s in shifts)
     orbits: dict[tuple, list] = {}
     for key, c in p._terms.items():
-        mon = p._monomial(key)
-        orbit = (
-            tuple(t for t in mon if t[0] not in roots),
-            tuple(sorted(e for i, e in mon if i in roots)),
-        )
-        seen = orbits.setdefault(orbit, [c, 0])
+        seen = orbits.setdefault((key & ~roots, tuple(sorted(key >> s & field for s in shifts))), [c, 0])
         if seen[0] != c:
             return False
         seen[1] += 1
-    # A complete orbit has r!/prod(mult!) members, zero exponents counted.
     return all(
         n * math.prod(math.factorial(len(tuple(run))) for _, run in itertools.groupby(exps))
-        == math.perm(len(roots), len(exps))
+        == math.factorial(len(exps))
         for (_, exps), (_, n) in orbits.items()
     )
 
@@ -168,16 +149,17 @@ def reduce_to_elementary(p: Polynomial) -> Polynomial:
 
 
 def _chern_to_roots(p: Polynomial) -> Polynomial:
-    """Send each occurring c_i to e_i(u1..ur); every other generator is fixed.
+    """Send each occurring c_i to e_i(u1..ur), from one ``_elementary`` call
+    through the highest such i; every other generator is fixed.
 
     One :meth:`Polynomial.substitute` call; its Horner scheme nests the
     c-monomials by c1, then c2, ..., so each product is a partial result
     times a cached power of one e_i, never a product of two large powers."""
     roots = root_generators(p.table)
     names = p.variables()
-    images = {f"c{i}": elementary_symmetric(i, roots) for i in range(1, len(roots) + 1)
-              if f"c{i}" in names}
-    return p.substitute(images)
+    used = [i for i in range(1, len(roots) + 1) if f"c{i}" in names]
+    e = _elementary(roots, max(used, default=0), p.table.one())
+    return p.substitute({f"c{i}": e[i] for i in used})
 
 
 def expand_elementary(p: Polynomial) -> Polynomial:

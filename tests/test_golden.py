@@ -15,7 +15,7 @@ CORPUS = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(
 
 
 def test_every_corpus_command_prints_its_recorded_bytes():
-    assert len(CORPUS) == 125
+    assert len(CORPUS) == 128
     for entry in CORPUS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -24,7 +24,6 @@ from pushkit import (
     UnsupportedVariableError,
     bundle_ring,
     elaborate,
-    elementary_symmetric,
     expand_elementary,
     fixed_point_charts,
     is_symmetric,
@@ -38,7 +37,7 @@ from pushkit import (
     series_inverse,
     verify_classical,
 )
-from pushkit import gysin, localization, polyring
+from pushkit import gysin, localization, polyring, symfun
 
 from helpers import CACHES, FreshRank, cache_sizes, cold_caches, complete_homogeneous, graded_parts, literal_sum
 from helpers import perturbed_segre, random_chern_poly, random_class, random_coeff, random_fiber_poly, random_poly
@@ -64,6 +63,10 @@ def test_charts_match_the_combination_sums(rank):
     # summed over combinations and each Euler class multiplied out instead:
     # q_i restricts to e_i of the other roots, c_i to e_i of all of them
     table = bundle_ring(rank)
+
+    def e(i, values):
+        return sum((math.prod(combo, start=table.one()) for combo in itertools.combinations(values, i)), table.zero())
+
     roots = root_generators(table)
     charts = fixed_point_charts(rank)
     assert len(charts) == rank and [chart.index for chart in charts] == list(range(1, rank + 1))
@@ -71,9 +74,9 @@ def test_charts_match_the_combination_sums(rank):
         complement = roots[:j] + roots[j + 1:]
         assert chart.restriction["x"] == -roots[j] and chart.restriction["y"] == roots[j]
         for i in range(1, rank):
-            assert chart.restriction[f"q{i}"] == elementary_symmetric(i, complement)
+            assert chart.restriction[f"q{i}"] == e(i, complement)
         for i in range(1, rank + 1):
-            assert chart.restriction[f"c{i}"] == elementary_symmetric(i, roots)
+            assert chart.restriction[f"c{i}"] == e(i, roots)
             assert chart.restriction[f"u{i}"] == roots[i - 1]
         euler = table.one()
         for u in complement:
@@ -87,13 +90,16 @@ def test_charts_match_the_combination_sums(rank):
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_sample_table_matches_the_combination_sums(rank):
     # the integer table fixed_point_sample reads, against e_i summed over
-    # itertools.combinations of the sample point
+    # itertools.combinations of the sample point; the recursion it comes
+    # from stops at any top, and stops early when there are fewer values
     def e(i, values):
         return sum(math.prod(combo) for combo in itertools.combinations(values, i))
 
     # column j is key field j from the bottom, so field 0 is u_r
     names = bundle_ring(rank).names
     a, columns, vandermonde, cofactors = sample_table(rank)
+    for top in range(rank + 2):
+        assert symfun._elementary(a, top, 1) == [e(i, a) for i in range(min(top, rank) + 1)]
     assert len(columns) == len(names) and all(len(column) == rank for column in columns)
     image = {name: column for name, column in zip(reversed(names), columns)}
     for j in range(rank):
@@ -577,6 +583,32 @@ def test_localize_series_rank_three():
         product = product.mul_trunc(series_inverse(1 + u, 6), 6)
     assert result.valid_through == 4
     assert result.value == product.truncate(4)
+
+
+def test_the_roots_path_builds_no_monomial(monkeypatch):
+    # c_i -> e_i(u) expands prod (1 + u t) in polynomials and the symmetry
+    # test reads the packed keys, so localize and u_form build no Monomial,
+    # from cold caches; the wrapped constructors count the ones built
+    built = []
+    new, raw = polyring.Monomial.__new__, polyring.Monomial._raw.__func__
+
+    def counted_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    def counted_raw(cls, exps):
+        built.append(exps)
+        return raw(cls, exps)
+
+    phi = elaborate(parse_expression("inv(1 + 4/3 y)", 3), 3, 8).payload
+    push = pushforward(elaborate(parse_expression("inv(1 - c1 - x)", 5), 5, 9), 5)
+    with monkeypatch.context() as patch, cold_caches():
+        patch.setattr(polyring.Monomial, "__new__", staticmethod(counted_new))
+        patch.setattr(polyring.Monomial, "_raw", classmethod(counted_raw))
+        value, u_form = localize(phi, 3, 8).value, push.u_form
+        assert built == []
+    assert is_symmetric(value) and value.degree() == 6 and len(value._terms) == 84
+    assert u_form.degree() == 5 and u_form == expand_elementary(push.chern_form)
 
 
 def test_localize_requires_pretruncated_input():

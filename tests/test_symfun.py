@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pushkit import (
     Polynomial,
     SymmetryError,
+    TableMismatchError,
     VariableTable,
     bundle_ring,
     elementary_symmetric,
@@ -45,6 +46,10 @@ def test_elementary_examples(ring3):
     assert elementary_symmetric(0, (u1, u2, u3)) == ring3.one()
     assert elementary_symmetric(2, (u1, u2, u3)) == u1 * u2 + u1 * u3 + u2 * u3
     assert elementary_symmetric(1, (u2, u3)) == u2 + u3
+    # any polynomials of one table, not only distinct generators
+    c1 = ring3.var("c1")
+    assert elementary_symmetric(2, (u1 + c1, u2, u3)) == (u1 + c1) * u2 + (u1 + c1) * u3 + u2 * u3
+    assert elementary_symmetric(3, (u1, u1, 2 * u2)) == 2 * u1 * u1 * u2
 
 
 def test_elementary_domain_errors(ring3):
@@ -53,6 +58,10 @@ def test_elementary_domain_errors(ring3):
         elementary_symmetric(4, roots)
     with pytest.raises(ValueError):
         elementary_symmetric(-1, roots)
+    with pytest.raises(ValueError, match="non-empty"):
+        elementary_symmetric(0, ())
+    with pytest.raises(TableMismatchError):  # from the arithmetic
+        elementary_symmetric(2, (roots[0], bundle_ring(4).var("u2"), roots[1]))
 
 
 def test_complete_homogeneous_examples(ring3):

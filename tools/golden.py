@@ -15,7 +15,9 @@ coefficients get their own commands: the six random classes of ``deep_series`` s
 classes at ranks 3 and 4 in every format, a rational ``localize`` and a
 rational series refused as unprintable.  Five more commands show the
 degree recursion of a truncated power, a generator above the cutoff and a
-``localize`` whose answer mixes roots with substituted c_i.  The heavy JSON
+``localize`` whose answer mixes roots with substituted c_i.  Three more
+read an answer that stops below c_r in the roots, at rank 8, where
+e_1..e_m are built only through the highest c_m that occurs.  The heavy JSON
 pushes of the ROADMAP Baseline and ``verify`` at rank 64 take about
 0.4-1.3 s each, over the corpus test's budget of 1.5 s, and are left out.
 The argv lists are written out literally, so the test reads only the data
@@ -54,6 +56,10 @@ EXTRA = [
     ["push", "--rank", "2", "--max-degree", "6", "--", "(-2 + x)^3"],
     ["push", "--rank", "3", "--max-degree", "2", "--format", "json", "--", "c3 + x^2"],  # c3 above the cutoff
     ["localize", "--rank", "2", "--max-degree", "3", "--", "(u1^2 + u2^2) x + c1^2 x"],  # roots beside c_i
+    # answers that stop below c_r, read in the roots from e_1..e_m, m < r
+    ["push", "--rank", "8", "--max-degree", "9", "--", "x^9"],
+    ["push", "--rank", "8", "--max-degree", "10", "--", "c1 x^8 + x^9"],
+    ["localize", "--rank", "8", "--max-degree", "10", "--", "x^9 + c2 x^7"],
 ]
 
 
